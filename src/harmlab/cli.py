@@ -26,6 +26,7 @@ from .ensembles import (
 )
 from .errors import NumericalError, ValidationError
 from .experiments import (
+    LOG_MODEL_MIN_R2,
     ErrorReport,
     make_random_target,
     mc_rate_experiment,
@@ -36,14 +37,7 @@ from .halfplane import HalfPlanePoint
 from .line_barron import log_divergence_diagnostic
 from .numerics import GridSpec, RateFit
 from .poisson import BoundaryFunction, solve_at
-from .solutions import (
-    eval_heaviside,
-    eval_u_fractional,
-    eval_u_half,
-    eval_u_integer,
-    eval_u_reg,
-    eval_u_three_half,
-)
+from .solutions import SolutionKind
 
 CSV_HEADER = "experiment,k,R,p,order,knob,value"
 
@@ -138,30 +132,24 @@ def _summary(fit: RateFit) -> str:
 # --- subcommand handlers ------------------------------------------------------
 
 
+# --kind -> (SolutionKind constructor, the flags it takes in order)
+_EVAL_KINDS = {
+    "int": (SolutionKind.integer_power, ("k",)),
+    "frac": (SolutionKind.fractional_power, ("alpha",)),
+    "half": (lambda: SolutionKind("half"), ()),
+    "threehalf": (lambda: SolutionKind("threehalf"), ()),
+    "heaviside": (SolutionKind.heaviside, ()),
+    "reg": (SolutionKind.regularized, ("k", "eps")),
+}
+
+
 def _cmd_eval(args) -> int:
-    kind = args.kind
-    if kind == "reg":
-        if args.k is None or args.eps is None:
-            raise ValidationError("eval --kind reg needs --k and --eps")
-        value = eval_u_reg(args.x, args.y, args.eps, args.k)
-    else:
-        p = HalfPlanePoint(args.x, args.y)
-        if kind == "int":
-            if args.k is None:
-                raise ValidationError("eval --kind int needs --k")
-            value = eval_u_integer(p, args.k)
-        elif kind == "frac":
-            if args.alpha is None:
-                raise ValidationError("eval --kind frac needs --alpha")
-            value = eval_u_fractional(p, args.alpha)
-        elif kind == "half":
-            value = eval_u_half(p)
-        elif kind == "threehalf":
-            value = eval_u_three_half(p)
-        elif kind == "heaviside":
-            value = eval_heaviside(p)
-        else:
-            raise ValidationError(f"unknown kind {kind!r}")
+    make, flags = _EVAL_KINDS[args.kind]
+    values = [getattr(args, flag) for flag in flags]
+    if None in values:
+        needs = " and ".join(f"--{flag}" for flag in flags)
+        raise ValidationError(f"eval --kind {args.kind} needs {needs}")
+    value = make(*values).evaluate_xy(args.x, args.y)
     print(f"{value:.15g}")
     return 0
 
@@ -173,16 +161,21 @@ def _cmd_solve(args) -> int:
     return 0
 
 
+def _emit_rates(args, reports: list[ErrorReport], fit: RateFit, tail: str = "") -> int:
+    """CSV, optional gnuplot companion, and the one-line fit summary of a rates run."""
+    _write_csv(args.out, reports)
+    if args.gnuplot:
+        _write_gnuplot(args.out)
+    print(_summary(fit) + tail)
+    return 0
+
+
 def _cmd_rates_reg(args) -> int:
     grid = _grid_from_args(args, args.R)
     reports, fit = reg_error_experiment(
         args.k, args.R, _parse_p(args.p), args.order, _eps_list(args), grid
     )
-    _write_csv(args.out, reports)
-    if args.gnuplot:
-        _write_gnuplot(args.out)
-    print(_summary(fit))
-    return 0
+    return _emit_rates(args, reports, fit)
 
 
 def _cmd_rates_mc(args) -> int:
@@ -193,11 +186,7 @@ def _cmd_rates_mc(args) -> int:
         np.round(np.logspace(math.log10(args.n_min), math.log10(args.n_max), args.steps)).astype(int)
     )
     reports, fit, rate = mc_rate_experiment(target, ns, args.order, args.q, args.seeds)
-    _write_csv(args.out, reports)
-    if args.gnuplot:
-        _write_gnuplot(args.out)
-    print(f"{_summary(fit)} bound_rate={rate:.3f}")
-    return 0
+    return _emit_rates(args, reports, fit, f" bound_rate={rate:.3f}")
 
 
 def _cmd_rates_sobolev(args) -> int:
@@ -205,10 +194,13 @@ def _cmd_rates_sobolev(args) -> int:
     reports, fit = sobolev_lognorm_experiment(
         args.k, args.R, _eps_list(args), grid, order=args.order
     )
-    _write_csv(args.out, reports)
-    if args.gnuplot:
-        _write_gnuplot(args.out)
-    print(_summary(fit))
+    _emit_rates(args, reports, fit)
+    if fit.r_squared < LOG_MODEL_MIN_R2:
+        print(
+            f"harmlab: warning: r2={fit.r_squared:.3f} < {LOG_MODEL_MIN_R2}: seminorm^2 at order"
+            f" {reports[0].derivative_order} is not affine in |log eps|; the slope is not a log rate",
+            file=sys.stderr,
+        )
     return 0
 
 

@@ -35,28 +35,21 @@ from .numerics import (
     fit_linear,
     fit_loglog,
     gauss_legendre_rule,
-    golden_max,
     norm_lp_halfdisk,
+    ray_refined_max,
 )
 from .solutions import reg_diff_gradient, reg_diff_hessian, reg_diff_value
 
 __all__ = [
     "ErrorReport",
-    "Poly2",
-    "imag_power_poly",
-    "log_derivative_terms",
-    "log_component_derivative_field",
-    "log_component_seminorm_sq",
     "reg_error_experiment",
-    "reg_linf_maximizer_radius",
-    "interior_critical_radius",
     "sobolev_lognorm_experiment",
     "mc_rate_experiment",
     "make_random_target",
-    "worker_count",
 ]
 
 GATE_REL_CHANGE = 0.005  # norms must move < 0.5% under grid doubling
+LOG_MODEL_MIN_R2 = 0.99  # below this r^2 a seminorm^2 is not affine in |log eps|
 
 
 def worker_count() -> int:
@@ -275,16 +268,16 @@ def _reg_field(k: int, epsilon: float, order: int):
     raise ValidationError(f"derivative order must be 0, 1 or 2, got {order}")
 
 
-def _gate_check(field, grid: GridSpec, p: float, label: str) -> float:
-    coarse = norm_lp_halfdisk(field, grid, p)
-    fine = norm_lp_halfdisk(field, grid.refined(), p)
+def _gate_check(measure, grid: GridSpec, label: str) -> None:
+    """Refinement gate: measure(grid) and measure(grid.refined()) within GATE_REL_CHANGE."""
+    coarse = measure(grid)
+    fine = measure(grid.refined())
     scale = max(abs(coarse), abs(fine))
     if scale > 0.0 and abs(fine - coarse) > GATE_REL_CHANGE * scale:
         raise GateFailed(
-            f"{label}: norm moved {abs(fine - coarse) / scale:.2%} under grid doubling"
+            f"{label} moved {abs(fine - coarse) / scale:.2%} under grid doubling"
             f" (gate {GATE_REL_CHANGE:.1%}); refine the grid"
         )
-    return fine
 
 
 def reg_error_experiment(
@@ -317,7 +310,8 @@ def reg_error_experiment(
         raise ValidationError(f"grid radius {grid.R} does not match R = {R}")
 
     for e in (eps[0], eps[-1]):
-        _gate_check(_reg_field(k, float(e), order), grid, p, f"eps={e:g}")
+        field = _reg_field(k, float(e), order)
+        _gate_check(lambda g: norm_lp_halfdisk(field, g, p), grid, f"eps={e:g}: norm")
 
     values = _pmap(
         lambda e: norm_lp_halfdisk(_reg_field(k, float(e), order), grid, p), eps
@@ -345,22 +339,12 @@ def interior_critical_radius(k: int, epsilon: float, R: float):
 
 def reg_linf_maximizer_radius(k: int, epsilon: float, grid: GridSpec) -> float:
     """Measured radius maximizing |u_{eps,k} - u_k| on the grid (refined in r)."""
-    X, Y = grid.mesh()
-    V = np.abs(reg_diff_value(X, Y, epsilon, k))
-    jmax, lmax = np.unravel_index(np.argmax(V), V.shape)
-    r_nodes = grid.radial_nodes()
-    phi = grid.angular_nodes()[lmax]
 
-    def along_ray(r):
-        return abs(float(reg_diff_value(np.asarray([r * math.cos(phi)]),
-                                        np.asarray([r * math.sin(phi)]), epsilon, k)[0]))
+    def field(X, Y):
+        return reg_diff_value(X, Y, epsilon, k)
 
-    lo = r_nodes[jmax - 1] if jmax > 0 else 0.25 * r_nodes[0]
-    hi = r_nodes[jmax + 1] if jmax + 1 < grid.nr else grid.R
-    rstar, vstar = golden_max(along_ray, lo, hi)
-    if along_ray(grid.R) >= vstar:
-        return grid.R
-    return rstar
+    _, rstar, vstar, edge = ray_refined_max(field, grid, np.abs(field(*grid.mesh())))
+    return grid.R if edge >= vstar else rstar
 
 
 # --- Sobolev log-growth experiment -------------------------------------------------
@@ -391,13 +375,8 @@ def sobolev_lognorm_experiment(
         raise ValidationError(f"grid radius {grid.R} does not match R = {R}")
 
     for e in (eps[0], eps[-1]):
-        coarse = log_component_seminorm_sq(k, float(e), grid, order)
-        fine = log_component_seminorm_sq(k, float(e), grid.refined(), order)
-        scale = max(coarse, fine)
-        if scale > 0.0 and abs(fine - coarse) > GATE_REL_CHANGE * scale:
-            raise GateFailed(
-                f"eps={e:g}: seminorm^2 moved {abs(fine - coarse) / scale:.2%} under doubling"
-            )
+        _gate_check(lambda g: log_component_seminorm_sq(k, float(e), g, order),
+                    grid, f"eps={e:g}: seminorm^2")
 
     values = _pmap(lambda e: log_component_seminorm_sq(k, float(e), grid, order), eps)
     reports = [

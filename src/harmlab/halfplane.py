@@ -64,24 +64,15 @@ def to_polar(p: HalfPlanePoint) -> PolarPoint:
 def power_re_im(x: float, y: float, alpha: float) -> tuple[float, float]:
     """(Re, Im) of (x + iy)^alpha under the principal branch, for y >= 0.
 
-    One polar code path for all alpha. y = 0 is accepted only for integer
-    alpha (the real-axis limit of the branch); fractional powers on the
-    boundary are the callers' business.
+    One polar code path for all alpha; on the real axis it gives the limit
+    from the upper half-plane (phi = 0 or pi).
     """
     if y < 0.0:
         raise ValidationError(f"power_re_im needs y >= 0, got y = {y}")
     r = math.hypot(x, y)
     if r == 0.0:
         return (0.0, 0.0)
-    if y == 0.0:
-        kk = round(alpha)
-        if abs(alpha - kk) > 1e-12:
-            raise ValidationError("boundary evaluation only defined for integer exponents")
-        if x > 0.0:
-            return (x**kk, 0.0)
-        # phi = pi limit: r^k cos(k pi), sin(k pi) = 0
-        return ((-1.0) ** kk * abs(x) ** kk, 0.0)
-    phi = math.atan2(y, x)
+    phi = math.atan2(abs(y), x)  # abs: y = -0.0 takes the upper limit too
     ra = math.exp(alpha * math.log(r))
     return (ra * math.cos(alpha * phi), ra * math.sin(alpha * phi))
 

@@ -38,6 +38,7 @@ __all__ = [
     "fit_loglog",
     "bisect_root",
     "golden_max",
+    "ray_refined_max",
 ]
 
 
@@ -295,6 +296,28 @@ def golden_max(f, lo: float, hi: float, iters: int = 80) -> tuple[float, float]:
     return xm, f(xm)
 
 
+def ray_refined_max(f, grid: GridSpec, absV: np.ndarray) -> tuple[float, float, float, float]:
+    """Sharpen the grid maximum of |f| by a golden-section search in r along its ray.
+
+    absV is |f| on grid.mesh(). The search runs between the radial neighbours
+    of the maximizing node, with one-point array calls of f. Returns
+    (grid max, maximizing r on the ray, |f| there, |f| at r = R on the ray).
+    """
+    jmax, lmax = np.unravel_index(np.argmax(absV), absV.shape)
+    r_nodes = grid.radial_nodes()
+    phi = grid.angular_nodes()[lmax]
+    cphi, sphi = math.cos(phi), math.sin(phi)
+
+    def along_ray(r):
+        val = f(np.asarray([r * cphi]), np.asarray([r * sphi]))
+        return abs(float(np.asarray(val).ravel()[0]))
+
+    lo = r_nodes[jmax - 1] if jmax > 0 else 0.25 * r_nodes[0]
+    hi = r_nodes[jmax + 1] if jmax + 1 < grid.nr else grid.R
+    rstar, vstar = golden_max(along_ray, lo, hi)
+    return float(absV[jmax, lmax]), rstar, vstar, along_ray(grid.R)
+
+
 def norm_lp_halfdisk(f, grid: GridSpec, p: float) -> float:
     """L^p norm of a field over the half-disk B_R^+, polar tensor quadrature.
 
@@ -311,19 +334,8 @@ def norm_lp_halfdisk(f, grid: GridSpec, p: float) -> float:
         raise NonFiniteSample("field evaluated to a non-finite value on the grid")
     absV = np.abs(V)
     if math.isinf(p):
-        jmax, lmax = np.unravel_index(np.argmax(absV), absV.shape)
-        r_nodes = grid.radial_nodes()
-        phi = grid.angular_nodes()[lmax]
-        cphi, sphi = math.cos(phi), math.sin(phi)
-
-        def along_ray(r):
-            val = f(np.asarray([r * cphi]), np.asarray([r * sphi]))
-            return abs(float(np.asarray(val).ravel()[0]))
-
-        lo = r_nodes[jmax - 1] if jmax > 0 else 0.25 * r_nodes[0]
-        hi = r_nodes[jmax + 1] if jmax + 1 < grid.nr else grid.R
-        _, refined = golden_max(along_ray, lo, hi)
-        return max(float(absV[jmax, lmax]), refined, along_ray(grid.R))
+        grid_max, _, ray_max, edge = ray_refined_max(f, grid, absV)
+        return max(grid_max, ray_max, edge)
     r = grid.radial_nodes()
     wr = grid.radial_weights()
     integral = float(np.sum(absV**p * r[:, None] * wr[:, None]) * grid.angular_weight)

@@ -12,8 +12,10 @@ both with the principal branch continued from the positive real axis. The
 regularized family u_{eps,k} replaces log(r^2) by log(r^2 + eps^2) in the
 integer formula and extends to the closed half-plane.
 
-Scalar evaluators take a `HalfPlanePoint`; the `*_field` functions are
-vectorized over numpy arrays and back the norm/rate experiments.
+Each closed form has one numpy implementation (the `*_field` functions),
+elementwise over arrays. The scalar evaluators return that same formula as a
+float at one point; only `eval_u_half` and `eval_u_three_half` are separate
+algebraic forms, kept as reference values for the alpha = 1/2, 3/2 branch.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NearIntegerAlpha, NonpositiveEpsilon, ValidationError
-from .halfplane import HalfPlanePoint, power_re_im
+from .halfplane import HalfPlanePoint
 
 __all__ = [
     "SolutionKind",
@@ -60,11 +62,130 @@ def _check_k(k: int) -> None:
         raise ValidationError(f"k must be a positive integer, got {k!r}")
 
 
+def _check_reg_args(epsilon: float, k: int) -> None:
+    _check_k(k)
+    if not (epsilon > 0.0):
+        raise NonpositiveEpsilon(f"epsilon must be > 0, got {epsilon}")
+
+
+# --- the closed forms, one numpy body each ---------------------------------------
+
+
+def heaviside_field(X, Y):
+    """Harmonic extension of the Heaviside step: arctan(x/y)/pi + 1/2, in (0, 1).
+
+    On y = 0 this is the Heaviside convention 1 / 1/2 / 0 for x > / = / < 0.
+    """
+    X = np.asarray(X, dtype=float)
+    Y = np.asarray(Y, dtype=float)
+    return np.arctan2(X, Y) / np.pi + 0.5
+
+
+def _integer_parts(X, Y, k: int, e2: float):
+    """(arctan part, log part) of u_k (e2 = 0) or of u_{eps,k} (e2 = eps^2).
+
+    The function is their difference; log(r^2 + e2)/(2*pi) is log(r)/pi at e2 = 0.
+    """
+    X = np.asarray(X, dtype=float)
+    Y = np.asarray(Y, dtype=float)
+    W = (X + 1j * Y) ** k
+    logpart = np.log(X * X + Y * Y + e2) / (2.0 * np.pi) * W.imag
+    return heaviside_field(X, Y) * W.real, logpart
+
+
+def u_integer_field(X, Y, k: int):
+    """Harmonic extension of ReLU^k boundary data, integer k >= 1, for Y > 0."""
+    _check_k(k)
+    arc, log = _integer_parts(X, Y, k, 0.0)
+    return arc - log
+
+
+def u_fractional_field(X, Y, alpha: float):
+    """Harmonic extension of ReLU^alpha boundary data, alpha > 0 non-integer, for Y > 0.
+
+    This is the unique alpha-homogeneous harmonic function with boundary
+    values ReLU^alpha(x); the coefficient -cot(pi*alpha) on the imaginary
+    part is forced by the vanishing on the negative axis.
+    """
+    _check_fractional(alpha)
+    X = np.asarray(X, dtype=float)
+    Y = np.asarray(Y, dtype=float)
+    W = (X + 1j * Y) ** alpha  # numpy principal branch; arg in (0, pi) on the half-plane
+    cot = math.cos(math.pi * alpha) / math.sin(math.pi * alpha)
+    return W.real - cot * W.imag
+
+
+# --- scalar evaluators -------------------------------------------------------------
+
+
+def eval_u_integer(p: HalfPlanePoint, k: int) -> float:
+    """u_integer_field at one interior point."""
+    return float(u_integer_field(p.x, p.y, k))
+
+
+def eval_components(p: HalfPlanePoint, k: int) -> tuple[float, float]:
+    """The two pieces (arctan part, log part) whose difference is eval_u_integer."""
+    _check_k(k)
+    arc, log = _integer_parts(p.x, p.y, k, 0.0)
+    return float(arc), float(log)
+
+
+def eval_u_fractional(p: HalfPlanePoint, alpha: float) -> float:
+    """u_fractional_field at one interior point."""
+    return float(u_fractional_field(p.x, p.y, alpha))
+
+
+def eval_u_half(p: HalfPlanePoint) -> float:
+    """Closed algebraic form sqrt((r + x)/2) of the alpha = 1/2 extension."""
+    return math.sqrt(0.5 * (math.hypot(p.x, p.y) + p.x))
+
+
+def eval_u_three_half(p: HalfPlanePoint) -> float:
+    """Closed algebraic form of the alpha = 3/2 extension (triple-angle identity)."""
+    r = math.hypot(p.x, p.y)
+    c = 0.5 * (r + p.x)
+    s = 0.5 * (r - p.x)
+    return c * math.sqrt(c) - 3.0 * math.sqrt(c) * s
+
+
+def eval_heaviside(p: HalfPlanePoint) -> float:
+    """heaviside_field at one interior point."""
+    return float(heaviside_field(p.x, p.y))
+
+
+def eval_u_reg(x: float, y: float, epsilon: float, k: int) -> float:
+    """Regularized integer-power solution, finite on the closed half-plane.
+
+    Same arctan prefactor as eval_u_integer (Heaviside convention at y = 0),
+    with log(x^2 + y^2 + eps^2)/(2*pi) in place of log(r)/pi. Not harmonic for
+    eps > 0; converges pointwise to eval_u_integer as eps -> 0 when y > 0.
+    """
+    _check_reg_args(epsilon, k)
+    if y < 0.0:
+        raise ValidationError(f"eval_u_reg needs y >= 0, got y = {y}")
+    arc, log = _integer_parts(x, y, k, epsilon * epsilon)
+    return float(arc - log)
+
+
+# --- dispatch over the family ------------------------------------------------------
+
+# tag -> value at (x, y); all but the regularized family need y > 0
+_EVALUATORS = {
+    "integer": lambda s, x, y: eval_u_integer(HalfPlanePoint(x, y), s.k),
+    "fractional": lambda s, x, y: eval_u_fractional(HalfPlanePoint(x, y), s.alpha),
+    "half": lambda s, x, y: eval_u_half(HalfPlanePoint(x, y)),
+    "threehalf": lambda s, x, y: eval_u_three_half(HalfPlanePoint(x, y)),
+    "heaviside": lambda s, x, y: eval_heaviside(HalfPlanePoint(x, y)),
+    "regularized": lambda s, x, y: eval_u_reg(x, y, s.epsilon, s.k),
+}
+
+
 @dataclass(frozen=True)
 class SolutionKind:
     """Tagged description of one member of the closed-form family.
 
-    tag is one of 'integer', 'fractional', 'heaviside', 'regularized'.
+    tag is one of 'integer', 'fractional', 'heaviside', 'regularized', or
+    'half' / 'threehalf' for the algebraic alpha = 1/2, 3/2 forms.
     """
 
     tag: str
@@ -88,128 +209,17 @@ class SolutionKind:
 
     @classmethod
     def regularized(cls, k: int, epsilon: float) -> "SolutionKind":
-        _check_k(k)
-        if not (epsilon > 0.0):
-            raise NonpositiveEpsilon(f"epsilon must be > 0, got {epsilon}")
+        _check_reg_args(epsilon, k)
         return cls("regularized", k=k, epsilon=epsilon)
 
     def evaluate(self, p: HalfPlanePoint) -> float:
-        if self.tag == "integer":
-            return eval_u_integer(p, self.k)
-        if self.tag == "fractional":
-            return eval_u_fractional(p, self.alpha)
-        if self.tag == "heaviside":
-            return eval_heaviside(p)
-        if self.tag == "regularized":
-            return eval_u_reg(p.x, p.y, self.epsilon, self.k)
-        raise ValidationError(f"unknown solution tag {self.tag!r}")
+        return self.evaluate_xy(p.x, p.y)
 
-
-def _prefactor(x: float, y: float) -> float:
-    """arctan(x/y)/pi + 1/2, extended to y = 0 by the Heaviside convention."""
-    if y > 0.0:
-        return math.atan2(x, y) / math.pi + 0.5
-    if x > 0.0:
-        return 1.0
-    if x < 0.0:
-        return 0.0
-    return 0.5
-
-
-def eval_u_integer(p: HalfPlanePoint, k: int) -> float:
-    """Harmonic extension of ReLU^k boundary data, integer k >= 1."""
-    _check_k(k)
-    re, im = power_re_im(p.x, p.y, k)
-    logr = 0.5 * math.log(p.x * p.x + p.y * p.y)
-    return _prefactor(p.x, p.y) * re - (logr / math.pi) * im
-
-
-def eval_components(p: HalfPlanePoint, k: int) -> tuple[float, float]:
-    """The two pieces (arctan part, log part) whose difference is eval_u_integer."""
-    _check_k(k)
-    re, im = power_re_im(p.x, p.y, k)
-    logr = 0.5 * math.log(p.x * p.x + p.y * p.y)
-    return _prefactor(p.x, p.y) * re, (logr / math.pi) * im
-
-
-def eval_u_fractional(p: HalfPlanePoint, alpha: float) -> float:
-    """Harmonic extension of ReLU^alpha boundary data, alpha > 0 non-integer.
-
-    This is the unique alpha-homogeneous harmonic function with boundary
-    values ReLU^alpha(x); the coefficient -cot(pi*alpha) on the imaginary
-    part is forced by the vanishing on the negative axis.
-    """
-    _check_fractional(alpha)
-    re, im = power_re_im(p.x, p.y, alpha)
-    cot = math.cos(math.pi * alpha) / math.sin(math.pi * alpha)
-    return re - cot * im
-
-
-def eval_u_half(p: HalfPlanePoint) -> float:
-    """Closed algebraic form sqrt((r + x)/2) of the alpha = 1/2 extension."""
-    return math.sqrt(0.5 * (math.hypot(p.x, p.y) + p.x))
-
-
-def eval_u_three_half(p: HalfPlanePoint) -> float:
-    """Closed algebraic form of the alpha = 3/2 extension (triple-angle identity)."""
-    r = math.hypot(p.x, p.y)
-    c = 0.5 * (r + p.x)
-    s = 0.5 * (r - p.x)
-    return c * math.sqrt(c) - 3.0 * math.sqrt(c) * s
-
-
-def eval_heaviside(p: HalfPlanePoint) -> float:
-    """Harmonic extension of the Heaviside step: 1/2 + arctan(x/y)/pi, in (0, 1)."""
-    return _prefactor(p.x, p.y)
-
-
-def eval_u_reg(x: float, y: float, epsilon: float, k: int) -> float:
-    """Regularized integer-power solution, finite on the closed half-plane.
-
-    Same arctan prefactor as eval_u_integer (Heaviside convention at y = 0),
-    with log(x^2 + y^2 + eps^2)/(2*pi) in place of log(r)/pi. Not harmonic for
-    eps > 0; converges pointwise to eval_u_integer as eps -> 0 when y > 0.
-    """
-    _check_k(k)
-    if not (epsilon > 0.0):
-        raise NonpositiveEpsilon(f"epsilon must be > 0, got {epsilon}")
-    if y < 0.0:
-        raise ValidationError(f"eval_u_reg needs y >= 0, got y = {y}")
-    re, im = power_re_im(x, y, k)
-    logreg = math.log(x * x + y * y + epsilon * epsilon)
-    return _prefactor(x, y) * re - (logreg / (2.0 * math.pi)) * im
-
-
-# --- vectorized fields --------------------------------------------------------
-
-
-def u_integer_field(X, Y, k: int):
-    """Vectorized eval_u_integer on arrays with Y > 0 elementwise."""
-    _check_k(k)
-    X = np.asarray(X, dtype=float)
-    Y = np.asarray(Y, dtype=float)
-    Z = X + 1j * Y
-    W = Z**k
-    pref = np.arctan2(X, Y) / np.pi + 0.5
-    logr = 0.5 * np.log(X * X + Y * Y)
-    return pref * W.real - (logr / np.pi) * W.imag
-
-
-def u_fractional_field(X, Y, alpha: float):
-    """Vectorized eval_u_fractional on arrays with Y > 0 elementwise."""
-    _check_fractional(alpha)
-    X = np.asarray(X, dtype=float)
-    Y = np.asarray(Y, dtype=float)
-    Z = X + 1j * Y
-    W = Z**alpha  # numpy principal branch; arg in (0, pi) on the half-plane
-    cot = math.cos(math.pi * alpha) / math.sin(math.pi * alpha)
-    return W.real - cot * W.imag
-
-
-def heaviside_field(X, Y):
-    X = np.asarray(X, dtype=float)
-    Y = np.asarray(Y, dtype=float)
-    return np.arctan2(X, Y) / np.pi + 0.5
+    def evaluate_xy(self, x: float, y: float) -> float:
+        """Value at (x, y); the regularized family also accepts y = 0."""
+        if self.tag not in _EVALUATORS:
+            raise ValidationError(f"unknown solution tag {self.tag!r}")
+        return _EVALUATORS[self.tag](self, x, y)
 
 
 # --- regularization error v = u_{eps,k} - u_k and its derivatives -------------
@@ -221,12 +231,6 @@ def heaviside_field(X, Y):
 #   D_yy = 2G - 4y^2 H
 # and Q-derivatives follow from d/dx z^k = k z^(k-1), d/dy z^k = i k z^(k-1).
 # The G, H forms are cancellation-free, which matters for eps^2 << r^2.
-
-
-def _check_reg_args(epsilon: float, k: int) -> None:
-    _check_k(k)
-    if not (epsilon > 0.0):
-        raise NonpositiveEpsilon(f"epsilon must be > 0, got {epsilon}")
 
 
 def reg_diff_value(X, Y, epsilon: float, k: int):

@@ -1,6 +1,10 @@
 """CLI surface: output formats, exit codes, CSV schema, and determinism."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -32,6 +36,24 @@ def test_eval_reg_allows_boundary(capsys):
     assert code == 0
     # boundary value: 1 * x^2 - log(x^2+eps^2)/(2pi) * 0
     assert float(out.strip()) == pytest.approx(1.0, rel=1e-12)
+
+
+def test_eval_reg_accepts_negative_zero_y(capsys):
+    code, out, err = invoke(capsys, "eval", "--kind", "reg", "--k", "3", "--eps", "1", "--x", "1.5", "--y", "-0")
+    assert code == 0 and err == ""
+    assert out.strip() == "3.375"
+
+
+def test_python_dash_m_entry_point():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "harmlab", "eval", "--kind", "heaviside", "--x", "1", "--y", "1"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0 and proc.stderr == ""
+    assert proc.stdout.strip() == "0.75"
 
 
 def test_eval_validation_exit_code(capsys):
@@ -132,6 +154,31 @@ def test_rates_sobolev_csv(tmp_path, capsys):
     assert lines[0] == "experiment,k,R,p,order,knob,value"
     assert lines[1].split(",")[0] == "sobolev"
     assert stdout.startswith("slope=")
+
+
+SOBOLEV_SMALL = ["rates", "sobolev", "--k", "2", "--steps", "4", "--nr", "128", "--nphi", "32", "--grading", "3"]
+
+
+def test_rates_sobolev_warns_on_rejected_log_model(tmp_path, capsys):
+    # default order k+2: the seminorm^2 grows like eps^-2, so the log fit is rejected
+    code, stdout, err = invoke(capsys, *SOBOLEV_SMALL, "--out", str(tmp_path / "s.csv"))
+    assert code == 0
+    assert stdout.startswith("slope=") and "r2=0.637" in stdout
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("harmlab: warning: r2=0.637")
+    # order k+1 fits the log model (r2 = 1.000) and stays silent
+    code, stdout, err = invoke(capsys, *SOBOLEV_SMALL, "--order", "3", "--out", str(tmp_path / "t.csv"))
+    assert code == 0 and err == ""
+    assert "r2=1.000" in stdout
+
+
+def test_rates_sobolev_gate_failure_exit_code(tmp_path, capsys):
+    code, _, err = invoke(
+        capsys, "rates", "sobolev", "--k", "2", "--eps-min", "1e-3", "--eps-max", "1e-1",
+        "--steps", "4", "--order", "3", "--nr", "8", "--nphi", "8", "--grading", "1",
+        "--out", str(tmp_path / "g.csv"),
+    )
+    assert code == 3 and "numerical failure" in err
 
 
 def test_rates_reg_gate_failure_exit_code(tmp_path, capsys):

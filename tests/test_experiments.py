@@ -227,6 +227,14 @@ def test_sobolev_validation():
         sobolev_lognorm_experiment(4, 1.0, [1e-3, 1e-2, 1e-1])
 
 
+def test_sobolev_gate_rejects_coarse_grid():
+    # on an 8 x 8 uniform grid the seminorm^2 moves ~19% under doubling at eps = 1e-3
+    with pytest.raises(GateFailed, match="seminorm"):
+        sobolev_lognorm_experiment(
+            2, 1.0, np.logspace(-3, -1, 4), GridSpec(1.0, 8, 8, 1.0), order=3
+        )
+
+
 # --- Monte-Carlo subsampling ----------------------------------------------------------
 
 

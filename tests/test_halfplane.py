@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from harmlab import HalfPlanePoint, PolarPoint, ValidationError, complex_power, to_polar
+from harmlab.halfplane import power_re_im
 
 
 def test_polar_axis_point():
@@ -101,3 +102,16 @@ def test_power_homogeneity(lam):
 def test_power_rejects_nonpositive_alpha():
     with pytest.raises(ValidationError):
         complex_power(HalfPlanePoint(1.0, 1.0), 0.0)
+
+
+@pytest.mark.parametrize("y", [0.0, -0.0])
+def test_power_on_real_axis_is_limit_from_above(y):
+    # one polar path for every alpha: on y = 0 it continues the branch from y > 0
+    for x in (-1.5, 2.0):
+        for alpha in (0.5, 2.0, 3.0):
+            re, im = power_re_im(x, y, alpha)
+            re_up, im_up = complex_power(HalfPlanePoint(x, 1e-13), alpha)
+            scale = abs(x) ** alpha
+            assert re == pytest.approx(re_up, abs=1e-12 * scale)
+            assert im == pytest.approx(im_up, abs=1e-12 * scale)
+    assert power_re_im(0.0, y, 2.5) == (0.0, 0.0)

@@ -10,6 +10,7 @@ from harmlab import (
     NearIntegerAlpha,
     NonpositiveEpsilon,
     SolutionKind,
+    ValidationError,
     eval_components,
     eval_heaviside,
     eval_u_fractional,
@@ -107,6 +108,15 @@ def test_u_reg_values():
     assert eval_u_reg(1.0, 1.0, 1.0, 2) == pytest.approx(-math.log(3) / math.pi, rel=1e-14)
 
 
+@pytest.mark.parametrize("y", [0.0, -0.0])
+@pytest.mark.parametrize("eps", [0.1, 1.0])
+@pytest.mark.parametrize("k", [2, 3])
+def test_u_reg_boundary_trace_is_relu_power(k, eps, y):
+    # Heaviside convention on y = 0 (either sign of zero): the trace is ReLU^k
+    for x in (-1.5, 0.0, 1.5):
+        assert eval_u_reg(x, y, eps, k) == max(x, 0.0) ** k
+
+
 def test_u_reg_validation():
     with pytest.raises(NonpositiveEpsilon):
         eval_u_reg(1.0, 1.0, 0.0, 2)
@@ -120,6 +130,14 @@ def test_solution_kind_dispatch():
     assert SolutionKind.fractional_power(0.3).evaluate(p) == eval_u_fractional(p, 0.3)
     assert SolutionKind.heaviside().evaluate(p) == eval_heaviside(p)
     assert SolutionKind.regularized(2, 0.1).evaluate(p) == eval_u_reg(p.x, p.y, 0.1, 2)
+    assert SolutionKind("half").evaluate(p) == eval_u_half(p)
+    assert SolutionKind("threehalf").evaluate(p) == eval_u_three_half(p)
+    # only the regularized family reaches the boundary
+    assert SolutionKind.regularized(2, 0.1).evaluate_xy(1.5, 0.0) == 2.25
+    with pytest.raises(ValidationError):
+        SolutionKind.heaviside().evaluate_xy(1.5, 0.0)
+    with pytest.raises(ValidationError):
+        SolutionKind("unknown").evaluate(p)
 
 
 def _residual_orders(u, points, hs=(2e-2, 1e-2, 5e-3, 2.5e-3)):
