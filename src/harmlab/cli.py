@@ -150,7 +150,7 @@ def _cmd_eval(args) -> int:
         needs = " and ".join(f"--{flag}" for flag in flags)
         raise ValidationError(f"eval --kind {args.kind} needs {needs}")
     value = make(*values).evaluate_xy(args.x, args.y)
-    print(f"{value:.15g}")
+    print(f"{value + 0.0:.15g}")  # + 0.0 turns a negative zero into 0
     return 0
 
 

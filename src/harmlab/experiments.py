@@ -268,8 +268,11 @@ def _reg_field(k: int, epsilon: float, order: int):
     raise ValidationError(f"derivative order must be 0, 1 or 2, got {order}")
 
 
-def _gate_check(measure, grid: GridSpec, label: str) -> None:
-    """Refinement gate: measure(grid) and measure(grid.refined()) within GATE_REL_CHANGE."""
+def _gate_check(measure, grid: GridSpec, label: str) -> float:
+    """Refinement gate: measure(grid) and measure(grid.refined()) within GATE_REL_CHANGE.
+
+    Returns measure(grid), so the caller need not compute it again.
+    """
     coarse = measure(grid)
     fine = measure(grid.refined())
     scale = max(abs(coarse), abs(fine))
@@ -278,6 +281,21 @@ def _gate_check(measure, grid: GridSpec, label: str) -> None:
             f"{label} moved {abs(fine - coarse) / scale:.2%} under grid doubling"
             f" (gate {GATE_REL_CHANGE:.1%}); refine the grid"
         )
+    return coarse
+
+
+def _gated_values(measure, eps: np.ndarray, grid: GridSpec, label: str) -> list[float]:
+    """measure(e, grid) for every e in eps, gated by grid doubling at eps[0] and eps[-1].
+
+    The gate's coarse values are the end values; only the interior eps are
+    computed afresh.
+    """
+    ends = [
+        _gate_check(lambda g: measure(float(e), g), grid, f"eps={e:g}: {label}")
+        for e in (eps[0], eps[-1])
+    ]
+    inner = _pmap(lambda e: measure(float(e), grid), eps[1:-1])
+    return [ends[0], *inner, ends[1]]
 
 
 def reg_error_experiment(
@@ -309,12 +327,8 @@ def reg_error_experiment(
     if abs(grid.R - R) > 1e-12 * max(1.0, R):
         raise ValidationError(f"grid radius {grid.R} does not match R = {R}")
 
-    for e in (eps[0], eps[-1]):
-        field = _reg_field(k, float(e), order)
-        _gate_check(lambda g: norm_lp_halfdisk(field, g, p), grid, f"eps={e:g}: norm")
-
-    values = _pmap(
-        lambda e: norm_lp_halfdisk(_reg_field(k, float(e), order), grid, p), eps
+    values = _gated_values(
+        lambda e, g: norm_lp_halfdisk(_reg_field(k, e, order), g, p), eps, grid, "norm"
     )
     reports = [
         ErrorReport("reg", k, R, p, order, float(e), float(v), grid)
@@ -374,11 +388,9 @@ def sobolev_lognorm_experiment(
     if abs(grid.R - R) > 1e-12 * max(1.0, R):
         raise ValidationError(f"grid radius {grid.R} does not match R = {R}")
 
-    for e in (eps[0], eps[-1]):
-        _gate_check(lambda g: log_component_seminorm_sq(k, float(e), g, order),
-                    grid, f"eps={e:g}: seminorm^2")
-
-    values = _pmap(lambda e: log_component_seminorm_sq(k, float(e), grid, order), eps)
+    values = _gated_values(
+        lambda e, g: log_component_seminorm_sq(k, e, g, order), eps, grid, "seminorm^2"
+    )
     reports = [
         ErrorReport("sobolev", k, R, 2.0, order, float(e), float(v), grid)
         for e, v in zip(eps, values)

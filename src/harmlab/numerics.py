@@ -98,16 +98,98 @@ def _fejer2(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 _F2_FINE_NODES, _F2_FINE_W = _fejer2(16)  # 15 nodes
 _F2_COARSE_W = _fejer2(8)[1]  # 7 nodes = fine nodes[1::2]
+_F2_PAIR_W = np.zeros((2, 15))  # rows: fine weights, coarse weights on the fine nodes
+_F2_PAIR_W[0] = _F2_FINE_W
+_F2_PAIR_W[1, 1::2] = _F2_COARSE_W
 
 
-def _pair_estimates(f, a: float, b: float) -> tuple[float, float, np.ndarray]:
-    half = 0.5 * (b - a)
-    mid = 0.5 * (a + b)
-    x = mid + half * _F2_FINE_NODES
-    y = np.asarray(f(x), dtype=float)
-    fine = half * float(np.dot(_F2_FINE_W, y))
-    coarse = half * float(np.dot(_F2_COARSE_W, y[1::2]))
-    return fine, coarse, y
+def _lane_failure(exc: Exception, lane: int) -> Exception:
+    exc.lane = lane
+    return exc
+
+
+def _pair_rows(f, lanes, edges) -> list[list[float]]:
+    """[fine, coarse] estimates of lane lanes[j] on the interval edges[j] = (lo, hi).
+
+    f(lanes, x) gets the abscissae as rows of x (shape (n, 15)). A row's sums
+    do not depend on the other rows, so a lane's numbers are the same in
+    every batch.
+    """
+    half = np.array([0.5 * (hi - lo) for lo, hi in edges])[:, None]
+    x = np.array([0.5 * (lo + hi) for lo, hi in edges])[:, None] + half * _F2_FINE_NODES
+    y = np.asarray(f(np.array(lanes), x), dtype=float)
+    finite = np.isfinite(y)
+    if not finite.all():
+        j = int(finite.all(axis=1).argmin())
+        lo, hi = edges[j]
+        raise _lane_failure(NonFiniteSample(f"integrand non-finite inside ({lo}, {hi})"), lanes[j])
+    return (np.add.reduce(y[:, None, :] * _F2_PAIR_W, axis=2) * half).tolist()
+
+
+def _integrate_lanes(f, a, b, tol, max_intervals: int) -> list[float]:
+    """Greedy Fejer-2 integrals of independent lanes: lane i over (a[i], b[i]) to tol[i].
+
+    f(lanes, x) returns the integrand of lane lanes[j] at the abscissae x[j],
+    for every row j of x (shape (n, 15)); every a[i] < b[i]. Each lane keeps
+    its own heap and bisects its own worst interval each round, so it takes
+    exactly the steps of a one-lane run, and one round evaluates both halves
+    of every active lane in one call of f. A failing lane raises
+    MaxSubdivisionsExceeded or NonFiniteSample with its index as `lane`.
+    """
+    n = len(a)
+    total, total_err, heaps = [], [], []
+    for lo, hi, (fine, coarse) in zip(a, b, _pair_rows(f, range(n), list(zip(a, b)))):
+        err = abs(fine - coarse)
+        total.append(fine)
+        total_err.append(err)
+        heaps.append([(-err, 0, lo, hi, fine)])
+    counter = [1] * n
+    active = range(n)
+    while active:
+        split = []  # (lane, lo, mid, hi, estimate, -error) of each interval bisected this round
+        for lane in active:
+            heap = heaps[lane]
+            while total_err[lane] > tol[lane] * (1.0 + abs(total[lane])):
+                if counter[lane] >= max_intervals:
+                    raise _lane_failure(MaxSubdivisionsExceeded(
+                        f"subdivision budget {max_intervals} exhausted; "
+                        f"estimate {total[lane]!r} with error bound {total_err[lane]!r}",
+                        estimate=total[lane],
+                        err_bound=total_err[lane],
+                    ), lane)
+                neg_err, _, lo, hi, est = heapq.heappop(heap)
+                if neg_err >= 0.0:
+                    # every remaining interval is at floating-point resolution; the
+                    # accumulated budget cannot improve further
+                    heapq.heappush(heap, (neg_err, counter[lane], lo, hi, est))
+                    break
+                mid = 0.5 * (lo + hi)
+                if mid <= lo or mid >= hi:
+                    # interval at floating-point resolution; accept as-is
+                    heapq.heappush(heap, (0.0, counter[lane], lo, hi, est))
+                    counter[lane] += 1
+                    total_err[lane] += neg_err  # remove this interval's error from the budget
+                    continue
+                split.append((lane, lo, mid, hi, est, neg_err))
+                break
+        if not split:
+            break
+        pairs = _pair_rows(
+            f,
+            [s[0] for s in split for _ in (0, 1)],
+            [e for _, lo, mid, hi, _, _ in split for e in ((lo, mid), (mid, hi))],
+        )
+        for (lane, lo, mid, hi, est, neg_err), (f1, c1), (f2, c2) in zip(split, pairs[::2], pairs[1::2]):
+            e1 = abs(f1 - c1)
+            e2 = abs(f2 - c2)
+            total[lane] += (f1 + f2) - est
+            total_err[lane] += (e1 + e2) + neg_err
+            c = counter[lane]
+            heapq.heappush(heaps[lane], (-e1, c, lo, mid, f1))
+            heapq.heappush(heaps[lane], (-e2, c + 1, mid, hi, f2))
+            counter[lane] = c + 2
+        active = [s[0] for s in split]
+    return total
 
 
 def integrate_adaptive(
@@ -121,7 +203,7 @@ def integrate_adaptive(
 
     Greedy global strategy: keep a heap of subintervals ranked by the embedded
     pair's error estimate and bisect the worst one. Endpoint singularities are
-    admissible because the rule never samples a or b.
+    admissible because the rule never samples a or b. f receives 1D arrays.
     """
     if not (tol > 0.0):
         raise ValidationError(f"tol must be > 0, got {tol}")
@@ -130,47 +212,10 @@ def integrate_adaptive(
             return 0.0
         raise ValidationError(f"need a < b, got ({a}, {b})")
 
-    fine, coarse, y = _pair_estimates(f, a, b)
-    if not np.all(np.isfinite(y)):
-        raise NonFiniteSample(f"integrand non-finite inside ({a}, {b})")
-    err = abs(fine - coarse)
-    heap = [(-err, 0, a, b, fine)]
-    total = fine
-    total_err = err
-    counter = 1
-    while total_err > tol * (1.0 + abs(total)):
-        if counter >= max_intervals:
-            raise MaxSubdivisionsExceeded(
-                f"subdivision budget {max_intervals} exhausted; "
-                f"estimate {total!r} with error bound {total_err!r}",
-                estimate=total,
-                err_bound=total_err,
-            )
-        neg_err, _, lo, hi, est = heapq.heappop(heap)
-        if neg_err >= 0.0:
-            # every remaining interval is at floating-point resolution; the
-            # accumulated budget cannot improve further
-            heapq.heappush(heap, (neg_err, counter, lo, hi, est))
-            break
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            # interval at floating-point resolution; accept as-is
-            heapq.heappush(heap, (0.0, counter, lo, hi, est))
-            counter += 1
-            total_err += neg_err  # remove this interval's error from the budget
-            continue
-        f1, c1, y1 = _pair_estimates(f, lo, mid)
-        f2, c2, y2 = _pair_estimates(f, mid, hi)
-        if not (np.all(np.isfinite(y1)) and np.all(np.isfinite(y2))):
-            raise NonFiniteSample(f"integrand non-finite inside ({lo}, {hi})")
-        e1 = abs(f1 - c1)
-        e2 = abs(f2 - c2)
-        total += (f1 + f2) - est
-        total_err += (e1 + e2) + neg_err
-        heapq.heappush(heap, (-e1, counter, lo, mid, f1))
-        heapq.heappush(heap, (-e2, counter + 1, mid, hi, f2))
-        counter += 2
-    return total
+    def rows(_lanes, x):
+        return np.asarray(f(x.ravel()), dtype=float).reshape(x.shape)
+
+    return _integrate_lanes(rows, [a], [b], [tol], max_intervals)[0]
 
 
 # --- finite differences ---------------------------------------------------------

@@ -44,16 +44,35 @@ def test_eval_reg_accepts_negative_zero_y(capsys):
     assert out.strip() == "3.375"
 
 
-def test_python_dash_m_entry_point():
+def test_eval_reg_boundary_zero_is_not_negative(capsys):
+    # ReLU^3(-1.5) = 0 comes out of 0.0 * Re z^3 with Re z^3 < 0 as -0.0
+    code, out, err = invoke(capsys, "eval", "--kind", "reg", "--k", "3", "--eps", "1", "--x", "-1.5", "--y", "0")
+    assert code == 0 and err == ""
+    assert out.strip() == "0"
+
+
+def python_m_harmlab(*argv):
+    """Run `python -m harmlab argv` in a fresh interpreter, as a user's shell would."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "harmlab", "eval", "--kind", "heaviside", "--x", "1", "--y", "1"],
-        capture_output=True, text=True, env=env, timeout=60,
+    return subprocess.run(
+        [sys.executable, "-m", "harmlab", *argv], capture_output=True, text=True, env=env, timeout=60,
     )
+
+
+def test_python_dash_m_entry_point():
+    proc = python_m_harmlab("eval", "--kind", "heaviside", "--x", "1", "--y", "1")
     assert proc.returncode == 0 and proc.stderr == ""
     assert proc.stdout.strip() == "0.75"
+
+
+def test_solve_alpha_near_one_fails_with_one_line_reason():
+    # the tail substitution overflows at alpha = 0.995; numpy must not warn on stderr
+    proc = python_m_harmlab("solve", "--boundary", "relu:0.995", "--x", "0.3", "--y", "0.5")
+    assert proc.returncode == 3 and proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("harmlab: numerical failure:")
 
 
 def test_eval_validation_exit_code(capsys):

@@ -63,6 +63,42 @@ def test_integrate_budget_exhaustion():
         integrate_adaptive(lambda x: 1.0 / x, 0.0, 1.0, tol=1e-9, max_intervals=200)
 
 
+def test_integrate_accepts_intervals_at_floating_point_resolution():
+    # near 1e6 the spacing of doubles (~1e-10) stops the bisection of the jump
+    # long before the jump's error falls under tol; such intervals are accepted
+    c = 1e6 + 1.0 / 3.0
+    val = integrate_adaptive(lambda x: (x > c).astype(float), 1e6, 1e6 + 1.0, tol=1e-14)
+    assert val == pytest.approx(1e6 + 1.0 - c, abs=1e-9)
+
+
+def test_lanes_take_the_steps_of_one_lane_runs():
+    # every lane of a batch gives bit for bit its one-lane integrate_adaptive value
+    from harmlab.numerics import _integrate_lanes
+
+    fns = [lambda x: x**-0.5, lambda x: np.sin(30.0 * x), lambda x: np.abs(x - 0.3) ** 0.2]
+    a, b, tol = [0.0, 0.0, -1.0], [1.0, 2.0, 1.0], [1e-9, 1e-12, 1e-11]
+
+    def rows(lanes, x):
+        return np.array([fns[lane](xi) for lane, xi in zip(lanes, x)])
+
+    got = _integrate_lanes(rows, a, b, tol, 4000)
+    assert got == [integrate_adaptive(*args, max_intervals=4000) for args in zip(fns, a, b, tol)]
+
+
+def test_lane_failure_carries_lane_and_estimate():
+    from harmlab.numerics import _integrate_lanes
+
+    fns = [lambda x: x, lambda x: 1.0 / x]
+
+    def rows(lanes, x):
+        return np.array([fns[lane](xi) for lane, xi in zip(lanes, x)])
+
+    with pytest.raises(MaxSubdivisionsExceeded) as info:
+        _integrate_lanes(rows, [0.0, 0.0], [1.0, 1.0], [1e-9, 1e-9], 200)
+    assert info.value.lane == 1
+    assert info.value.estimate > 0.0 and info.value.err_bound > 1e-9
+
+
 def test_integrate_rejects_interior_nan():
     def f(x):
         return np.where(np.abs(x - 0.5) < 0.01, np.nan, 1.0)

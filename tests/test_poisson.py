@@ -1,15 +1,20 @@
 """Poisson-kernel solver against closed forms and qualitative principles."""
 
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from harmlab import (
     BoundaryFunction,
     GridSpec,
     GrowthViolation,
     HalfPlanePoint,
+    MaxSubdivisionsExceeded,
+    QuadratureFailure,
     ValidationError,
     eval_heaviside,
     eval_u_fractional,
@@ -142,3 +147,87 @@ def test_quadrature_failure_mapping(monkeypatch):
     monkeypatch.setattr(poisson_mod, "integrate_adaptive", exhausted)
     with pytest.raises(QuadratureFailure):
         solve_at(BoundaryFunction.heaviside(), HalfPlanePoint(1.0, 1.0))
+
+
+def test_relu_near_one_solves():
+    # the tail substitution z = s^m, m = 1/(1 - alpha) = 100, keeps the integrand bounded
+    p = HalfPlanePoint(0.3, 0.5)
+    got = solve_at(BoundaryFunction.relu_power(0.99), p, tol=1e-10)
+    assert got == pytest.approx(eval_u_fractional(p, 0.99), rel=1e-9)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(
+    alpha=st.floats(0.05, 0.95),
+    y=st.floats(0.1, 2.0),
+    c=st.floats(-1.0, 1.0),
+)
+def test_solver_matches_closed_form_property(alpha, y, c):
+    # y >= 0.1 and r <= 2: x spans the chord of the disk of radius 2 at height y
+    p = HalfPlanePoint(c * math.sqrt(4.0 - y * y), y)
+    got = solve_at(BoundaryFunction.relu_power(alpha), p, tol=1e-10)
+    assert got == pytest.approx(eval_u_fractional(p, alpha), rel=1e-8)
+
+
+def test_relu09_evaluation_budget():
+    # with bounded tails a solve near the boundary kink needs few samples of g
+    g0 = BoundaryFunction.relu_power(0.9)
+    evals = []
+
+    def counted(s):
+        evals.append(s.size)
+        return g0.fn(s)
+
+    g = BoundaryFunction.custom(counted, g0.growth_alpha, g0.growth_const, g0.kinks)
+    for x, y in ((0.3, 0.5), (-1.2, 0.4), (1.5, 0.1), (0.0, 2.0)):
+        evals.clear()
+        got = solve_at(g, HalfPlanePoint(x, y), tol=1e-10)
+        assert got == pytest.approx(eval_u_fractional(HalfPlanePoint(x, y), 0.9), rel=1e-9)
+        assert sum(evals) <= 2000, (x, y, sum(evals))
+
+
+def _two_kink():
+    return BoundaryFunction.custom(
+        lambda s: np.sqrt(np.abs(s - 0.4)) + np.maximum(-0.6 - s, 0.0) ** 0.5,
+        0.5, 2.0, kinks=(0.4, -0.6),
+    )
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: BoundaryFunction.relu_power(0.1),
+        lambda: BoundaryFunction.relu_power(0.5),
+        lambda: BoundaryFunction.relu_power(0.9),
+        BoundaryFunction.heaviside,
+        lambda: BoundaryFunction.tanh(2.0, -1.0),
+        _two_kink,
+    ],
+    ids=["relu0.1", "relu0.5", "relu0.9", "heaviside", "tanh", "two-kink"],
+)
+def test_solve_grid_equals_elementwise_solve_at(make):
+    g = make()
+    grid = GridSpec(2.0, 8, 8, 1.0)
+    got = solve_grid(g, grid, tol=1e-10)
+    X, Y = grid.mesh()
+    want = np.array([
+        solve_at(g, HalfPlanePoint(float(x), float(y)), tol=1e-10) for x, y in zip(X.ravel(), Y.ravel())
+    ]).reshape(X.shape)
+    np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
+
+
+def test_solve_grid_failure_names_node(monkeypatch):
+    # a lane's exhausted budget surfaces as QuadratureFailure at that lane's node
+    from harmlab import poisson as poisson_mod
+
+    def last_lane_exhausted(f, a, b, tol, max_intervals):
+        exc = MaxSubdivisionsExceeded("budget", estimate=0.0, err_bound=1.0)
+        exc.lane = len(a) - 1
+        raise exc
+
+    monkeypatch.setattr(poisson_mod, "_integrate_lanes", last_lane_exhausted)
+    grid = GridSpec(1.0, 8, 8, 1.0)
+    X, Y = grid.mesh()
+    node = re.escape(f"({float(X[-1, -1])}, {float(Y[-1, -1])})")
+    with pytest.raises(QuadratureFailure, match=node):
+        solve_grid(BoundaryFunction.heaviside(), grid)
