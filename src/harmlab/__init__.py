@@ -49,7 +49,6 @@ from .numerics import (
 )
 from .poisson import BoundaryFunction, solve_at, solve_grid
 from .ensembles import (
-    Neuron,
     NeuronEnsemble,
     barron_cost,
     cauchy_midpoint_rule,

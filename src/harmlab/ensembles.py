@@ -5,15 +5,16 @@ with probability weights p_i. Probability weights (rather than the uniform
 1/n convention) let deterministic quadrature lifts and random subsamples share
 one type; `sample_subnetwork` converts back to the 1/n convention.
 
-sigma_alpha(z) = max(z, 0)^alpha; alpha = 0 is the right-continuous indicator
-1_{z > 0} (so the value at z = 0 is 0).
+sigma_alpha(z) = max(z, 0)^alpha; alpha = 0 is the indicator 1_{z > 0} (so the
+value at z = 0 is 0). `activation` is the one implementation; the Poisson
+boundary data `relu_power` and `heaviside` evaluate through it too.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import re
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,7 +27,6 @@ from .errors import (
 from .numerics import QuadratureRule
 
 __all__ = [
-    "Neuron",
     "NeuronEnsemble",
     "activation",
     "ensemble_eval",
@@ -44,26 +44,36 @@ __all__ = [
 ]
 
 _EVAL_CHUNK = 2_000_000  # max atoms*points per evaluation block
+# Largest ensemble one call may build. A dim-2 neuron holds five doubles and a
+# lift makes several temporaries of that size, so 10^7 neurons take about 1 GB;
+# larger requests are refused up front instead of failing in the allocator.
+MAX_NEURONS = 10_000_000
 
 
-@dataclass(frozen=True)
-class Neuron:
-    """One parameter triple: outer weight a, inner weight vector w, bias b."""
-
-    a: float
-    w: tuple[float, ...]
-    b: float
+def check_neuron_count(n: int, what: str) -> None:
+    """ValidationError unless 1 <= n <= MAX_NEURONS."""
+    if n < 1:
+        raise ValidationError(f"{what} must be >= 1, got {n}")
+    if n > MAX_NEURONS:
+        raise ValidationError(f"{what} = {n} exceeds the limit of {MAX_NEURONS} neurons")
 
 
 def activation(z, alpha: float):
-    """sigma_alpha(z) = max(z,0)^alpha elementwise; indicator 1_{z>0} for alpha = 0."""
+    """sigma_alpha(z) = max(z, 0)^alpha elementwise; indicator 1_{z>0} for alpha = 0.
+
+    NaN and -inf map to 0. A negative alpha (a derivative of order above the
+    activation power) gives z^alpha on z > 0 and 0 elsewhere.
+    """
     z = np.asarray(z, dtype=float)
-    out = np.zeros_like(z)
-    m = z > 0.0
+    if alpha > 0.0:
+        out = np.fmax(z, 0.0)
+        out **= alpha  # in place: one temporary fewer on large blocks
+        return out
     if alpha == 0.0:
-        out[m] = 1.0
-    else:
-        out[m] = z[m] ** alpha
+        return (z > 0.0).astype(float)
+    out = np.zeros_like(z)
+    pos = z > 0.0
+    out[pos] = z[pos] ** alpha
     return out
 
 
@@ -110,13 +120,6 @@ class NeuronEnsemble:
     def __len__(self) -> int:
         return self.w.shape[0]
 
-    def neurons(self) -> list[Neuron]:
-        """Item view; convenience for small ensembles."""
-        return [
-            Neuron(float(ai), tuple(map(float, wi)), float(bi))
-            for ai, wi, bi in zip(self.a, self.w, self.b)
-        ]
-
     @classmethod
     def from_signed_atoms(cls, coefs, ws, bs, alpha: float) -> "NeuronEnsemble":
         """Build an ensemble representing sum_i coef_i * sigma_alpha(w_i x + b_i).
@@ -140,38 +143,19 @@ class NeuronEnsemble:
         return cls(probs, a, ws, bs, alpha)
 
 
-def _check_dim(e: NeuronEnsemble, x) -> np.ndarray:
+def ensemble_eval(e: NeuronEnsemble, x) -> float:
+    """f(x) = sum_i p_i a_i sigma_alpha(w_i . x + b_i) at a single point."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if x.shape != (e.dim,):
         raise DimensionMismatch(f"point of shape {x.shape} fed to a dim-{e.dim} ensemble")
-    return x
-
-
-def ensemble_eval(e: NeuronEnsemble, x) -> float:
-    """f(x) = sum_i p_i a_i sigma_alpha(w_i . x + b_i) at a single point."""
-    x = _check_dim(e, x)
-    z = e.w @ x + e.b
-    return float(np.dot(e.probs * e.a, activation(z, e.alpha)))
+    return float(ensemble_derivatives(e, x[None, :], 0)[0][0])
 
 
 def ensemble_eval_many(e: NeuronEnsemble, xs) -> np.ndarray:
     """Vectorized evaluation at points of shape (m,) for d=1 or (m, 2) for d=2."""
     xs = np.asarray(xs, dtype=float)
-    if e.dim == 1:
-        pts = xs.reshape(-1, 1)
-    else:
-        if xs.ndim != 2 or xs.shape[1] != 2:
-            raise DimensionMismatch(f"points of shape {xs.shape} fed to a dim-2 ensemble")
-        pts = xs
-    m = pts.shape[0]
-    out = np.zeros(m)
-    pa = e.probs * e.a
-    step = max(1, _EVAL_CHUNK // max(1, m))
-    for lo in range(0, len(e), step):
-        hi = min(lo + step, len(e))
-        Z = pts @ e.w[lo:hi].T + e.b[lo:hi]
-        out += activation(Z, e.alpha) @ pa[lo:hi]
-    return out.reshape(xs.shape if e.dim == 1 else (m,))
+    f = ensemble_derivatives(e, xs, 0)[0]
+    return f.reshape(xs.shape) if e.dim == 1 else f
 
 
 def ensemble_derivatives(e: NeuronEnsemble, xs, order: int) -> list[np.ndarray]:
@@ -180,7 +164,8 @@ def ensemble_derivatives(e: NeuronEnsemble, xs, order: int) -> list[np.ndarray]:
     Returns [f] for order 0; [f_x] (d=1) or [f_x, f_y] (d=2) for order 1;
     [f_xx] (d=1) or [f_xx, f_xy, f_yy] (d=2) for order 2. Each neuron
     differentiates analytically: D^m sigma_alpha = prod_{i<m}(alpha-i) *
-    sigma_(alpha-m) * w^(tensor m).
+    sigma_(alpha-m) * w^(tensor m); the components are those of w^(tensor m)
+    with nondecreasing indices.
     """
     if order not in (0, 1, 2):
         raise ValidationError(f"order must be 0, 1 or 2, got {order}")
@@ -189,41 +174,26 @@ def ensemble_derivatives(e: NeuronEnsemble, xs, order: int) -> list[np.ndarray]:
     if e.dim == 2 and (pts.ndim != 2 or pts.shape[1] != 2):
         raise DimensionMismatch(f"points of shape {xs.shape} fed to a dim-2 ensemble")
     m = pts.shape[0]
-    coef = 1.0
-    for i in range(order):
-        coef *= e.alpha - i
-    ncomp = 1 if e.dim == 1 or order == 0 else (2 if order == 1 else 3)
-    outs = [np.zeros(m) for _ in range(ncomp)]
+    coef = math.prod(e.alpha - i for i in range(order))
+    comps = list(itertools.combinations_with_replacement(range(e.dim), order))
+    outs = [np.zeros(m) for _ in comps]
+    pa = e.probs * e.a
     step = max(1, _EVAL_CHUNK // max(1, m))
     for lo in range(0, len(e), step):
         hi = min(lo + step, len(e))
         wj = e.w[lo:hi]
-        Z = pts @ wj.T + e.b[lo:hi]
-        S = activation(Z, e.alpha - order) * coef if order else activation(Z, e.alpha)
-        pa = (e.probs * e.a)[lo:hi]
-        if e.dim == 1:
-            outs[0] += S @ (pa * wj[:, 0] ** order)
-        elif order == 0:
-            outs[0] += S @ pa
-        elif order == 1:
-            outs[0] += S @ (pa * wj[:, 0])
-            outs[1] += S @ (pa * wj[:, 1])
-        else:
-            outs[0] += S @ (pa * wj[:, 0] * wj[:, 0])
-            outs[1] += S @ (pa * wj[:, 0] * wj[:, 1])
-            outs[2] += S @ (pa * wj[:, 1] * wj[:, 1])
+        S = activation(pts @ wj.T + e.b[lo:hi], e.alpha - order)
+        if order:
+            S *= coef
+        for out, comp in zip(outs, comps):
+            out += S @ (pa[lo:hi] * np.prod(wj[:, comp], axis=1))
     return outs
 
 
 def barron_cost(e: NeuronEnsemble) -> float:
     """E[|a| (|w| + |b|)^alpha] for this representation (upper-bounds the Barron norm)."""
-    wnorm = np.linalg.norm(e.w, axis=1)
-    base = wnorm + np.abs(e.b)
-    if e.alpha == 0.0:
-        powered = np.ones_like(base)
-    else:
-        powered = base**e.alpha
-    return float(np.dot(e.probs, np.abs(e.a) * powered))
+    base = np.linalg.norm(e.w, axis=1) + np.abs(e.b)
+    return float(np.dot(e.probs, np.abs(e.a) * base**e.alpha))
 
 
 # --- Cauchy-node rules for the harmonic lift -----------------------------------
@@ -301,8 +271,7 @@ def lift_ensemble(
         )
     w1 = e.w[:, 0]
     if n_samples is not None:
-        if n_samples < 1:
-            raise ValidationError(f"n_samples must be >= 1, got {n_samples}")
+        check_neuron_count(n_samples, "n_samples")
         rng = np.random.default_rng(seed)
         idx = rng.choice(len(e), size=int(n_samples), p=e.probs)
         t = rng.standard_cauchy(int(n_samples))
@@ -311,6 +280,7 @@ def lift_ensemble(
         return NeuronEnsemble(probs, e.a[idx], w2d, e.b[idx], e.alpha)
     rule = t_rule if t_rule is not None else cauchy_tangent_rule(201)
     t = rule.nodes
+    check_neuron_count(len(e) * t.size, "atoms x nodes")
     q = rule.weights / rule.weights.sum()
     probs = np.repeat(e.probs, t.size) * np.tile(q, len(e))
     probs = probs / probs.sum()
@@ -356,8 +326,7 @@ def sample_subnetwork(e: NeuronEnsemble, n: int, seed: int | None = None) -> Neu
     The returned network is unbiased for f; its barron_cost matches the target
     cost in expectation (the per-draw coefficient bound).
     """
-    if n < 1:
-        raise ValidationError(f"n must be >= 1, got {n}")
+    check_neuron_count(n, "n")
     rng = np.random.default_rng(seed)
     idx = rng.choice(len(e), size=int(n), p=e.probs)
     probs = np.full(int(n), 1.0 / int(n))

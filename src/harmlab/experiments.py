@@ -24,6 +24,7 @@ import numpy as np
 from .ensembles import (
     NeuronEnsemble,
     barron_cost,
+    check_neuron_count,
     ensemble_derivatives,
     sample_subnetwork,
 )
@@ -130,14 +131,6 @@ class Poly2:
 
     def mul_y(self) -> "Poly2":
         return Poly2({(i, j + 1): c for (i, j), c in self.terms.items()})
-
-    def mul(self, other: "Poly2") -> "Poly2":
-        out: dict[tuple[int, int], float] = {}
-        for (i1, j1), c1 in self.terms.items():
-            for (i2, j2), c2 in other.terms.items():
-                key = (i1 + i2, j1 + j2)
-                out[key] = out.get(key, 0.0) + c1 * c2
-        return Poly2(out)
 
     def diff_x(self) -> "Poly2":
         return Poly2({(i - 1, j): i * c for (i, j), c in self.terms.items() if i > 0})
@@ -409,12 +402,15 @@ def _holder_split(alpha: float) -> tuple[int, float]:
     return k, alpha - k
 
 
-def _sobolev_error(target: NeuronEnsemble, subnet: NeuronEnsemble, m: int, q: float,
+def _sobolev_error(target_fields: list[list[np.ndarray]], subnet: NeuronEnsemble, q: float,
                    pts: np.ndarray, weights: np.ndarray) -> float:
-    """W^{m,q} quadrature norm of (target - subnet) over the sampled domain."""
+    """W^{m,q} quadrature norm of (target - subnet) over the sampled domain.
+
+    `target_fields[order]` holds the target's derivative components of that
+    order at `pts`, for orders 0..m.
+    """
     acc = np.zeros(pts.shape[0])
-    for order in range(m + 1):
-        big = ensemble_derivatives(target, pts, order)
+    for order, big in enumerate(target_fields):
         small = ensemble_derivatives(subnet, pts, order)
         for comp_b, comp_s in zip(big, small):
             acc = acc + np.abs(comp_b - comp_s) ** q
@@ -471,33 +467,27 @@ def mc_rate_experiment(
         weights = np.broadcast_to(wr[:, None], X.shape).ravel()
 
     cost_target = barron_cost(target)
+    target_fields = [ensemble_derivatives(target, pts, order) for order in range(m + 1)]
+    values = []
     bound_hits = 0
-    draws = 0
-
-    def one_n(n: int) -> float:
-        nonlocal bound_hits, draws
+    for n in ns:
         errs = []
         for s in seeds:
             subnet = sample_subnetwork(target, n, seed=(s, n))
-            errs.append(_sobolev_error(target, subnet, m, q, pts, weights))
-            if barron_cost(subnet) <= cost_target * 1.05:
-                bound_hits += 1
-            draws += 1
-        return float(np.mean(errs))
-
-    values = [one_n(n) for n in ns]
+            errs.append(_sobolev_error(target_fields, subnet, q, pts, weights))
+            bound_hits += barron_cost(subnet) <= cost_target * 1.05
+        values.append(float(np.mean(errs)))
     reports = [
         ErrorReport("mc", 0, 1.0, q, m, float(n), float(v), grid)
         for n, v in zip(ns, values)
     ]
     fit = fit_loglog(np.asarray(ns, dtype=float), values)
-    return reports, fit, bound_hits / draws
+    return reports, fit, bound_hits / (len(ns) * len(seeds))
 
 
 def make_random_target(alpha: float, size: int, seed: int, dim: int = 1) -> NeuronEnsemble:
     """Deterministic synthetic target ensemble for subsampling experiments."""
-    if size < 1:
-        raise ValidationError(f"size must be >= 1, got {size}")
+    check_neuron_count(size, "size")
     if dim not in (1, 2):
         raise ValidationError(f"dim must be 1 or 2, got {dim}")
     rng = np.random.default_rng(seed)

@@ -21,6 +21,7 @@ from typing import Callable
 
 import numpy as np
 
+from .ensembles import activation
 from .errors import GrowthViolation, MaxSubdivisionsExceeded, QuadratureFailure, ValidationError
 from .halfplane import HalfPlanePoint
 from .numerics import GridSpec, _integrate_lanes, integrate_adaptive
@@ -54,24 +55,12 @@ class BoundaryFunction:
             raise ValidationError(f"relu_power requires alpha in [0, 1), got {alpha}")
         if w == 0.0:
             raise ValidationError("relu_power requires w != 0")
-
-        if alpha == 0.0:
-            def fn(s):
-                return (w * s + b > 0.0).astype(float)
-        else:
-            def fn(s):
-                z = w * s + b
-                out = np.zeros_like(z)
-                m = z > 0.0
-                out[m] = z[m] ** alpha
-                return out
-
-        c = (abs(w) + abs(b)) ** alpha if alpha > 0.0 else 1.0
-        return cls("relu_power", fn, alpha, c, kinks=(-b / w,))
+        c = (abs(w) + abs(b)) ** alpha
+        return cls("relu_power", lambda s: activation(w * s + b, alpha), alpha, c, kinks=(-b / w,))
 
     @classmethod
     def heaviside(cls) -> "BoundaryFunction":
-        return cls("heaviside", lambda s: (s > 0.0).astype(float), 0.0, 1.0, kinks=(0.0,))
+        return cls("heaviside", lambda s: activation(s, 0.0), 0.0, 1.0, kinks=(0.0,))
 
     @classmethod
     def tanh(cls, w: float = 1.0, b: float = 0.0) -> "BoundaryFunction":

@@ -265,6 +265,25 @@ def test_ensemble_pipeline(tmp_path, capsys):
     assert load_ensemble(ext_path).dim == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["rates", "mc", "--alpha", "2", "--target-size", "1000000000000"],
+        ["ensemble", "sample", "--n", "1000000000000", "--seed", "1"],
+        ["ensemble", "lift", "--samples", "1000000000000", "--seed", "1"],
+    ],
+)
+def test_hostile_sizes_exit_2(tmp_path, capsys, argv):
+    # checked before anything of that size is allocated
+    src = tmp_path / "e1.txt"
+    save_ensemble(NeuronEnsemble([1.0], [1.0], [[1.0]], [0.0], 0.5), src)
+    files = [] if argv[0] == "rates" else ["--in", str(src)]
+    code, out, err = invoke(capsys, *argv, *files, "--out", str(tmp_path / "x.out"))
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and "exceeds the limit" in err
+    assert not (tmp_path / "x.out").exists()
+
+
 def test_ensemble_sampling_lift_determinism(tmp_path, capsys):
     src = tmp_path / "e1.txt"
     save_ensemble(NeuronEnsemble([1.0], [1.0], [[1.0]], [0.0], 0.5), src)

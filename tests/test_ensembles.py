@@ -2,9 +2,13 @@
 serialization, and the regularity bounds their costs control."""
 
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from harmlab import (
     AlphaTooLarge,
@@ -28,7 +32,8 @@ from harmlab import (
     save_ensemble,
     slice_ensemble,
 )
-from harmlab.ensembles import cauchy_graded_rule, ensemble_derivatives
+from harmlab import ensembles as ensembles_module
+from harmlab.ensembles import activation, cauchy_graded_rule, ensemble_derivatives
 
 
 def single(a, w, b, alpha, dim=1):
@@ -288,6 +293,35 @@ def test_load_rejects_malformed(tmp_path):
         load_ensemble(p)
 
 
+_FINITE = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+    [0.0, -0.0, 5e-324, -5e-324, 1.5e-310, -2.2250738585072009e-308]
+)
+
+
+def _float_array(data, size, elements=_FINITE):
+    return np.array(data.draw(st.lists(elements, min_size=size, max_size=size)), dtype=float)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(dim=st.sampled_from([1, 2]), n=st.integers(1, 6), data=st.data())
+def test_save_load_round_trip_is_bit_exact(dim, n, data):
+    raw = _float_array(data, n, st.floats(0.0, 1.0) | st.sampled_from([-0.0, 5e-324]))
+    raw[0] = 1.0  # a positive total
+    alpha = data.draw(st.floats(0.0, 8.0) | st.sampled_from([-0.0, 5e-324]))
+    e = NeuronEnsemble(
+        raw / raw.sum(), _float_array(data, n), _float_array(data, n * dim).reshape(n, dim),
+        _float_array(data, n), alpha,
+    )
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "e.txt"
+        save_ensemble(e, path)
+        e2 = load_ensemble(path)
+    assert e2.dim == e.dim
+    assert np.float64(e2.alpha).tobytes() == np.float64(e.alpha).tobytes()
+    for got, want in ((e2.probs, e.probs), (e2.a, e.a), (e2.w, e.w), (e2.b, e.b)):
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
 # --- regularity bounds controlled by the cost --------------------------------------
 
 
@@ -354,3 +388,110 @@ def test_lift_matches_kernel_solver_for_mixture_data():
         via_lift = ensemble_eval(lifted, [p.x, p.y])
         via_kernel = solve_at(g, p, tol=1e-10)
         assert via_lift == pytest.approx(via_kernel, abs=2e-5)
+
+
+# --- one sigma_alpha, one evaluation kernel ------------------------------------------
+
+# No special input may warn; underflow of a tiny power to 0 is fine.
+_RAISE = dict(divide="raise", over="raise", invalid="raise")
+
+
+def test_activation_special_values():
+    z = np.array([np.nan, -np.nan, np.inf, -np.inf, 0.0, -0.0, 5e-324, -5e-324, 1.5, -1.5])
+    for alpha in (0.0, 0.5, 1.0, 2.0, 2.5, 3.0):
+        with np.errstate(**_RAISE):
+            got = activation(z, alpha)
+        want = [(1.0 if alpha == 0.0 else zi**alpha) if zi > 0.0 else 0.0 for zi in z.tolist()]
+        np.testing.assert_allclose(got, want, rtol=1e-15, atol=0.0)
+        assert not np.any(np.signbit(got))  # -0.0 and -inf give +0.0
+    # negative powers (derivatives above the activation power): 0 off the support
+    off = np.array([np.nan, -np.inf, 0.0, -0.0, -5e-324, -1.5])
+    on = np.array([np.inf, 0.25, 4.0])
+    for alpha in (-0.5, -1.0, -1.5):
+        with np.errstate(**_RAISE):
+            got_off = activation(off, alpha)
+            got_on = activation(on, alpha)
+        assert got_off.tobytes() == np.zeros(off.size).tobytes()
+        np.testing.assert_allclose(got_on, [zi**alpha for zi in on.tolist()], rtol=1e-15, atol=0.0)
+
+
+# component order of ensemble_derivatives for each (dim, order)
+_COMPONENTS = {
+    (1, 0): [()], (1, 1): [(0,)], (1, 2): [(0, 0)],
+    (2, 0): [()], (2, 1): [(0,), (1,)], (2, 2): [(0, 0), (0, 1), (1, 1)],
+}
+
+
+def _reference_derivative(e, x, comp):
+    """Neuron by neuron: sum p a prod_{j<m}(alpha-j) sigma_(alpha-m)(w.x+b) prod_{k in comp} w_k.
+
+    Returns the sum and the sum of the absolute terms (the scale of its rounding).
+    """
+    order = len(comp)
+    beta = e.alpha - order
+    coef = 1.0
+    for j in range(order):
+        coef *= e.alpha - j
+    total = scale = 0.0
+    for p, a, w, b in zip(e.probs.tolist(), e.a.tolist(), e.w.tolist(), e.b.tolist()):
+        z = sum(wk * xk for wk, xk in zip(w, x)) + b
+        sigma = 0.0 if not z > 0.0 else (1.0 if beta == 0.0 else z**beta)
+        term = p * a * coef * sigma
+        for k in comp:
+            term *= w[k]
+        total += term
+        scale += abs(term)
+    return total, scale
+
+
+# quarter-integers: products and sums are exact, so a kink is an exact zero
+_DYADIC = st.integers(-8, 8).map(lambda k: k / 4.0)
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(
+    dim=st.sampled_from([1, 2]),
+    alpha=st.sampled_from([0.0, 0.5, 1.0, 2.0, 2.5]),
+    n=st.integers(1, 5),
+    data=st.data(),
+)
+def test_evaluators_match_per_neuron_reference(dim, alpha, n, data):
+    w = _float_array(data, n * dim, _DYADIC).reshape(n, dim)
+    b = _float_array(data, n, _DYADIC)
+    xs = _float_array(data, n * dim, _DYADIC).reshape(n, dim)
+    for i, on_kink in enumerate(data.draw(st.lists(st.booleans(), min_size=n, max_size=n))):
+        if on_kink:  # point i on neuron i's kink: w_i . x_i + b_i = 0 exactly
+            b[i] = -float(w[i] @ xs[i])
+    weights = _float_array(data, n, st.integers(1, 4))
+    e = NeuronEnsemble(weights / weights.sum(), _float_array(data, n, _DYADIC), w, b, alpha)
+    pts = xs[:, 0] if dim == 1 else xs
+
+    with np.errstate(**_RAISE):
+        for order in range(3):
+            fields = ensemble_derivatives(e, pts, order)
+            assert len(fields) == len(_COMPONENTS[(dim, order)])
+            for field, comp in zip(fields, _COMPONENTS[(dim, order)]):
+                assert field.shape == (n,)
+                for x, value in zip(xs.tolist(), field.tolist()):
+                    want, scale = _reference_derivative(e, x, comp)
+                    assert abs(value - want) <= 1e-13 * scale, (order, comp, x)
+        many = ensemble_eval_many(e, pts)
+        assert many.shape == (n,)
+        for x, value in zip(xs.tolist(), many.tolist()):
+            want, scale = _reference_derivative(e, x, ())
+            assert abs(value - want) <= 1e-13 * scale
+            assert abs(ensemble_eval(e, x) - want) <= 1e-13 * scale
+
+
+def test_neuron_count_limit(monkeypatch):
+    e = NeuronEnsemble(np.full(10, 0.1), np.ones(10), np.linspace(-1.0, 1.0, 10), np.zeros(10), 0.5)
+    monkeypatch.setattr(ensembles_module, "MAX_NEURONS", 50)
+    assert len(sample_subnetwork(e, 50, seed=1)) == 50
+    assert len(lift_ensemble(e, n_samples=50, seed=1)) == 50
+    assert len(lift_ensemble(e, t_rule=cauchy_midpoint_rule(5))) == 50
+    with pytest.raises(ValidationError, match="exceeds the limit"):
+        sample_subnetwork(e, 51)
+    with pytest.raises(ValidationError, match="exceeds the limit"):
+        lift_ensemble(e, n_samples=51)
+    with pytest.raises(ValidationError, match="atoms x nodes"):
+        lift_ensemble(e, t_rule=cauchy_midpoint_rule(6))

@@ -13,6 +13,7 @@ from harmlab import (
     KTooSmall,
     ValidationError,
     eval_u_integer,
+    gauss_legendre_rule,
     eval_u_reg,
     fd_derivative,
     make_random_target,
@@ -20,7 +21,13 @@ from harmlab import (
     reg_error_experiment,
     sobolev_lognorm_experiment,
 )
-from harmlab.ensembles import barron_cost, ensemble_eval_many, sample_subnetwork
+from harmlab import ensembles as ensembles_module
+from harmlab.ensembles import (
+    barron_cost,
+    ensemble_derivatives,
+    ensemble_eval_many,
+    sample_subnetwork,
+)
 from harmlab.experiments import (
     imag_power_poly,
     interior_critical_radius,
@@ -260,6 +267,53 @@ def test_mc_exhaustive_selection_zero_error():
     # exhaustive selection = the same atoms at the same uniform weights
     exhaustive = NeuronEnsemble(uni, target_uni.a, target_uni.w, target_uni.b, 2.0)
     np.testing.assert_array_equal(ensemble_eval_many(exhaustive, xs), direct)
+
+
+def _sobolev_error_per_draw(target, subnet, m, q, pts, weights):
+    """W^{m,q} quadrature norm of (target - subnet), evaluating both every draw."""
+    acc = np.zeros(pts.shape[0])
+    for order in range(m + 1):
+        big = ensemble_derivatives(target, pts, order)
+        small = ensemble_derivatives(subnet, pts, order)
+        for comp_b, comp_s in zip(big, small):
+            acc = acc + np.abs(comp_b - comp_s) ** q
+    return float(np.dot(weights, acc) ** (1.0 / q))
+
+
+@pytest.mark.parametrize("dim,alpha,m,q", [(1, 2.0, 1, 2.0), (1, 2.5, 2, 3.0), (2, 2.5, 2, 2.0)])
+def test_mc_equals_explicit_draw_loop(dim, alpha, m, q):
+    target = make_random_target(alpha, 1000, seed=97, dim=dim)
+    ns, seeds = [16, 32, 64], [0, 1, 2]
+    if dim == 1:
+        grid = None
+        rule = gauss_legendre_rule(257, -1.0, 1.0)
+        pts, weights = rule.nodes, rule.weights
+    else:
+        grid = GridSpec(1.0, 16, 16, 2.0)
+        X, Y = grid.mesh()
+        wr = grid.radial_weights() * grid.radial_nodes() * grid.angular_weight
+        pts = np.column_stack([X.ravel(), Y.ravel()])
+        weights = np.broadcast_to(wr[:, None], X.shape).ravel()
+    reports, _, rate = mc_rate_experiment(target, ns, m, q, seeds, grid=grid)
+
+    cost = barron_cost(target)
+    want, hits = [], 0
+    for n in ns:
+        errs = []
+        for s in seeds:
+            subnet = sample_subnetwork(target, n, seed=(s, n))
+            errs.append(_sobolev_error_per_draw(target, subnet, m, q, pts, weights))
+            hits += barron_cost(subnet) <= cost * 1.05
+        want.append(float(np.mean(errs)))
+    assert [r.value for r in reports] == want
+    assert rate == hits / (len(ns) * len(seeds))
+
+
+def test_random_target_size_limit(monkeypatch):
+    monkeypatch.setattr(ensembles_module, "MAX_NEURONS", 1200)
+    assert len(make_random_target(2.0, 1200, seed=1)) == 1200
+    with pytest.raises(ValidationError, match="exceeds the limit"):
+        make_random_target(2.0, 1201, seed=1)
 
 
 def test_mc_admissibility():
