@@ -1,9 +1,10 @@
 """Command-line interface: evaluation, Poisson solving, diagnostics, and rate
 experiments with reproducible CSV output.
 
-Exit codes: 0 success, 2 validation error, 3 numerical failure; one-line
-diagnostics go to stderr. Identical argv (plus seeds) produces byte-identical
-CSV files. HARMLAB_THREADS caps internal parallel workers.
+Exit codes: 0 success, 2 validation error or a file that cannot be read or
+written, 3 numerical failure; one-line diagnostics go to stderr. Identical
+argv (plus seeds) produces byte-identical CSV files. HARMLAB_THREADS caps
+internal parallel workers.
 """
 
 from __future__ import annotations
@@ -358,6 +359,9 @@ def run(argv=None) -> int:
         return args.handler(args)
     except ValidationError as exc:
         print(f"harmlab: invalid input: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:  # an unreadable --in or unwritable --out
+        print(f"harmlab: cannot access file: {exc}", file=sys.stderr)
         return 2
     except NumericalError as exc:
         print(f"harmlab: numerical failure: {exc}", file=sys.stderr)

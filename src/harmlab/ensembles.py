@@ -15,6 +15,7 @@ from __future__ import annotations
 import itertools
 import math
 import re
+import warnings
 
 import numpy as np
 
@@ -340,33 +341,49 @@ _HEADER_RE = re.compile(
 )
 
 
+# Rows formatted per write. One block's text and floats are a few MB at most,
+# so saving never holds the whole file as Python objects.
+_SAVE_BLOCK = 8192
+
+
 def save_ensemble(e: NeuronEnsemble, path) -> None:
-    """One neuron per line: `prob a w_1 [w_2] b`, doubles at 17 significant digits."""
+    """One neuron per line: `prob a w_1 [w_2] b`, doubles at 17 significant digits.
+
+    Each block of rows is one %-format of a repeated row template in C;
+    `"%.17g" % x` gives the same bytes as `f"{x:.17g}"`.
+    """
+    row = " ".join(["%.17g"] * (3 + e.dim)) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(f"#barron-ensemble v1 alpha={e.alpha:.17g} dim={e.dim}\n")
-        for p, a, wrow, b in zip(e.probs, e.a, e.w, e.b):
-            cols = [p, a, *wrow, b]
-            fh.write(" ".join(f"{c:.17g}" for c in cols) + "\n")
+        for start in range(0, len(e), _SAVE_BLOCK):
+            rows = slice(start, start + _SAVE_BLOCK)
+            block = np.column_stack([e.probs[rows], e.a[rows], e.w[rows], e.b[rows]])
+            fh.write(row * len(block) % tuple(block.ravel().tolist()))
 
 
 def load_ensemble(path) -> NeuronEnsemble:
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().rstrip("\n")
-        m = _HEADER_RE.match(header)
-        if not m:
-            raise ValidationError(f"bad ensemble header: {header!r}")
-        alpha = float(m.group("alpha"))
-        dim = int(m.group("dim"))
-        rows = []
-        for lineno, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split()
-            if len(parts) != 3 + dim:
-                raise ValidationError(f"line {lineno}: expected {3 + dim} columns, got {len(parts)}")
-            rows.append([float(t) for t in parts])
-    if not rows:
-        raise ValidationError("ensemble file has no neurons")
-    arr = np.asarray(rows, dtype=float)
-    return NeuronEnsemble(arr[:, 0], arr[:, 1], arr[:, 2 : 2 + dim], arr[:, 2 + dim], alpha)
+    """Read a `save_ensemble` file; any malformed content is a ValidationError naming the file.
+
+    The body goes through numpy's C parser, which rounds correctly, so a saved
+    ensemble loads back bit for bit. Blank lines and surrounding whitespace are
+    skipped; `#` is only allowed in the header.
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            header = fh.readline().rstrip("\n")
+            m = _HEADER_RE.match(header)
+            if not m:
+                raise ValidationError(f"bad ensemble header: {header!r}")
+            alpha = float(m.group("alpha"))
+            dim = int(m.group("dim"))
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)  # "input contained no data"
+                arr = np.loadtxt(fh, dtype=float, comments=None, ndmin=2)
+        if arr.size == 0:
+            raise ValidationError("ensemble file has no neurons")
+        if arr.shape[1] != 3 + dim:
+            raise ValidationError(f"expected {3 + dim} columns, got {arr.shape[1]}")
+        return NeuronEnsemble(arr[:, 0], arr[:, 1], arr[:, 2 : 2 + dim], arr[:, 2 + dim], alpha)
+    except ValueError as exc:  # ours, numpy's parse errors, undecodable bytes
+        reason = str(exc).split("; use `usecols`")[0]  # numpy's hint is no use here
+        raise ValidationError(f"{path}: {reason}") from None

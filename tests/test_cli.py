@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -282,6 +283,60 @@ def test_hostile_sizes_exit_2(tmp_path, capsys, argv):
     assert code == 2 and out == ""
     assert err.count("\n") == 1 and "exceeds the limit" in err
     assert not (tmp_path / "x.out").exists()
+
+
+_HEADER = "#barron-ensemble v1 alpha=0.5 dim=1\n"
+
+
+@pytest.mark.parametrize(
+    "body,reason",
+    [
+        ("1 1 abc 0\n", "could not convert string 'abc'"),
+        ("0.5 1 1 0\n0.5 1 1\n", "number of columns changed"),
+        ("1 1 1 0 # comment\n", "could not convert string '#'"),
+        ("", "ensemble file has no neurons"),
+        ("\n \n", "ensemble file has no neurons"),
+    ],
+)
+def test_malformed_ensemble_file_exits_2(tmp_path, capsys, body, reason):
+    src = tmp_path / "bad.txt"
+    src.write_text(_HEADER + body)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy warning would otherwise reach stderr
+        code, out, err = invoke(capsys, "ensemble", "extend", "--in", str(src), "--out", str(tmp_path / "o.txt"))
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and err.startswith(f"harmlab: invalid input: {src}: ")
+    assert reason in err
+    assert not (tmp_path / "o.txt").exists()
+
+
+def test_blank_ensemble_body_prints_one_line(tmp_path):
+    # a fresh interpreter, so a warning numpy prints would show on stderr
+    src = tmp_path / "blank.txt"
+    src.write_text(_HEADER + "\n\n")
+    proc = python_m_harmlab("ensemble", "extend", "--in", str(src), "--out", str(tmp_path / "o.txt"))
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.splitlines() == [f"harmlab: invalid input: {src}: ensemble file has no neurons"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["ensemble", "extend", "--in", "{missing}", "--out", "{tmp}/o.txt"],
+        ["ensemble", "extend", "--in", "{src}", "--out", "{missing}/o.txt"],
+        ["ensemble", "lift", "--in", "{src}", "--out", "{tmp}", "--nodes", "3"],
+        ["rates", "reg", "--k", "2", "--p", "inf", "--order", "0", "--eps-min", "1e-3", "--eps-max",
+         "1e-1", "--steps", "3", "--nr", "64", "--nphi", "32", "--grading", "3", "--out", "{missing}/x.csv"],
+    ],
+)
+def test_unreadable_in_or_unwritable_out_exits_2(tmp_path, capsys, argv):
+    src = tmp_path / "e1.txt"
+    save_ensemble(NeuronEnsemble([1.0], [1.0], [[1.0]], [0.0], 0.5), src)
+    names = {"tmp": tmp_path, "src": src, "missing": tmp_path / "missing"}
+    code, out, err = invoke(capsys, *[arg.format(**names) for arg in argv])
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and err.startswith("harmlab: cannot access file: ")
+    assert str(tmp_path) in err
 
 
 def test_ensemble_sampling_lift_determinism(tmp_path, capsys):

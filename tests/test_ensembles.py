@@ -3,6 +3,7 @@ serialization, and the regularity bounds their costs control."""
 
 import math
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -230,6 +231,58 @@ def test_extend_homogeneity_and_trace():
         assert ensemble_eval(s, float(x)) == ensemble_eval(e1, float(x))
 
 
+_MODERATE = st.floats(-4.0, 4.0)
+
+
+def _ensemble_1d(data, alpha, n):
+    weights = _float_array(data, n, st.floats(0.1, 1.0))
+    return NeuronEnsemble(
+        weights / weights.sum(), _float_array(data, n, _MODERATE),
+        _float_array(data, n, _MODERATE).reshape(n, 1), _float_array(data, n, _MODERATE), alpha,
+    )
+
+
+def _scale(e, xs):
+    """sum_i p_i |a_i| sigma(w_i x + b_i) at each x: the size of the rounding in f(x)."""
+    z = np.outer(xs, e.w[:, 0]) + e.b
+    return activation(z, e.alpha) @ (e.probs * np.abs(e.a))
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(
+    alpha=st.sampled_from([0.0, 0.5]) | st.floats(0.0, 0.95),
+    n=st.integers(1, 5),
+    nodes=st.integers(1, 41),
+    data=st.data(),
+)
+def test_slice_of_lift_is_the_boundary_ensemble(alpha, n, nodes, data):
+    # on y = 0 every lifted neuron (a, (w, t w), b) is the atom (a, w, b) again
+    e = _ensemble_1d(data, alpha, n)
+    xs = _float_array(data, 6, st.floats(-5.0, 5.0))
+    on_line = slice_ensemble(lift_ensemble(e, t_rule=cauchy_tangent_rule(nodes)), (0.0, 0.0), (1.0, 0.0))
+    assert on_line.dim == 1 and len(on_line) == n * nodes
+    got, want = ensemble_eval_many(on_line, xs), ensemble_eval_many(e, xs)
+    assert np.all(np.abs(got - want) <= 1e-13 * (1.0 + _scale(e, xs)))
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(
+    alpha=st.sampled_from([0.0, 0.5, 1.0, 2.0]) | st.floats(0.0, 4.0),
+    n=st.integers(1, 5),
+    data=st.data(),
+)
+def test_homogeneous_extend_is_y_alpha_f_of_x_over_y(alpha, n, data):
+    e = _ensemble_1d(data, alpha, n)
+    ext = homogeneous_extend(e)
+    xs = _float_array(data, 6, st.floats(-5.0, 5.0))
+    # y a power of two makes w x + b y = y (w (x/y) + b) exact in floating point,
+    # so both sides see a kink on the same side of zero, even for alpha = 0
+    ys = 2.0 ** _float_array(data, 6, st.integers(-4, 3))
+    got = ensemble_eval_many(ext, np.column_stack([xs, ys]))
+    want = ys**alpha * ensemble_eval_many(e, xs / ys)
+    assert np.all(np.abs(got - want) <= 1e-13 * (1.0 + ys**alpha * _scale(e, xs / ys)))
+
+
 # --- subsampling ------------------------------------------------------------------
 
 
@@ -320,6 +373,88 @@ def test_save_load_round_trip_is_bit_exact(dim, n, data):
     assert np.float64(e2.alpha).tobytes() == np.float64(e.alpha).tobytes()
     for got, want in ((e2.probs, e.probs), (e2.a, e.a), (e2.w, e.w), (e2.b, e.b)):
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def _save_per_row(e, path):
+    """The per-row writer `save_ensemble` replaced, kept as the byte-format reference."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(f"#barron-ensemble v1 alpha={e.alpha:.17g} dim={e.dim}\n")
+        for p, a, wrow, b in zip(e.probs, e.a, e.w, e.b):
+            cols = [p, a, *wrow, b]
+            fh.write(" ".join(f"{c:.17g}" for c in cols) + "\n")
+
+
+_BLOCK = ensembles_module._SAVE_BLOCK
+_EDGES = [-0.0, 5e-324, -5e-324, 1.5e-310, 1.797e308, -1.797e308]
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("n", [1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 3])
+def test_save_bytes_match_per_row_writer(tmp_path, dim, n):
+    rng = np.random.default_rng(1000 * dim + n)
+    cols = rng.normal(size=(n, 2 + dim)) * 10.0 ** rng.integers(-300, 300, size=(n, 2 + dim))
+    flat = cols.reshape(-1)  # a, w, b of every row: edge values spread over all blocks
+    at = np.linspace(0, flat.size - 1, min(flat.size, 4 * len(_EDGES))).astype(int)
+    flat[at] = np.resize(_EDGES, at.size)
+    probs = rng.uniform(0.1, 1.0, n)
+    probs /= probs.sum()
+    probs[0] += probs[1:3].sum()  # their mass moves to row 0 before they become edge values
+    probs[1:3] = [-0.0, 5e-324][: n - 1]
+    e = NeuronEnsemble(probs, cols[:, 0], cols[:, 1 : 1 + dim], cols[:, 1 + dim], 0.75)
+    save_ensemble(e, tmp_path / "new.txt")
+    _save_per_row(e, tmp_path / "old.txt")
+    assert (tmp_path / "new.txt").read_bytes() == (tmp_path / "old.txt").read_bytes()
+    e2 = load_ensemble(tmp_path / "new.txt")
+    for got, want in ((e2.probs, e.probs), (e2.a, e.a), (e2.w, e.w), (e2.b, e.b)):
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def test_load_skips_blank_lines_whitespace_and_crlf(tmp_path):
+    p = tmp_path / "e.txt"
+    p.write_bytes(b"#barron-ensemble v1 alpha=0.5 dim=1\r\n\r\n  0.25 1 2 3 \r\n\t\n0.75\t-1 -2 -3\r\n\n")
+    e = load_ensemble(p)
+    assert e.alpha == 0.5 and e.dim == 1
+    assert e.probs.tolist() == [0.25, 0.75] and e.a.tolist() == [1.0, -1.0]
+    assert e.w[:, 0].tolist() == [2.0, -2.0] and e.b.tolist() == [3.0, -3.0]
+
+
+@pytest.mark.parametrize(
+    "body,reason",
+    [
+        ("1 1 abc 0\n", "abc"),
+        ("0.5 1 1 0\n0.5 1 1\n", "number of columns changed"),
+        ("1 1 1 0 # comment\n", "#"),
+        ("# comment\n1 1 1 0\n", "#"),
+        ("1 1 1\n", "expected 4 columns, got 3"),
+        ("", "has no neurons"),
+        ("\n  \n\t\n", "has no neurons"),
+        ("nan 1 1 0\n", "non-finite"),
+    ],
+)
+def test_load_malformed_body_names_the_file(tmp_path, body, reason):
+    p = tmp_path / "bad.txt"
+    p.write_text("#barron-ensemble v1 alpha=1 dim=1\n" + body)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # numpy's "input contained no data" must not escape
+        with pytest.raises(ValidationError, match=reason) as info:
+            load_ensemble(p)
+    assert str(info.value).startswith(f"{p}: ") and "usecols" not in str(info.value)
+
+
+@pytest.mark.parametrize(
+    "content,reason",
+    [
+        (b"#not-an-ensemble\n1 1 1 0\n", "bad ensemble header"),
+        (b"#barron-ensemble v1 alpha=abc dim=1\n1 1 1 0\n", "abc"),
+        (b"#barron-ensemble v1 alpha=1 dim=1\n1 1 \xff 0\n", "utf-8"),
+    ],
+)
+def test_load_malformed_header_or_bytes_names_the_file(tmp_path, content, reason):
+    p = tmp_path / "bad.txt"
+    p.write_bytes(content)
+    with pytest.raises(ValidationError, match=reason) as info:
+        load_ensemble(p)
+    assert str(info.value).startswith(f"{p}: ")
 
 
 # --- regularity bounds controlled by the cost --------------------------------------
