@@ -2,15 +2,17 @@
 experiments with reproducible CSV output.
 
 Exit codes: 0 success, 2 validation error or a file that cannot be read or
-written, 3 numerical failure; one-line diagnostics go to stderr. Identical
-argv (plus seeds) produces byte-identical CSV files. HARMLAB_THREADS caps
-internal parallel workers.
+written, 3 numerical failure; one-line diagnostics go to stderr; --out is
+checked before any work. Identical argv (plus seeds) produces byte-identical
+CSV files. All work runs on one thread; HARMLAB_THREADS is only validated.
 """
 
 from __future__ import annotations
 
 import argparse
+import errno
 import math
+import os
 import sys
 
 import numpy as np
@@ -256,6 +258,11 @@ def _add_grid_flags(sp) -> None:
     sp.add_argument("--grading", type=float, default=2.0, help="radial mesh exponent (default 2)")
 
 
+def _add_output_flags(sp) -> None:
+    sp.add_argument("--out", required=True, help="CSV output path")
+    sp.add_argument("--gnuplot", action="store_true", help="emit a companion gnuplot script")
+
+
 def build_parser() -> argparse.ArgumentParser:
     fmt = argparse.ArgumentDefaultsHelpFormatter
     ap = argparse.ArgumentParser(
@@ -292,8 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
     rr.add_argument("--eps-min", type=float, default=1e-4, dest="eps_min", help="smallest regularization parameter")
     rr.add_argument("--eps-max", type=float, default=1e-1, dest="eps_max", help="largest regularization parameter")
     rr.add_argument("--steps", type=int, default=7, help="number of log-spaced eps values")
-    rr.add_argument("--out", required=True, help="CSV output path")
-    rr.add_argument("--gnuplot", action="store_true", help="emit a companion gnuplot script")
+    _add_output_flags(rr)
     _add_grid_flags(rr)
     rr.set_defaults(handler=_cmd_rates_reg)
 
@@ -307,8 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
     rm.add_argument("--q", type=float, default=2.0, help="integrability exponent (q >= 2)")
     rm.add_argument("--target-size", type=int, default=2000, dest="target_size")
     rm.add_argument("--target-seed", type=int, default=20240, dest="target_seed")
-    rm.add_argument("--out", required=True, help="CSV output path")
-    rm.add_argument("--gnuplot", action="store_true", help="emit a companion gnuplot script")
+    _add_output_flags(rm)
     rm.set_defaults(handler=_cmd_rates_mc)
 
     rs = rsub.add_parser("sobolev", formatter_class=fmt, help="Sobolev seminorm growth in |log eps|")
@@ -318,8 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
     rs.add_argument("--eps-max", type=float, default=1e-1, dest="eps_max", help="largest regularization parameter")
     rs.add_argument("--steps", type=int, default=5, help="number of log-spaced eps values")
     rs.add_argument("--order", type=int, default=None, help="seminorm order (default k+2)")
-    rs.add_argument("--out", required=True, help="CSV output path")
-    rs.add_argument("--gnuplot", action="store_true", help="emit a companion gnuplot script")
+    _add_output_flags(rs)
     _add_grid_flags(rs)
     rs.set_defaults(handler=_cmd_rates_sobolev)
 
@@ -352,10 +356,26 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _check_out(path: str) -> None:
+    """Raise the OSError that writing `path` would raise later; creates nothing."""
+    parent = os.path.dirname(path) or "."
+    if os.path.isdir(path):
+        code = errno.EISDIR
+    elif not os.path.isdir(parent):
+        code = errno.ENOENT
+    elif not os.access(parent, os.W_OK | os.X_OK):
+        code = errno.EACCES
+    else:
+        return
+    raise OSError(code, os.strerror(code), path)
+
+
 def run(argv=None) -> int:
     ap = build_parser()
     try:
         args = ap.parse_args(argv)
+        if getattr(args, "out", None) is not None:
+            _check_out(args.out)
         return args.handler(args)
     except ValidationError as exc:
         print(f"harmlab: invalid input: {exc}", file=sys.stderr)

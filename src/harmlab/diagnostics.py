@@ -44,10 +44,16 @@ def dk1_angle_factor(phi, k: int):
     return np.exp(1j * phi) * (1.0 - np.exp(-2j * phi)) ** (k + 1)
 
 
+def _dk1_field(x, y, k: int):
+    """(k+1)-th x-derivative of arctan(x/y) Re((x+iy)^k), closed form, vectorized."""
+    r = np.hypot(x, y)
+    phi = np.arctan2(y, x)
+    return math.factorial(k) / (2.0 * r) * dk1_angle_factor(phi, k).imag
+
+
 def closed_form_dk1(p: HalfPlanePoint, k: int) -> float:
-    """(k+1)-th x-derivative of arctan(x/y) Re((x+iy)^k) at p, closed form."""
-    r = p.r
-    return math.factorial(k) / (2.0 * r) * float(dk1_angle_factor(p.phi, k).imag)
+    """_dk1_field at one point."""
+    return float(_dk1_field(p.x, p.y, k))
 
 
 def arctan_component(x, y, k: int):
@@ -55,14 +61,6 @@ def arctan_component(x, y, k: int):
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     return np.arctan2(x, y) * ((x + 1j * y) ** k).real
-
-
-def _dk1_field(xi, k: int):
-    """closed_form_dk1 along the line y = 1, vectorized over xi."""
-    xi = np.asarray(xi, dtype=float)
-    r = np.hypot(xi, 1.0)
-    phi = np.arctan2(1.0, xi)
-    return math.factorial(k) / (2.0 * r) * dk1_angle_factor(phi, k).imag
 
 
 @dataclass(frozen=True)
@@ -136,7 +134,7 @@ def ur_slice_barron_check(
 
     def weighted(xi):
         xi = np.asarray(xi, dtype=float)
-        return np.abs(_dk1_field(xi, k)) / math.pi * (1.0 + np.abs(xi) ** k)
+        return np.abs(_dk1_field(xi, 1.0, k)) / math.pi * (1.0 + np.abs(xi) ** k)
 
     def substituted(eta):
         eta = np.asarray(eta, dtype=float)

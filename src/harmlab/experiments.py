@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -54,7 +53,7 @@ LOG_MODEL_MIN_R2 = 0.99  # below this r^2 a seminorm^2 is not affine in |log eps
 
 
 def worker_count() -> int:
-    """Parallel worker cap from HARMLAB_THREADS; defaults to sequential."""
+    """Validated HARMLAB_THREADS (default 1); the experiments run on one thread."""
     raw = os.environ.get("HARMLAB_THREADS", "")
     if not raw:
         return 1
@@ -65,16 +64,6 @@ def worker_count() -> int:
     if n < 1:
         raise ValidationError(f"HARMLAB_THREADS must be a positive integer, got {n}")
     return n
-
-
-def _pmap(fn, items):
-    """Order-preserving map, threaded when HARMLAB_THREADS allows it."""
-    items = list(items)
-    workers = min(worker_count(), len(items)) if items else 1
-    if workers <= 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
 
 
 @dataclass(frozen=True)
@@ -281,13 +270,14 @@ def _gated_values(measure, eps: np.ndarray, grid: GridSpec, label: str) -> list[
     """measure(e, grid) for every e in eps, gated by grid doubling at eps[0] and eps[-1].
 
     The gate's coarse values are the end values; only the interior eps are
-    computed afresh.
+    computed afresh. A bad HARMLAB_THREADS is rejected before any norm.
     """
+    worker_count()
     ends = [
         _gate_check(lambda g: measure(float(e), g), grid, f"eps={e:g}: {label}")
         for e in (eps[0], eps[-1])
     ]
-    inner = _pmap(lambda e: measure(float(e), grid), eps[1:-1])
+    inner = [measure(float(e), grid) for e in eps[1:-1]]
     return [ends[0], *inner, ends[1]]
 
 

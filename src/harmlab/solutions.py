@@ -233,64 +233,54 @@ class SolutionKind:
 # The G, H forms are cancellation-free, which matters for eps^2 << r^2.
 
 
-def reg_diff_value(X, Y, epsilon: float, k: int):
-    """v = u_{eps,k} - u_k = -(1/2pi) log(1 + eps^2/r^2) Im(z^k), vectorized."""
-    _check_reg_args(epsilon, k)
-    X = np.asarray(X, dtype=float)
-    Y = np.asarray(Y, dtype=float)
-    B = X * X + Y * Y
-    Q = ((X + 1j * Y) ** k).imag
-    D = np.log1p(epsilon * epsilon / B)
-    return -(0.5 / np.pi) * D * Q
-
-
-def reg_diff_gradient(X, Y, epsilon: float, k: int):
-    """(v_x, v_y) of the regularization error, closed form, vectorized."""
+def _reg_diff(X, Y, epsilon: float, k: int, order: int):
+    """v, (v_x, v_y) or (v_xx, v_xy, v_yy) for order 0, 1 or 2: the one body of all three."""
     _check_reg_args(epsilon, k)
     X = np.asarray(X, dtype=float)
     Y = np.asarray(Y, dtype=float)
     e2 = epsilon * epsilon
     B = X * X + Y * Y
-    A = B + e2
-    Z = X + 1j * Y
-    Zk1 = Z ** (k - 1)
-    Q = (Zk1 * Z).imag
-    Qx = k * Zk1.imag
-    Qy = k * Zk1.real
+    # Zp[j] = z^(k-order+j), negative powers 0. A fresh z = X + 1j*Y per use is a
+    # temporary numpy can reuse; np.multiply keeps the operand order that `*` on
+    # a temporary may swap (complex products are not bitwise commutative).
+    Zp = [(X + 1j * Y) ** max(k - order, 0)]
+    for _ in range(min(k, order)):
+        Zp.append(np.multiply(Zp[-1], X + 1j * Y))
+    if k < order:
+        Zp.insert(0, np.zeros_like(Zp[0]))
+    Q = Zp[-1].imag
     D = np.log1p(e2 / B)
+    c = -(0.5 / np.pi)
+    if order == 0:
+        return c * D * Q
+    Qx = k * Zp[-2].imag
+    Qy = k * Zp[-2].real
+    A = B + e2
     G = -e2 / (A * B)
-    c = -(0.5 / np.pi)
-    return c * (2.0 * X * G * Q + D * Qx), c * (2.0 * Y * G * Q + D * Qy)
-
-
-def reg_diff_hessian(X, Y, epsilon: float, k: int):
-    """(v_xx, v_xy, v_yy) of the regularization error, closed form, vectorized."""
-    _check_reg_args(epsilon, k)
-    X = np.asarray(X, dtype=float)
-    Y = np.asarray(Y, dtype=float)
-    e2 = epsilon * epsilon
-    B = X * X + Y * Y
-    A = B + e2
-    Z = X + 1j * Y
-    if k >= 2:
-        Zk2 = Z ** (k - 2)
-        Zk1 = Zk2 * Z
-    else:
-        Zk1 = Z ** (k - 1)
-        Zk2 = np.zeros_like(Zk1)
-    Q = (Zk1 * Z).imag
-    Qx = k * Zk1.imag
-    Qy = k * Zk1.real
+    if order == 1:
+        return c * (2.0 * X * G * Q + D * Qx), c * (2.0 * Y * G * Q + D * Qy)
     kk1 = k * (k - 1)
-    Qxx = kk1 * Zk2.imag
-    Qxy = kk1 * Zk2.real
+    Qxx = kk1 * Zp[0].imag
+    Qxy = kk1 * Zp[0].real
     Qyy = -Qxx
-    D = np.log1p(e2 / B)
     AB = A * B
-    G = -e2 / AB
     H = -e2 * (A + B) / (AB * AB)
-    c = -(0.5 / np.pi)
     vxx = c * ((2.0 * G - 4.0 * X * X * H) * Q + 4.0 * X * G * Qx + D * Qxx)
     vxy = c * (-4.0 * X * Y * H * Q + 2.0 * X * G * Qy + 2.0 * Y * G * Qx + D * Qxy)
     vyy = c * ((2.0 * G - 4.0 * Y * Y * H) * Q + 4.0 * Y * G * Qy + D * Qyy)
     return vxx, vxy, vyy
+
+
+def reg_diff_value(X, Y, epsilon: float, k: int):
+    """v = u_{eps,k} - u_k = -(1/2pi) log(1 + eps^2/r^2) Im(z^k), vectorized."""
+    return _reg_diff(X, Y, epsilon, k, 0)
+
+
+def reg_diff_gradient(X, Y, epsilon: float, k: int):
+    """(v_x, v_y) of the regularization error, closed form, vectorized."""
+    return _reg_diff(X, Y, epsilon, k, 1)
+
+
+def reg_diff_hessian(X, Y, epsilon: float, k: int):
+    """(v_xx, v_xy, v_yy) of the regularization error, closed form, vectorized."""
+    return _reg_diff(X, Y, epsilon, k, 2)

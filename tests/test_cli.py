@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from harmlab import NeuronEnsemble, ensemble_eval, load_ensemble, save_ensemble
+from harmlab import NeuronEnsemble, cli, ensemble_eval, experiments, load_ensemble, save_ensemble
 from harmlab.cli import run
 
 
@@ -199,6 +199,7 @@ def test_rates_sobolev_gate_failure_exit_code(tmp_path, capsys):
         "--out", str(tmp_path / "g.csv"),
     )
     assert code == 3 and "numerical failure" in err
+    assert list(tmp_path.iterdir()) == []  # the up-front --out check creates no file
 
 
 def test_rates_reg_gate_failure_exit_code(tmp_path, capsys):
@@ -208,6 +209,7 @@ def test_rates_reg_gate_failure_exit_code(tmp_path, capsys):
         "--nr", "8", "--nphi", "8", "--grading", "1", "--out", str(tmp_path / "g.csv"),
     )
     assert code == 3 and "numerical failure" in err
+    assert list(tmp_path.iterdir()) == []  # the up-front --out check creates no file
 
 
 def test_diag_xklogx(capsys):
@@ -337,6 +339,51 @@ def test_unreadable_in_or_unwritable_out_exits_2(tmp_path, capsys, argv):
     assert code == 2 and out == ""
     assert err.count("\n") == 1 and err.startswith("harmlab: cannot access file: ")
     assert str(tmp_path) in err
+
+
+_EARLY_OUT_ARGV = {
+    "reg_error_experiment": ["rates", "reg", "--k", "2"],
+    "mc_rate_experiment": ["rates", "mc", "--alpha", "2"],
+    "sobolev_lognorm_experiment": ["rates", "sobolev", "--k", "2"],
+    "lift_ensemble": ["ensemble", "lift", "--in", "{src}"],
+}
+
+
+@pytest.mark.parametrize("binding", sorted(_EARLY_OUT_ARGV))
+@pytest.mark.parametrize("case", ["missing parent", "directory", "unwritable parent"])
+def test_bad_out_exits_2_before_the_work(tmp_path, capsys, monkeypatch, binding, case):
+    def never(*a, **kw):
+        raise AssertionError(f"{binding} ran although --out is bad")
+
+    monkeypatch.setattr(cli, binding, never)
+    src = tmp_path / "e1.txt"
+    save_ensemble(NeuronEnsemble([1.0], [1.0], [[1.0]], [0.0], 0.5), src)
+    locked = tmp_path / "locked"
+    locked.mkdir()
+    out = {"missing parent": tmp_path / "missing" / "x.csv", "directory": locked,
+           "unwritable parent": locked / "x.csv"}[case]
+    real_access = os.access
+    # stands in for a read-only directory, which the root user could still write
+    monkeypatch.setattr(cli.os, "access", lambda p, mode: Path(p) != locked and real_access(p, mode))
+    argv = [arg.format(src=src) for arg in _EARLY_OUT_ARGV[binding]]
+    code, out_text, err = invoke(capsys, *argv, "--out", str(out))
+    assert code == 2 and out_text == ""
+    assert err.count("\n") == 1 and err.startswith("harmlab: cannot access file: ")
+    assert str(out) in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["e1.txt", "locked"]
+    assert list(locked.iterdir()) == []
+
+
+def test_bad_harmlab_threads_exits_2_before_any_norm(tmp_path, capsys, monkeypatch):
+    def never(*a, **kw):
+        raise AssertionError("a norm was computed although HARMLAB_THREADS is bad")
+
+    monkeypatch.setattr(experiments, "norm_lp_halfdisk", never)
+    monkeypatch.setenv("HARMLAB_THREADS", "zero")
+    code, out, err = invoke(capsys, "rates", "reg", "--k", "2", "--out", str(tmp_path / "x.csv"))
+    assert code == 2 and out == ""
+    assert err == "harmlab: invalid input: HARMLAB_THREADS must be a positive integer, got 'zero'\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_ensemble_sampling_lift_determinism(tmp_path, capsys):

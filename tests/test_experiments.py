@@ -367,16 +367,6 @@ def test_worker_count_env(monkeypatch):
         worker_count()
 
 
-def test_experiment_results_independent_of_workers(monkeypatch):
-    eps = np.logspace(-3, -1, 5)
-    monkeypatch.setenv("HARMLAB_THREADS", "1")
-    r1, f1 = reg_error_experiment(2, 1.0, 2.0, 0, eps, GRID)
-    monkeypatch.setenv("HARMLAB_THREADS", "4")
-    r2, f2 = reg_error_experiment(2, 1.0, 2.0, 0, eps, GRID)
-    assert [r.value for r in r1] == [r.value for r in r2]
-    assert f1.slope == f2.slope
-
-
 def test_error_report_validation():
     from harmlab import ErrorReport
 

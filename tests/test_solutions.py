@@ -21,7 +21,13 @@ from harmlab import (
     fd_laplacian,
     fit_loglog,
 )
-from harmlab.solutions import reg_diff_value, u_fractional_field, u_integer_field
+from harmlab.solutions import (
+    reg_diff_gradient,
+    reg_diff_hessian,
+    reg_diff_value,
+    u_fractional_field,
+    u_integer_field,
+)
 
 
 def test_integer_spot_values():
@@ -264,6 +270,84 @@ def test_reg_diff_value_matches_eval():
     for i in range(30):
         direct = eval_u_reg(X[i], Y[i], eps, k) - eval_u_integer(HalfPlanePoint(X[i], Y[i]), k)
         assert V[i] == pytest.approx(direct, rel=1e-10, abs=1e-14)
+
+
+# The three separate bodies that the one `_reg_diff` body replaced, kept as
+# the reference it must reproduce bit for bit.
+
+
+def _ref_reg_diff_value(X, Y, epsilon, k):
+    B = X * X + Y * Y
+    Q = ((X + 1j * Y) ** k).imag
+    D = np.log1p(epsilon * epsilon / B)
+    return -(0.5 / np.pi) * D * Q
+
+
+def _ref_reg_diff_gradient(X, Y, epsilon, k):
+    e2 = epsilon * epsilon
+    B = X * X + Y * Y
+    A = B + e2
+    Z = X + 1j * Y
+    Zk1 = Z ** (k - 1)
+    Q = (Zk1 * Z).imag
+    Qx = k * Zk1.imag
+    Qy = k * Zk1.real
+    D = np.log1p(e2 / B)
+    G = -e2 / (A * B)
+    c = -(0.5 / np.pi)
+    return c * (2.0 * X * G * Q + D * Qx), c * (2.0 * Y * G * Q + D * Qy)
+
+
+def _ref_reg_diff_hessian(X, Y, epsilon, k):
+    e2 = epsilon * epsilon
+    B = X * X + Y * Y
+    A = B + e2
+    Z = X + 1j * Y
+    if k >= 2:
+        Zk2 = Z ** (k - 2)
+        Zk1 = Zk2 * Z
+    else:
+        Zk1 = Z ** (k - 1)
+        Zk2 = np.zeros_like(Zk1)
+    Q = (Zk1 * Z).imag
+    Qx = k * Zk1.imag
+    Qy = k * Zk1.real
+    kk1 = k * (k - 1)
+    Qxx = kk1 * Zk2.imag
+    Qxy = kk1 * Zk2.real
+    Qyy = -Qxx
+    D = np.log1p(e2 / B)
+    AB = A * B
+    G = -e2 / AB
+    H = -e2 * (A + B) / (AB * AB)
+    c = -(0.5 / np.pi)
+    vxx = c * ((2.0 * G - 4.0 * X * X * H) * Q + 4.0 * X * G * Qx + D * Qxx)
+    vxy = c * (-4.0 * X * Y * H * Q + 2.0 * X * G * Qy + 2.0 * Y * G * Qx + D * Qxy)
+    vyy = c * ((2.0 * G - 4.0 * Y * Y * H) * Q + 4.0 * Y * G * Qy + D * Qyy)
+    return vxx, vxy, vyy
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+def test_reg_diff_bodies_match_reference(k):
+    rng = np.random.default_rng(2024 + k)
+    n = 6000
+    X = np.concatenate([
+        rng.uniform(-2.0, 2.0, n),
+        rng.uniform(-2.0, 2.0, n),  # on the boundary y = 0 (and y = -0)
+        rng.uniform(-1.0, 1.0, n) * 1e-6,  # |z| ~ 1e-6, where eps^2/r^2 is large
+    ])
+    Y = np.concatenate([
+        rng.uniform(0.0, 2.0, n),
+        np.where(rng.random(n) < 0.5, 0.0, -0.0),
+        rng.uniform(0.0, 1.0, n) * 1e-6,
+    ])
+    pairs = [(reg_diff_value, _ref_reg_diff_value), (reg_diff_gradient, _ref_reg_diff_gradient),
+             (reg_diff_hessian, _ref_reg_diff_hessian)]
+    for eps in (1e-6, 1e-3, 0.1, 1.0):
+        for new, ref in pairs:
+            got, want = np.asarray(new(X, Y, eps, k)), np.asarray(ref(X, Y, eps, k))
+            # int64 views: equal bits, so -0.0 and 0.0 differ and NaNs compare
+            np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
 
 
 def test_integer_solutions_match_cartesian_expansions():
