@@ -4,7 +4,7 @@ experiments with reproducible CSV output.
 Exit codes: 0 success, 2 validation error or a file that cannot be read or
 written, 3 numerical failure; one-line diagnostics go to stderr; --out is
 checked before any work. Identical argv (plus seeds) produces byte-identical
-CSV files. All work runs on one thread; HARMLAB_THREADS is only validated.
+CSV files. All work runs on one thread.
 """
 
 from __future__ import annotations

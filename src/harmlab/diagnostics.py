@@ -24,6 +24,7 @@ import numpy as np
 from .errors import DegenerateAngle, ValidationError
 from .halfplane import HalfPlanePoint
 from .numerics import integrate_adaptive
+from .solutions import _integer_parts
 
 __all__ = [
     "dk1_angle_factor",
@@ -96,7 +97,7 @@ def slice_log_fit(k: int, theta: float, n_points: int = 60) -> SliceLogFit:
     sign = 1.0 if math.cos(theta) > 0.0 else -1.0
     x = sign * t
     y = x * math.tan(theta)  # positive on both branches
-    ui = (0.5 * np.log(x * x + y * y) / math.pi) * ((x + 1j * y) ** k).imag
+    ui = _integer_parts(x, y, k, 0.0)[1]
     # normal equations; the two-function model is exact, conditioning is benign
     basis = np.column_stack([t**k * np.log(t), t**k])
     coef = np.linalg.solve(basis.T @ basis, basis.T @ ui)

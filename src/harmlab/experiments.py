@@ -1,20 +1,26 @@
 """Rate experiments: regularization error in eps, Sobolev log-growth, and the
 Monte-Carlo subsampling rate.
 
-Derivatives of the regularized log component log(x^2+y^2+eps^2) * P_k(x,y)
-are assembled from the exact polynomial recursion
+Every derivative of the regularized log component log(A) * P_k(x,y), with
+A = x^2+y^2+eps^2 and P_k = Im((x+iy)^k), has the exact form
 
-    d_x [q_s / A^s] -> (d_x q_s)/A^s - 2(s-1) x q_{s-1} / A^s  collected over s,
+    d_x^l d_y^m [log(A) P_k] = L log A + sum_s q_s / A^s,
 
-with A = x^2+y^2+eps^2 and q polynomials whose coefficients do not depend on
-eps: the (i,j)-th derivative of log A is sum_s q_{i,j,s}/A^s with
-deg q_{i,j,s} = 2s-i-j. All bookkeeping is exact (integer coefficients).
+with polynomials L and q_s whose coefficients do not depend on eps. One
+derivative rule, applied l times in x and m times in y from (P_k, {}),
+builds (L, {q_s}):
+
+    d_x [L log A]   = (d_x L) log A + 2x L / A,
+    d_x [q_s / A^s] = (d_x q_s) / A^s - 2s x q_s / A^(s+1),
+
+and the same in y. With n = l+m, L has degree k-n (so it vanishes for
+n > k) and q_s has degree 2s+k-n. All bookkeeping is exact (integer
+coefficients).
 """
 
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -50,20 +56,6 @@ __all__ = [
 
 GATE_REL_CHANGE = 0.005  # norms must move < 0.5% under grid doubling
 LOG_MODEL_MIN_R2 = 0.99  # below this r^2 a seminorm^2 is not affine in |log eps|
-
-
-def worker_count() -> int:
-    """Validated HARMLAB_THREADS (default 1); the experiments run on one thread."""
-    raw = os.environ.get("HARMLAB_THREADS", "")
-    if not raw:
-        return 1
-    try:
-        n = int(raw)
-    except ValueError as exc:
-        raise ValidationError(f"HARMLAB_THREADS must be a positive integer, got {raw!r}") from exc
-    if n < 1:
-        raise ValidationError(f"HARMLAB_THREADS must be a positive integer, got {n}")
-    return n
 
 
 @dataclass(frozen=True)
@@ -134,9 +126,16 @@ class Poly2:
         return self.degrees() in (set(), {degree})
 
     def __call__(self, X, Y):
+        X = np.asarray(X, dtype=float)
+        Y = np.asarray(Y, dtype=float)
+        xp, yp = [1.0], [1.0]  # powers by repeated products: np.power of an array is far slower
         out = np.zeros(np.broadcast(X, Y).shape)
         for (i, j), c in self.terms.items():
-            out = out + c * np.asarray(X) ** i * np.asarray(Y) ** j
+            while len(xp) <= i:
+                xp.append(xp[-1] * X)
+            while len(yp) <= j:
+                yp.append(yp[-1] * Y)
+            out = out + c * xp[i] * yp[j]
         return out
 
 
@@ -150,68 +149,42 @@ def imag_power_poly(k: int) -> Poly2:
 
 
 @lru_cache(maxsize=None)
-def log_derivative_terms(i: int, j: int) -> dict[int, Poly2]:
-    """{s: q_{i,j,s}} with d_x^i d_y^j log(A) = sum_s q_s / A^s, i + j >= 1."""
-    if i < 0 or j < 0 or i + j < 1:
-        raise ValidationError(f"need derivative order >= 1, got ({i}, {j})")
-    if (i, j) == (1, 0):
-        return {1: Poly2({(1, 0): 2.0})}
-    if (i, j) == (0, 1):
-        return {1: Poly2({(0, 1): 2.0})}
-    if i > 0:
-        prev = log_derivative_terms(i - 1, j)
-        step_x = True
+def log_field_terms(k: int, l: int, m: int) -> tuple[Poly2, dict[int, Poly2]]:
+    """(L, {s: q_s}) with d_x^l d_y^m [log(A) P_k] = L log A + sum_s q_s / A^s.
+
+    Built from (P_k, {}) by the one derivative rule, here in x (y alike):
+    d_x[L log A] = (d_x L) log A + 2x L / A and
+    d_x[q_s / A^s] = (d_x q_s) / A^s - 2s x q_s / A^(s+1).
+    """
+    if l < 0 or m < 0:
+        raise ValidationError(f"negative derivative order ({l}, {m})")
+    if l == m == 0:
+        return imag_power_poly(k), {}
+    if l > 0:
+        L, qs = log_field_terms(k, l - 1, m)
+        diff, mul = Poly2.diff_x, Poly2.mul_x
     else:
-        prev = log_derivative_terms(i, j - 1)
-        step_x = False
-    out: dict[int, Poly2] = {}
-
-    def accumulate(s: int, poly: Poly2):
-        if poly:
-            out[s] = out.get(s, Poly2()).add(poly)
-
-    for s, q in prev.items():
-        accumulate(s, q.diff_x() if step_x else q.diff_y())
-        bumped = (q.mul_x() if step_x else q.mul_y()).scale(-2.0 * s)
-        accumulate(s + 1, bumped)
-    return {s: q for s, q in out.items() if q}
+        L, qs = log_field_terms(k, l, m - 1)
+        diff, mul = Poly2.diff_y, Poly2.mul_y
+    out = {1: mul(L).scale(2.0)}
+    for s, q in qs.items():
+        out[s] = out.get(s, Poly2()).add(diff(q))
+        out[s + 1] = out.get(s + 1, Poly2()).add(mul(q).scale(-2.0 * s))
+    return diff(L), {s: q for s, q in out.items() if q}
 
 
 def log_component_derivative_field(k: int, l: int, m: int, epsilon: float):
     """Vectorized (l, m)-derivative of log(x^2+y^2+eps^2) * P_k(x,y) / (2*pi)."""
-    if l < 0 or m < 0:
-        raise ValidationError(f"negative derivative order ({l}, {m})")
-    Pk = imag_power_poly(k)
-    parts: list[tuple[float, dict[int, Poly2], Poly2]] = []
-    for i in range(l + 1):
-        for j in range(m + 1):
-            dP = Pk
-            for _ in range(l - i):
-                dP = dP.diff_x()
-            for _ in range(m - j):
-                dP = dP.diff_y()
-            if not dP:
-                continue
-            if i + j == 0:
-                parts.append((1.0, {}, dP))  # log(A) * dP term
-                continue
-            binom = float(math.comb(l, i) * math.comb(m, j))
-            parts.append((binom, log_derivative_terms(i, j), dP))
+    L, qs = log_field_terms(k, l, m)
     e2 = epsilon * epsilon
 
     def field(X, Y):
         X = np.asarray(X, dtype=float)
         Y = np.asarray(Y, dtype=float)
         A = X * X + Y * Y + e2
-        out = np.zeros(np.broadcast(X, Y).shape)
-        for binom, qterms, dP in parts:
-            if not qterms:
-                out = out + np.log(A) * dP(X, Y)
-                continue
-            acc = np.zeros_like(out)
-            for s, q in qterms.items():
-                acc += q(X, Y) / A**s
-            out = out + binom * acc * dP(X, Y)
+        out = np.log(A) * L(X, Y) if L else np.zeros(np.broadcast(X, Y).shape)
+        for s, q in qs.items():
+            out = out + q(X, Y) / A**s
         return out / (2.0 * math.pi)
 
     return field
@@ -255,8 +228,9 @@ def _gate_check(measure, grid: GridSpec, label: str) -> float:
 
     Returns measure(grid), so the caller need not compute it again.
     """
+    fine_grid = grid.refined()  # first: a grid too large to refine fails before any norm
     coarse = measure(grid)
-    fine = measure(grid.refined())
+    fine = measure(fine_grid)
     scale = max(abs(coarse), abs(fine))
     if scale > 0.0 and abs(fine - coarse) > GATE_REL_CHANGE * scale:
         raise GateFailed(
@@ -270,9 +244,8 @@ def _gated_values(measure, eps: np.ndarray, grid: GridSpec, label: str) -> list[
     """measure(e, grid) for every e in eps, gated by grid doubling at eps[0] and eps[-1].
 
     The gate's coarse values are the end values; only the interior eps are
-    computed afresh. A bad HARMLAB_THREADS is rejected before any norm.
+    computed afresh.
     """
-    worker_count()
     ends = [
         _gate_check(lambda g: measure(float(e), g), grid, f"eps={e:g}: {label}")
         for e in (eps[0], eps[-1])

@@ -259,6 +259,11 @@ def fd_laplacian(f, p: HalfPlanePoint, h: float) -> float:
 
 # --- half-disk grid and L^p norms -----------------------------------------------
 
+# Most nodes one half-disk grid may have (2048 x 2048). A norm peaks at about
+# 200 bytes a node (the Hessian field of `rates reg`), so this is about 0.8 GB;
+# larger grids are refused up front instead of failing in the allocator.
+MAX_GRID_POINTS = 2**22
+
 
 @dataclass(frozen=True)
 class GridSpec:
@@ -280,6 +285,10 @@ class GridSpec:
             raise ValidationError(f"need nr, nphi >= 8, got ({self.nr}, {self.nphi})")
         if self.grading < 1.0:
             raise ValidationError(f"grading must be >= 1, got {self.grading}")
+        if self.nr * self.nphi > MAX_GRID_POINTS:
+            raise ValidationError(
+                f"a {self.nr} x {self.nphi} grid exceeds the limit of {MAX_GRID_POINTS} nodes"
+            )
 
     def radial_nodes(self) -> np.ndarray:
         s = np.arange(1, self.nr + 1) / self.nr
@@ -318,6 +327,12 @@ class GridSpec:
         return r * np.cos(phi), r * np.sin(phi)
 
     def refined(self) -> "GridSpec":
+        """The refinement gate's grid: nr and nphi doubled, so 4x the nodes."""
+        if 4 * self.nr * self.nphi > MAX_GRID_POINTS:
+            raise ValidationError(
+                f"the refinement gate's {2 * self.nr} x {2 * self.nphi} grid (the"
+                f" {self.nr} x {self.nphi} grid doubled) exceeds the limit of {MAX_GRID_POINTS} nodes"
+            )
         return GridSpec(self.R, 2 * self.nr, 2 * self.nphi, self.grading)
 
 

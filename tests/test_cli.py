@@ -10,7 +10,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from harmlab import NeuronEnsemble, cli, ensemble_eval, experiments, load_ensemble, save_ensemble
+from harmlab import (
+    NeuronEnsemble,
+    cli,
+    ensemble_eval,
+    experiments,
+    load_ensemble,
+    numerics,
+    save_ensemble,
+)
 from harmlab.cli import run
 
 
@@ -374,15 +382,22 @@ def test_bad_out_exits_2_before_the_work(tmp_path, capsys, monkeypatch, binding,
     assert list(locked.iterdir()) == []
 
 
-def test_bad_harmlab_threads_exits_2_before_any_norm(tmp_path, capsys, monkeypatch):
+@pytest.mark.parametrize("command", ["reg", "sobolev"])
+@pytest.mark.parametrize("nr, nphi, why", [
+    ("64", "64", "a 64 x 64 grid exceeds"),
+    ("16", "32", "the refinement gate's 32 x 64 grid (the 16 x 32 grid doubled) exceeds"),
+])
+def test_oversized_grid_exits_2_before_any_norm(tmp_path, capsys, monkeypatch, command, nr, nphi, why):
     def never(*a, **kw):
-        raise AssertionError("a norm was computed although HARMLAB_THREADS is bad")
+        raise AssertionError("a norm was computed on an oversized grid")
 
+    # a lowered limit stands in for a grid too large for memory
+    monkeypatch.setattr(numerics, "MAX_GRID_POINTS", 1024)
     monkeypatch.setattr(experiments, "norm_lp_halfdisk", never)
-    monkeypatch.setenv("HARMLAB_THREADS", "zero")
-    code, out, err = invoke(capsys, "rates", "reg", "--k", "2", "--out", str(tmp_path / "x.csv"))
+    code, out, err = invoke(capsys, "rates", command, "--k", "2", "--nr", nr, "--nphi", nphi,
+                            "--out", str(tmp_path / "x.csv"))
     assert code == 2 and out == ""
-    assert err == "harmlab: invalid input: HARMLAB_THREADS must be a positive integer, got 'zero'\n"
+    assert err == f"harmlab: invalid input: {why} the limit of 1024 nodes\n"
     assert list(tmp_path.iterdir()) == []
 
 

@@ -1,9 +1,12 @@
 """Rate experiments: regularization error, Sobolev log-growth, Monte-Carlo."""
 
+import functools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from harmlab import (
     GateFailed,
@@ -29,12 +32,12 @@ from harmlab.ensembles import (
     sample_subnetwork,
 )
 from harmlab.experiments import (
+    Poly2,
     imag_power_poly,
     interior_critical_radius,
     log_component_derivative_field,
-    log_derivative_terms,
+    log_field_terms,
     reg_linf_maximizer_radius,
-    worker_count,
 )
 from harmlab.solutions import reg_diff_gradient, reg_diff_hessian
 
@@ -160,20 +163,132 @@ def test_imag_power_poly_values():
 
 
 def test_log_derivative_recursion_base():
-    t = log_derivative_terms(1, 0)
-    assert set(t) == {1}
-    assert t[1].terms == {(1, 0): 2.0}
-    t = log_derivative_terms(0, 1)
-    assert t[1].terms == {(0, 1): 2.0}
+    L, qs = log_field_terms(2, 0, 0)
+    assert L.terms == imag_power_poly(2).terms and qs == {}
+    # d_x [log(A) 2xy] = 2y log A + 4x^2 y / A
+    L, qs = log_field_terms(2, 1, 0)
+    assert L.terms == {(0, 1): 2.0}
+    assert set(qs) == {1} and qs[1].terms == {(2, 1): 4.0}
+    # d_x [log(A) y] = 2xy / A
+    L, qs = log_field_terms(1, 1, 0)
+    assert not L
+    assert set(qs) == {1} and qs[1].terms == {(1, 1): 2.0}
 
 
 def test_log_derivative_homogeneity_all_orders():
-    # q_{i,j,s} is homogeneous of degree 2s - i - j for every generated term
-    for total in range(1, 6):
-        for i in range(total + 1):
-            j = total - i
-            for s, q in log_derivative_terms(i, j).items():
-                assert q.is_homogeneous(2 * s - i - j), (i, j, s)
+    # L is homogeneous of degree k - n and q_s of degree 2s + k - n, n = l + m
+    for k in range(1, 5):
+        for n in range(6):
+            for l in range(n + 1):
+                L, qs = log_field_terms(k, l, n - l)
+                assert L.is_homogeneous(k - n), (k, l, n - l)
+                assert n <= k or not L, (k, l, n - l)
+                for s, q in qs.items():
+                    assert s >= 1 and q.is_homogeneous(2 * s + k - n), (k, l, n - l, s)
+
+
+# The Leibniz construction the one-rule form replaced: a table of log(A)
+# derivatives times separately differentiated copies of P_k.
+@functools.lru_cache(maxsize=None)
+def _ref_log_derivative_terms(i, j):
+    if (i, j) == (1, 0):
+        return {1: Poly2({(1, 0): 2.0})}
+    if (i, j) == (0, 1):
+        return {1: Poly2({(0, 1): 2.0})}
+    step_x = i > 0
+    prev = _ref_log_derivative_terms(i - 1, j) if step_x else _ref_log_derivative_terms(i, j - 1)
+    out = {}
+
+    def accumulate(s, poly):
+        if poly:
+            out[s] = out.get(s, Poly2()).add(poly)
+
+    for s, q in prev.items():
+        accumulate(s, q.diff_x() if step_x else q.diff_y())
+        accumulate(s + 1, (q.mul_x() if step_x else q.mul_y()).scale(-2.0 * s))
+    return {s: q for s, q in out.items() if q}
+
+
+def _ref_log_component_derivative_field(k, l, m, epsilon):
+    Pk = imag_power_poly(k)
+    parts = []
+    for i in range(l + 1):
+        for j in range(m + 1):
+            dP = Pk
+            for _ in range(l - i):
+                dP = dP.diff_x()
+            for _ in range(m - j):
+                dP = dP.diff_y()
+            if not dP:
+                continue
+            if i + j == 0:
+                parts.append((1.0, {}, dP))
+                continue
+            binom = float(math.comb(l, i) * math.comb(m, j))
+            parts.append((binom, _ref_log_derivative_terms(i, j), dP))
+    e2 = epsilon * epsilon
+
+    def field(X, Y):
+        A = X * X + Y * Y + e2
+        out = np.zeros(np.broadcast(X, Y).shape)
+        for binom, qterms, dP in parts:
+            if not qterms:
+                out = out + np.log(A) * dP(X, Y)
+                continue
+            acc = np.zeros_like(out)
+            for s, q in qterms.items():
+                acc += q(X, Y) / A**s
+            out = out + binom * acc * dP(X, Y)
+        return out / (2.0 * math.pi)
+
+    return field
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_log_field_matches_leibniz_reference(k):
+    rng = np.random.default_rng(4100 + k)
+    r = np.concatenate([rng.uniform(0.0, 1.0, 2000), rng.uniform(0.5e-3, 2e-3, 2000)])
+    phi = rng.uniform(0.0, math.pi, r.size)
+    X, Y = r * np.cos(phi), r * np.sin(phi)
+    for n in range(6):
+        for l in range(n + 1):
+            for eps in (1e-3, 0.1, 1.0):
+                got = log_component_derivative_field(k, l, n - l, eps)(X, Y)
+                want = _ref_log_component_derivative_field(k, l, n - l, eps)(X, Y)
+                scale = np.max(np.abs(want))
+                assert np.max(np.abs(got - want)) <= 1e-13 * scale, (k, l, n - l, eps)
+
+
+def _poly_derivative(P, l, m):
+    for _ in range(l):
+        P = P.diff_x()
+    for _ in range(m):
+        P = P.diff_y()
+    return P
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(
+    k=st.integers(1, 4),
+    l=st.integers(0, 3),
+    m=st.integers(0, 3),
+    j=st.integers(-4, 4),
+    r=st.floats(1e-3, 1.0),
+    phi=st.floats(0.01, math.pi - 0.01),
+    eps=st.floats(1e-3, 1.0),
+)
+def test_log_field_scaling(k, l, m, j, r, phi, eps):
+    # log(A) P_k scales as lambda^k [log(A) P_k + log(lambda^2) P_k] under
+    # (x, y, eps) -> lambda (x, y, eps); its (l, m)-derivative picks up lambda^-n
+    lam = 2.0**j
+    n = l + m
+    x, y = np.array([r * math.cos(phi)]), np.array([r * math.sin(phi)])
+    got = log_component_derivative_field(k, l, m, lam * eps)(lam * x, lam * y)[0]
+    base = log_component_derivative_field(k, l, m, eps)(x, y)[0]
+    shift = math.log(lam * lam) / (2.0 * math.pi) * _poly_derivative(imag_power_poly(k), l, m)(x, y)[0]
+    want = lam ** (k - n) * (base + shift)
+    # relative to the terms' size, since base and shift may cancel
+    assert abs(got - want) <= 1e-12 * lam ** (k - n) * (abs(base) + abs(shift))
 
 
 def test_log_derivative_field_matches_fd():
@@ -355,16 +470,6 @@ def test_mc_cost_bound_in_expectation():
     cost = barron_cost(target)
     vals = [barron_cost(sample_subnetwork(target, 256, seed=s)) for s in range(200)]
     assert np.mean(vals) == pytest.approx(cost, rel=0.02)
-
-
-def test_worker_count_env(monkeypatch):
-    monkeypatch.delenv("HARMLAB_THREADS", raising=False)
-    assert worker_count() == 1
-    monkeypatch.setenv("HARMLAB_THREADS", "4")
-    assert worker_count() == 4
-    monkeypatch.setenv("HARMLAB_THREADS", "zero")
-    with pytest.raises(ValidationError):
-        worker_count()
 
 
 def test_error_report_validation():

@@ -23,6 +23,7 @@ from harmlab import (
     integrate_adaptive,
     norm_lp_halfdisk,
 )
+from harmlab import numerics
 from harmlab.solutions import reg_diff_value
 
 
@@ -179,6 +180,16 @@ def test_gridspec_validation():
         GridSpec(-1.0)
     with pytest.raises(ValidationError):
         GridSpec(1.0, grading=0.5)
+
+
+def test_gridspec_node_limit(monkeypatch):
+    monkeypatch.setattr(numerics, "MAX_GRID_POINTS", 1024)
+    assert GridSpec(1.0, 16, 16).refined() == GridSpec(1.0, 32, 32)  # 4 x 256 = the limit
+    GridSpec(1.0, 32, 32)
+    with pytest.raises(ValidationError, match="a 32 x 33 grid exceeds the limit of 1024 nodes"):
+        GridSpec(1.0, 32, 33)
+    with pytest.raises(ValidationError, match="refinement gate"):
+        GridSpec(1.0, 16, 17).refined()
 
 
 def test_gridspec_nodes_increasing_and_interior():
