@@ -13,9 +13,15 @@ builds (L, {q_s}):
     d_x [L log A]   = (d_x L) log A + 2x L / A,
     d_x [q_s / A^s] = (d_x q_s) / A^s - 2s x q_s / A^(s+1),
 
-and the same in y. With n = l+m, L has degree k-n (so it vanishes for
-n > k) and q_s has degree 2s+k-n. All bookkeeping is exact (integer
-coefficients).
+and the same in y. With n = l+m, L is homogeneous of degree k-n (so it
+vanishes for n > k) and q_s of degree 2s+k-n, so in polar coordinates the
+derivative is radial tables times angular tables:
+
+    r^(k-n) log(A) L(cos phi, sin phi) + sum_s r^(2s+k-n) / A^s q_s(cos phi, sin phi).
+
+The coefficients are integers, so the bookkeeping is exact while they stay
+below 2**53. They reach it at order 15 for k = 2 and 3, and
+`sobolev_lognorm_experiment` refuses such orders.
 """
 
 from __future__ import annotations
@@ -54,6 +60,7 @@ __all__ = [
     "make_random_target",
 ]
 
+EXACT_COEF_LIMIT = 2.0**53  # integers up to here are exact doubles
 GATE_REL_CHANGE = 0.005  # norms must move < 0.5% under grid doubling
 LOG_MODEL_MIN_R2 = 0.99  # below this r^2 a seminorm^2 is not affine in |log eps|
 
@@ -174,20 +181,42 @@ def log_field_terms(k: int, l: int, m: int) -> tuple[Poly2, dict[int, Poly2]]:
 
 
 def log_component_derivative_field(k: int, l: int, m: int, epsilon: float):
-    """Vectorized (l, m)-derivative of log(x^2+y^2+eps^2) * P_k(x,y) / (2*pi)."""
+    """(l, m)-derivative of log(x^2+y^2+eps^2) * P_k(x,y) / (2*pi) as a polar field f(r, phi).
+
+    Each term is a radial table times an angular one (see the module
+    docstring), so on broadcast r and phi the Poly2 factors see the angles
+    only.
+    """
     L, qs = log_field_terms(k, l, m)
     e2 = epsilon * epsilon
+    n = l + m
 
-    def field(X, Y):
-        X = np.asarray(X, dtype=float)
-        Y = np.asarray(Y, dtype=float)
-        A = X * X + Y * Y + e2
-        out = np.log(A) * L(X, Y) if L else np.zeros(np.broadcast(X, Y).shape)
-        for s, q in qs.items():
-            out = out + q(X, Y) / A**s
+    def field(r, phi):
+        c, s = np.cos(phi), np.sin(phi)
+        A = r * r + e2
+        out = np.log(A) * r ** (k - n) * L(c, s) if L else 0.0
+        for j, q in qs.items():
+            out = out + r ** (2 * j + k - n) / A**j * q(c, s)
         return out / (2.0 * math.pi)
 
     return field
+
+
+def _check_exact_terms(k: int, order: int) -> None:
+    """Refuse a seminorm order whose log_field_terms coefficients reach EXACT_COEF_LIMIT.
+
+    Orders are built one at a time, so the cached recursion stays one level
+    deep and an absurd order stops at the first inexact one.
+    """
+    for n in range(1, order + 1):
+        for l in range(n + 1):
+            L, qs = log_field_terms(k, l, n - l)
+            big = max(abs(c) for P in (L, *qs.values()) for c in P.terms.values())
+            if big >= EXACT_COEF_LIMIT:
+                raise ValidationError(
+                    f"order {order} is too high for k={k}: the order-{n} derivative terms"
+                    f" have coefficients up to {big:.3g}, beyond exact doubles (2**53)"
+                )
 
 
 def log_component_seminorm_sq(k: int, epsilon: float, grid: GridSpec, order: int) -> float:
@@ -207,20 +236,41 @@ def log_component_seminorm_sq(k: int, epsilon: float, grid: GridSpec, order: int
 # --- regularization-error experiment ----------------------------------------------
 
 
-def _reg_field(k: int, epsilon: float, order: int):
+def _reg_sq(k: int, epsilon: float, order: int, r, phi: float):
+    """|d^order (u_{eps,k} - u_k)|^2 at radii r on the ray phi; Frobenius at order 2."""
+    X, Y = r * math.cos(phi), r * math.sin(phi)
     if order == 0:
-        return lambda X, Y: reg_diff_value(X, Y, epsilon, k)
+        v = reg_diff_value(X, Y, epsilon, k)
+        return v * v
     if order == 1:
-        def grad_mag(X, Y):
-            vx, vy = reg_diff_gradient(X, Y, epsilon, k)
-            return np.hypot(vx, vy)
-        return grad_mag
-    if order == 2:
-        def hess_mag(X, Y):
-            vxx, vxy, vyy = reg_diff_hessian(X, Y, epsilon, k)
-            return np.sqrt(vxx * vxx + 2.0 * vxy * vxy + vyy * vyy)
-        return hess_mag
-    raise ValidationError(f"derivative order must be 0, 1 or 2, got {order}")
+        vx, vy = reg_diff_gradient(X, Y, epsilon, k)
+        return vx * vx + vy * vy
+    vxx, vxy, vyy = reg_diff_hessian(X, Y, epsilon, k)
+    return vxx * vxx + 2.0 * vxy * vxy + vyy * vyy
+
+
+def _reg_field(k: int, epsilon: float, order: int):
+    """|d^order (u_{eps,k} - u_k)| as a polar field f(r, phi), for order 0, 1 or 2.
+
+    The error is v = f(r) sin(k phi), and the squared magnitude of its
+    gradient or Hessian does not depend on the frame. In the polar frame it is
+    a(r) sin^2(k phi) + b(r) cos^2(k phi), so a is its value on the ray
+    phi = pi/(2k) and b its value on phi = 0 (b = 0 at order 0): two radial
+    tables from the closed form, each one reg_diff_* call.
+    """
+    if order not in (0, 1, 2):
+        raise ValidationError(f"derivative order must be 0, 1 or 2, got {order}")
+
+    def field(r, phi):
+        # (cos + i sin)^k holds sin(k phi) and cos(k phi) to a few ulps, also near
+        # phi = pi, where rounding k*phi would cost digits for odd k
+        z = (np.cos(phi) + 1j * np.sin(phi)) ** k
+        sq = _reg_sq(k, epsilon, order, r, math.pi / (2 * k)) * z.imag**2
+        if order:
+            sq += _reg_sq(k, epsilon, order, r, 0.0) * z.real**2
+        return np.sqrt(sq, out=sq)
+
+    return field
 
 
 def _gate_check(measure, grid: GridSpec, label: str) -> float:
@@ -309,11 +359,8 @@ def interior_critical_radius(k: int, epsilon: float, R: float):
 
 def reg_linf_maximizer_radius(k: int, epsilon: float, grid: GridSpec) -> float:
     """Measured radius maximizing |u_{eps,k} - u_k| on the grid (refined in r)."""
-
-    def field(X, Y):
-        return reg_diff_value(X, Y, epsilon, k)
-
-    _, rstar, vstar, edge = ray_refined_max(field, grid, np.abs(field(*grid.mesh())))
+    field = _reg_field(k, epsilon, 0)
+    _, rstar, vstar, edge = ray_refined_max(field, grid, field(*grid.polar()))
     return grid.R if edge >= vstar else rstar
 
 
@@ -337,6 +384,7 @@ def sobolev_lognorm_experiment(
     order = k + 2 if order is None else int(order)
     if order < 1:
         raise ValidationError(f"order must be >= 1, got {order}")
+    _check_exact_terms(k, order)
     eps = np.asarray(sorted(eps_list), dtype=float)
     if eps.size < 3 or np.any(eps <= 0.0):
         raise ValidationError("need at least 3 positive eps values")

@@ -259,9 +259,11 @@ def fd_laplacian(f, p: HalfPlanePoint, h: float) -> float:
 
 # --- half-disk grid and L^p norms -----------------------------------------------
 
-# Most nodes one half-disk grid may have (2048 x 2048). A norm peaks at about
-# 200 bytes a node (the Hessian field of `rates reg`), so this is about 0.8 GB;
-# larger grids are refused up front instead of failing in the allocator.
+# Most nodes one half-disk grid may have (2048 x 2048); larger grids are refused
+# up front instead of failing in the allocator. A `rates reg|sobolev` norm peaks
+# at about 32 bytes a node (the field, its absolute value and two weighted
+# temporaries; `ru_maxrss` growth over one norm on 512 x 512 and 1024 x 1024
+# grids), so a norm at the limit needs about 135 MB.
 MAX_GRID_POINTS = 2**22
 
 
@@ -320,10 +322,13 @@ class GridSpec:
     def angular_weight(self) -> float:
         return math.pi / self.nphi
 
+    def polar(self) -> tuple[np.ndarray, np.ndarray]:
+        """(r, phi) of shapes (nr, 1) and (1, nphi): broadcast, the grid's nodes."""
+        return self.radial_nodes()[:, None], self.angular_nodes()[None, :]
+
     def mesh(self) -> tuple[np.ndarray, np.ndarray]:
         """(X, Y) arrays of shape (nr, nphi); every node has y > 0."""
-        r = self.radial_nodes()[:, None]
-        phi = self.angular_nodes()[None, :]
+        r, phi = self.polar()
         return r * np.cos(phi), r * np.sin(phi)
 
     def refined(self) -> "GridSpec":
@@ -359,17 +364,17 @@ def golden_max(f, lo: float, hi: float, iters: int = 80) -> tuple[float, float]:
 def ray_refined_max(f, grid: GridSpec, absV: np.ndarray) -> tuple[float, float, float, float]:
     """Sharpen the grid maximum of |f| by a golden-section search in r along its ray.
 
-    absV is |f| on grid.mesh(). The search runs between the radial neighbours
-    of the maximizing node, with one-point array calls of f. Returns
-    (grid max, maximizing r on the ray, |f| there, |f| at r = R on the ray).
+    f is a polar field f(r, phi) and absV is |f| on the grid's (r, phi) nodes.
+    The search runs between the radial neighbours of the maximizing node, with
+    one-point array calls f(r, phi). Returns (grid max, maximizing r on the
+    ray, |f| there, |f| at r = R on the ray).
     """
     jmax, lmax = np.unravel_index(np.argmax(absV), absV.shape)
     r_nodes = grid.radial_nodes()
-    phi = grid.angular_nodes()[lmax]
-    cphi, sphi = math.cos(phi), math.sin(phi)
+    phi = np.asarray([grid.angular_nodes()[lmax]])
 
     def along_ray(r):
-        val = f(np.asarray([r * cphi]), np.asarray([r * sphi]))
+        val = f(np.asarray([r]), phi)
         return abs(float(np.asarray(val).ravel()[0]))
 
     lo = r_nodes[jmax - 1] if jmax > 0 else 0.25 * r_nodes[0]
@@ -379,16 +384,19 @@ def ray_refined_max(f, grid: GridSpec, absV: np.ndarray) -> tuple[float, float, 
 
 
 def norm_lp_halfdisk(f, grid: GridSpec, p: float) -> float:
-    """L^p norm of a field over the half-disk B_R^+, polar tensor quadrature.
+    """L^p norm of a polar field f(r, phi) over the half-disk B_R^+, tensor quadrature.
 
-    f must accept numpy arrays (X, Y) elementwise. For p = inf the grid max is
-    sharpened by a golden-section search in r along the maximizing ray.
+    f is called once, on grid.polar(): the radial nodes as r (shape (nr, 1))
+    and the angular nodes as phi (shape (1, nphi)). It must return the
+    (nr, nphi) field, so a field that separates in r and phi is built from 1D
+    tables by broadcasting. For p = inf the grid max is sharpened by a golden-section
+    search in r along the maximizing ray, with one-point calls of f.
     """
     if not (p >= 1.0):
         raise ValidationError(f"p must be in [1, inf], got {p}")
-    X, Y = grid.mesh()
-    V = np.asarray(f(X, Y), dtype=float)
-    if V.shape != X.shape:
+    r, phi = grid.polar()
+    V = np.asarray(f(r, phi), dtype=float)
+    if V.shape != (grid.nr, grid.nphi):
         raise ValidationError("field must evaluate elementwise on the grid")
     if not np.all(np.isfinite(V)):
         raise NonFiniteSample("field evaluated to a non-finite value on the grid")
@@ -396,9 +404,8 @@ def norm_lp_halfdisk(f, grid: GridSpec, p: float) -> float:
     if math.isinf(p):
         grid_max, _, ray_max, edge = ray_refined_max(f, grid, absV)
         return max(grid_max, ray_max, edge)
-    r = grid.radial_nodes()
     wr = grid.radial_weights()
-    integral = float(np.sum(absV**p * r[:, None] * wr[:, None]) * grid.angular_weight)
+    integral = float(np.sum(absV**p * r * wr[:, None]) * grid.angular_weight)
     return integral ** (1.0 / p)
 
 

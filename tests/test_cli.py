@@ -210,6 +210,18 @@ def test_rates_sobolev_gate_failure_exit_code(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []  # the up-front --out check creates no file
 
 
+@pytest.mark.parametrize("order", ["15", "1000"])
+def test_rates_sobolev_inexact_order_exits_2(tmp_path, capsys, order):
+    # from order 15 on the derivative terms' integer coefficients reach 2**53
+    out = tmp_path / "sob.csv"
+    code, stdout, err = invoke(capsys, "rates", "sobolev", "--k", "2", "--order", order,
+                               "--nr", "16", "--nphi", "16", "--out", str(out))
+    assert code == 2 and stdout == ""
+    assert err.startswith(f"harmlab: invalid input: order {order} is too high for k=2")
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_rates_reg_gate_failure_exit_code(tmp_path, capsys):
     code, _, err = invoke(
         capsys, "rates", "reg", "--k", "2", "--p", "1", "--order", "2",

@@ -25,6 +25,7 @@ from harmlab import (
     sobolev_lognorm_experiment,
 )
 from harmlab import ensembles as ensembles_module
+from harmlab import experiments as experiments_module
 from harmlab.ensembles import (
     barron_cost,
     ensemble_derivatives,
@@ -33,13 +34,16 @@ from harmlab.ensembles import (
 )
 from harmlab.experiments import (
     Poly2,
+    _reg_field,
     imag_power_poly,
     interior_critical_radius,
     log_component_derivative_field,
+    log_component_seminorm_sq,
     log_field_terms,
     reg_linf_maximizer_radius,
 )
-from harmlab.solutions import reg_diff_gradient, reg_diff_hessian
+from harmlab.numerics import norm_lp_halfdisk
+from harmlab.solutions import reg_diff_gradient, reg_diff_hessian, reg_diff_value
 
 GRID = GridSpec(1.0, 256, 128, 3.0)
 
@@ -137,6 +141,141 @@ def test_reg_rate_gate_failure_on_coarse_grid():
     bad = GridSpec(1.0, 8, 8, 1.0)
     with pytest.raises(GateFailed):
         reg_error_experiment(2, 1.0, 1.0, 2, np.logspace(-4, -2, 5), bad)
+
+
+# --- polar fields vs the Cartesian fields they replaced ---------------------------------
+
+
+def _cartesian_reg_field(k, epsilon, order):
+    """|d^order (u_{eps,k} - u_k)| node by node at (X, Y), as the norms took it before."""
+    if order == 0:
+        return lambda X, Y: reg_diff_value(X, Y, epsilon, k)
+    if order == 1:
+        def grad_mag(X, Y):
+            vx, vy = reg_diff_gradient(X, Y, epsilon, k)
+            return np.hypot(vx, vy)
+        return grad_mag
+
+    def hess_mag(X, Y):
+        vxx, vxy, vyy = reg_diff_hessian(X, Y, epsilon, k)
+        return np.sqrt(vxx * vxx + 2.0 * vxy * vxy + vyy * vyy)
+    return hess_mag
+
+
+def _cartesian_log_field(k, l, m, epsilon):
+    """(l, m)-derivative of log(A) P_k / (2 pi) node by node at (X, Y)."""
+    L, qs = log_field_terms(k, l, m)
+    e2 = epsilon * epsilon
+
+    def field(X, Y):
+        A = X * X + Y * Y + e2
+        out = np.log(A) * L(X, Y) if L else np.zeros(np.broadcast(X, Y).shape)
+        for s, q in qs.items():
+            out = out + q(X, Y) / A**s
+        return out / (2.0 * math.pi)
+
+    return field
+
+
+def _on_cartesian_nodes(f):
+    return lambda r, phi: f(r * np.cos(phi), r * np.sin(phi))
+
+
+@pytest.mark.parametrize("grading", [2.0, 3.0])
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
+def test_polar_reg_norms_match_cartesian_reference(k, grading):
+    coarse = GridSpec(1.0, 24, 16, grading)
+    for grid in (coarse, coarse.refined()):
+        for order in (0, 1, 2):
+            for p in (1.0, 1.5, 2.0, math.inf):
+                for eps in (1e-3, 0.05):
+                    got = norm_lp_halfdisk(_reg_field(k, eps, order), grid, p)
+                    want = norm_lp_halfdisk(
+                        _on_cartesian_nodes(_cartesian_reg_field(k, eps, order)), grid, p
+                    )
+                    assert got == pytest.approx(want, rel=1e-13, abs=0.0), (grid, order, p, eps)
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_polar_sobolev_seminorm_matches_cartesian_reference(k):
+    coarse = GridSpec(1.0, 24, 16, 3.0)
+    for grid in (coarse, coarse.refined()):
+        for order in range(1, 6):
+            for eps in (1e-3, 0.1):
+                got = log_component_seminorm_sq(k, eps, grid, order)
+                want = sum(
+                    math.comb(order, l)
+                    * norm_lp_halfdisk(
+                        _on_cartesian_nodes(_cartesian_log_field(k, l, order - l, eps)), grid, 2.0
+                    ) ** 2
+                    for l in range(order + 1)
+                )
+                assert got == pytest.approx(want, rel=1e-13, abs=0.0), (grid, order, eps)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(
+    k=st.integers(2, 5),
+    order=st.integers(0, 2),
+    r=st.floats(1e-3, 2.0),
+    delta=st.floats(1e-8, 0.3),
+    near_pi=st.booleans(),
+    eps=st.floats(1e-6, 1.0),
+)
+def test_reg_field_separates_in_polar_coordinates(k, order, r, delta, near_pi, eps):
+    # |d^order v|^2 = a(r) sin^2(k phi) + b(r) cos^2(k phi), with a and b read on
+    # two rays, against the closed-form magnitude at (r cos phi, r sin phi)
+    phi = math.pi - delta if near_pi else delta
+    cartesian = _cartesian_reg_field(k, eps, order)
+
+    def magnitude(t):
+        return abs(float(cartesian(np.array([r * math.cos(t)]), np.array([r * math.sin(t)]))[0]))
+
+    got = float(_reg_field(k, eps, order)(np.array([r]), np.array([phi]))[0])
+    want = magnitude(phi)
+    if order == 0:
+        # a product of factors without cancellation: relative accuracy also near phi = pi
+        assert abs(got - want) <= 1e-13 * want
+    else:
+        # the closed form's derivatives cancel to a few ulps of the magnitude's
+        # size on the circle, the larger of its values on the two rays
+        envelope = max(magnitude(0.0), magnitude(math.pi / (2 * k)))
+        assert abs(got - want) <= 1e-13 * envelope
+
+
+@pytest.mark.parametrize("order", [0, 1, 2])
+def test_reg_norm_evaluates_closed_form_on_two_rays(monkeypatch, order):
+    grid = GridSpec(1.0, 64, 48)
+    points = []
+
+    def counting(fn):
+        def counted(X, Y, *a):
+            points.append(np.broadcast(X, Y).size)
+            return fn(X, Y, *a)
+        return counted
+
+    for name in ("reg_diff_value", "reg_diff_gradient", "reg_diff_hessian"):
+        monkeypatch.setattr(experiments_module, name, counting(getattr(experiments_module, name)))
+    for p in (1.0, 2.0):
+        points.clear()
+        assert norm_lp_halfdisk(_reg_field(3, 0.01, order), grid, p) > 0.0
+        assert 0 < sum(points) <= 2 * grid.nr, (p, points)
+
+
+def test_sobolev_field_calls_poly2_on_angles_only(monkeypatch):
+    grid = GridSpec(1.0, 64, 48, 3.0)
+    sizes = []
+    poly_call = Poly2.__call__
+
+    def counted(poly, X, Y):
+        sizes.append(np.broadcast(X, Y).size)
+        return poly_call(poly, X, Y)
+
+    monkeypatch.setattr(Poly2, "__call__", counted)
+    for l, m in ((3, 0), (1, 2), (0, 4)):
+        sizes.clear()
+        assert norm_lp_halfdisk(log_component_derivative_field(3, l, m, 0.01), grid, 2.0) > 0.0
+        assert sizes and set(sizes) == {grid.nphi}, (l, m, sizes)
 
 
 def test_linf_maximizer_trichotomy():
@@ -253,7 +392,7 @@ def test_log_field_matches_leibniz_reference(k):
     for n in range(6):
         for l in range(n + 1):
             for eps in (1e-3, 0.1, 1.0):
-                got = log_component_derivative_field(k, l, n - l, eps)(X, Y)
+                got = log_component_derivative_field(k, l, n - l, eps)(r, phi)
                 want = _ref_log_component_derivative_field(k, l, n - l, eps)(X, Y)
                 scale = np.max(np.abs(want))
                 assert np.max(np.abs(got - want)) <= 1e-13 * scale, (k, l, n - l, eps)
@@ -283,8 +422,9 @@ def test_log_field_scaling(k, l, m, j, r, phi, eps):
     lam = 2.0**j
     n = l + m
     x, y = np.array([r * math.cos(phi)]), np.array([r * math.sin(phi)])
-    got = log_component_derivative_field(k, l, m, lam * eps)(lam * x, lam * y)[0]
-    base = log_component_derivative_field(k, l, m, eps)(x, y)[0]
+    r, phi = np.array([r]), np.array([phi])
+    got = log_component_derivative_field(k, l, m, lam * eps)(lam * r, phi)[0]
+    base = log_component_derivative_field(k, l, m, eps)(r, phi)[0]
     shift = math.log(lam * lam) / (2.0 * math.pi) * _poly_derivative(imag_power_poly(k), l, m)(x, y)[0]
     want = lam ** (k - n) * (base + shift)
     # relative to the terms' size, since base and shift may cancel
@@ -303,10 +443,11 @@ def test_log_derivative_field_matches_fd():
     rng = np.random.default_rng(73)
     for _ in range(8):
         x, y = rng.uniform(-0.7, 0.7), rng.uniform(0.2, 0.7)
-        assert f10(np.array([x]), np.array([y]))[0] == pytest.approx(
+        polar = np.array([math.hypot(x, y)]), np.array([math.atan2(y, x)])
+        assert f10(*polar)[0] == pytest.approx(
             fd_derivative(lambda t: u(t, y), x, 1, 1e-3), rel=1e-7, abs=1e-10
         )
-        assert f01(np.array([x]), np.array([y]))[0] == pytest.approx(
+        assert f01(*polar)[0] == pytest.approx(
             fd_derivative(lambda t: u(x, t), y, 1, 1e-3), rel=1e-7, abs=1e-10
         )
 
@@ -314,7 +455,7 @@ def test_log_derivative_field_matches_fd():
             return fd_derivative(lambda s: u(t, s), y, 2, 5e-3)
 
         fd22 = fd_derivative(dyy, x, 2, 5e-3)
-        assert f22(np.array([x]), np.array([y]))[0] == pytest.approx(fd22, rel=1e-4, abs=1e-6)
+        assert f22(*polar)[0] == pytest.approx(fd22, rel=1e-4, abs=1e-6)
 
 
 def test_sobolev_affine_in_log_at_order_kplus1():
@@ -347,6 +488,19 @@ def test_sobolev_order_kplus2_grows_like_inverse_eps_squared():
 def test_sobolev_validation():
     with pytest.raises(ValidationError):
         sobolev_lognorm_experiment(4, 1.0, [1e-3, 1e-2, 1e-1])
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_sobolev_refuses_orders_beyond_exact_coefficients(monkeypatch, k):
+    def never(*a, **kw):
+        raise AssertionError("a seminorm was computed at an inexact order")
+
+    # order 14 is the last whose derivative terms have coefficients below 2**53
+    experiments_module._check_exact_terms(k, 14)
+    monkeypatch.setattr(experiments_module, "log_component_seminorm_sq", never)
+    for order in (15, 16, 1000):
+        with pytest.raises(ValidationError, match=r"order %d is too high .*2\*\*53" % order):
+            sobolev_lognorm_experiment(k, 1.0, [1e-3, 1e-2, 1e-1], order=order)
 
 
 def test_sobolev_gate_rejects_coarse_grid():

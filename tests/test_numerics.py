@@ -204,21 +204,39 @@ def test_gridspec_nodes_increasing_and_interior():
 
 def test_norm_constant_p2():
     g = GridSpec(1.0, 64, 64, 2.0)
-    val = norm_lp_halfdisk(lambda X, Y: np.ones_like(X), g, 2.0)
+    val = norm_lp_halfdisk(lambda r, phi: np.ones_like(r * phi), g, 2.0)
     assert val == pytest.approx(math.sqrt(math.pi / 2), abs=1e-6)
 
 
 def test_norm_constant_inf_exact():
     g = GridSpec(1.0, 32, 32, 2.0)
-    val = norm_lp_halfdisk(lambda X, Y: np.full_like(X, -2.5), g, math.inf)
+    val = norm_lp_halfdisk(lambda r, phi: np.full_like(r * phi, -2.5), g, math.inf)
     assert val == 2.5
+
+
+def test_norm_calls_field_once_on_polar_tables():
+    g = GridSpec(1.0, 16, 12, 2.0)
+    shapes = []
+
+    def f(r, phi):
+        shapes.append((np.shape(r), np.shape(phi)))
+        return r * np.sin(phi)
+
+    norm_lp_halfdisk(f, g, 2.0)
+    assert shapes == [((16, 1), (1, 12))]
+    with pytest.raises(ValidationError, match="elementwise"):
+        norm_lp_halfdisk(lambda r, phi: r, g, 2.0)  # no phi dependence, wrong shape
+    shapes.clear()
+    norm_lp_halfdisk(f, g, math.inf)
+    assert shapes[0] == ((16, 1), (1, 12))
+    assert len(shapes) > 1 and all(s == ((1,), (1,)) for s in shapes[1:])  # one-point ray calls
 
 
 def test_norm_nonfinite_rejected():
     g = GridSpec(1.0, 16, 16, 1.0)
 
-    def f(X, Y):
-        out = np.ones_like(X)
+    def f(r, phi):
+        out = np.ones_like(r * phi)
         out[0, 0] = np.inf
         return out
 
@@ -231,7 +249,9 @@ def test_norm_linf_reg_difference_window():
     # for k = 2 the radial profile is increasing, so the max sits at r = R.
     eps, k = 1e-2, 2
     g = GridSpec(1.0, 256, 256, 2.0)
-    val = norm_lp_halfdisk(lambda X, Y: reg_diff_value(X, Y, eps, k), g, math.inf)
+    val = norm_lp_halfdisk(
+        lambda r, phi: reg_diff_value(r * np.cos(phi), r * np.sin(phi), eps, k), g, math.inf
+    )
     analytic = math.log1p(eps**2) / (2 * math.pi)
     assert 0.5 * eps**2 / (2 * math.pi) <= val <= 1.5 * eps**2 / (2 * math.pi)
     assert val == pytest.approx(analytic, rel=2e-4)
@@ -242,9 +262,9 @@ def test_norm_monotone_in_p_after_normalization():
     g = GridSpec(1.0, 64, 64, 2.0)
     area = math.pi / 2
     fields = [
-        lambda X, Y: X,
-        lambda X, Y: np.exp(-(X**2) - Y**2),
-        lambda X, Y: np.abs(X) + Y,
+        lambda r, phi: r * np.cos(phi),
+        lambda r, phi: np.exp(-(r**2)) * np.ones_like(phi),
+        lambda r, phi: r * (np.abs(np.cos(phi)) + np.sin(phi)),
     ]
     for f in fields:
         means = [
@@ -258,7 +278,7 @@ def test_norm_grid_refinement_gate():
     # reference integrand family: refinement changes the norm by well under 0.5%
     g = GridSpec(1.0, 256, 256, 2.0)
     for eps in (1e-1, 1e-3):
-        f = lambda X, Y: reg_diff_value(X, Y, eps, 3)
+        f = lambda r, phi: reg_diff_value(r * np.cos(phi), r * np.sin(phi), eps, 3)
         a = norm_lp_halfdisk(f, g, 1.0)
         b = norm_lp_halfdisk(f, g.refined(), 1.0)
         assert abs(a - b) / max(a, b) < 0.005
