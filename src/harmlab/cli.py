@@ -53,10 +53,18 @@ def _fmt_p(p: float) -> str:
     return "inf" if math.isinf(p) else _fmt(p)
 
 
+def _float(tok: str, what: str) -> float:
+    """float(tok), or a ValidationError naming `what`."""
+    try:
+        return float(tok)
+    except ValueError:
+        raise ValidationError(f"{what} must be a number, got {tok!r}") from None
+
+
 def _parse_p(tok: str) -> float:
     if tok.strip().lower() == "inf":
         return math.inf
-    p = float(tok)
+    p = _float(tok, "p")
     if p < 1.0:
         raise ValidationError(f"p must be in [1, inf], got {tok}")
     return p
@@ -103,15 +111,15 @@ def _boundary_from_spec(spec: str) -> BoundaryFunction:
     if tag == "relu":
         if len(parts) not in (2, 4):
             raise ValidationError(f"expected relu:A or relu:A:w:b, got {spec!r}")
-        alpha = float(parts[1])
-        w = float(parts[2]) if len(parts) == 4 else 1.0
-        b = float(parts[3]) if len(parts) == 4 else 0.0
+        alpha = _float(parts[1], "boundary parameter")
+        w = _float(parts[2], "boundary parameter") if len(parts) == 4 else 1.0
+        b = _float(parts[3], "boundary parameter") if len(parts) == 4 else 0.0
         return BoundaryFunction.relu_power(alpha, w, b)
     if tag == "tanh":
         if len(parts) not in (1, 3):
             raise ValidationError(f"expected tanh or tanh:w:b, got {spec!r}")
-        w = float(parts[1]) if len(parts) == 3 else 1.0
-        b = float(parts[2]) if len(parts) == 3 else 0.0
+        w = _float(parts[1], "boundary parameter") if len(parts) == 3 else 1.0
+        b = _float(parts[2], "boundary parameter") if len(parts) == 3 else 0.0
         return BoundaryFunction.tanh(w, b)
     raise ValidationError(f"unknown boundary spec {spec!r}")
 
@@ -234,8 +242,8 @@ def _cmd_ensemble(args) -> int:
         else:
             out = lift_ensemble(e, t_rule=cauchy_tangent_rule(args.nodes))
     elif args.action == "slice":
-        x0 = [float(t) for t in args.x0.split(",")]
-        v = [float(t) for t in args.v.split(",")]
+        x0 = [_float(t, "--x0 entry") for t in args.x0.split(",")]
+        v = [_float(t, "--v entry") for t in args.v.split(",")]
         out = slice_ensemble(e, x0, v)
     elif args.action == "extend":
         out = homogeneous_extend(e)

@@ -208,6 +208,8 @@ def cauchy_tangent_rule(n: int = 201) -> QuadratureRule:
     dense eigensolve, so n is capped; use cauchy_midpoint_rule or
     cauchy_graded_rule for dense lifts.
     """
+    if n < 1:
+        raise ValidationError(f"need at least 1 node, got n = {n}")
     if n > 2000:
         raise ValidationError(
             f"n = {n} too large for Gauss-Legendre node computation; "
@@ -305,7 +307,7 @@ def slice_ensemble(e: NeuronEnsemble, x0, v) -> NeuronEnsemble:
     return NeuronEnsemble(e.probs, e.a, e.w @ v, e.w @ x0 + e.b, e.alpha)
 
 
-def homogeneous_extend(e: NeuronEnsemble, alpha: float | None = None) -> NeuronEnsemble:
+def homogeneous_extend(e: NeuronEnsemble) -> NeuronEnsemble:
     """Degree-alpha homogeneous extension of a 1D ensemble to the half-plane.
 
     Neuron (a, w, b) -> (a, (w, b), 0), so the extension equals
@@ -313,10 +315,6 @@ def homogeneous_extend(e: NeuronEnsemble, alpha: float | None = None) -> NeuronE
     """
     if e.dim != 1:
         raise DimensionMismatch("homogeneous_extend needs a one-dimensional ensemble")
-    if alpha is not None and alpha != e.alpha:
-        raise ValidationError(
-            f"extension power {alpha} must match the ensemble activation power {e.alpha}"
-        )
     w2d = np.column_stack([e.w[:, 0], e.b])
     return NeuronEnsemble(e.probs, e.a, w2d, np.zeros(len(e)), e.alpha)
 

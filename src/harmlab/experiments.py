@@ -20,8 +20,8 @@ derivative is radial tables times angular tables:
     r^(k-n) log(A) L(cos phi, sin phi) + sum_s r^(2s+k-n) / A^s q_s(cos phi, sin phi).
 
 The coefficients are integers, so the bookkeeping is exact while they stay
-below 2**53. They reach it at order 15 for k = 2 and 3, and
-`sobolev_lognorm_experiment` refuses such orders.
+below 2**53. They reach it at order 15 for k = 2 and 3, and `log_field_terms`
+refuses such orders, so every function built on it does too.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -63,6 +64,7 @@ __all__ = [
 EXACT_COEF_LIMIT = 2.0**53  # integers up to here are exact doubles
 GATE_REL_CHANGE = 0.005  # norms must move < 0.5% under grid doubling
 LOG_MODEL_MIN_R2 = 0.99  # below this r^2 a seminorm^2 is not affine in |log eps|
+MC_QUAD_POINTS = 257  # Gauss-Legendre nodes on [-1, 1] for 1D subsampling errors
 
 
 @dataclass(frozen=True)
@@ -76,7 +78,6 @@ class ErrorReport:
     derivative_order: int
     knob: float
     value: float
-    grid: GridSpec | None
 
     def __post_init__(self):
         if not (self.value >= 0.0):
@@ -159,25 +160,30 @@ def imag_power_poly(k: int) -> Poly2:
 def log_field_terms(k: int, l: int, m: int) -> tuple[Poly2, dict[int, Poly2]]:
     """(L, {s: q_s}) with d_x^l d_y^m [log(A) P_k] = L log A + sum_s q_s / A^s.
 
-    Built from (P_k, {}) by the one derivative rule, here in x (y alike):
+    Built from (P_k, {}) by the one derivative rule, m steps in y and then l
+    in x; here in x (y alike):
     d_x[L log A] = (d_x L) log A + 2x L / A and
     d_x[q_s / A^s] = (d_x q_s) / A^s - 2s x q_s / A^(s+1).
+    Raises ValidationError at the first step whose coefficients reach
+    EXACT_COEF_LIMIT, so no inexact terms are returned.
     """
     if l < 0 or m < 0:
         raise ValidationError(f"negative derivative order ({l}, {m})")
-    if l == m == 0:
-        return imag_power_poly(k), {}
-    if l > 0:
-        L, qs = log_field_terms(k, l - 1, m)
-        diff, mul = Poly2.diff_x, Poly2.mul_x
-    else:
-        L, qs = log_field_terms(k, l, m - 1)
-        diff, mul = Poly2.diff_y, Poly2.mul_y
-    out = {1: mul(L).scale(2.0)}
-    for s, q in qs.items():
-        out[s] = out.get(s, Poly2()).add(diff(q))
-        out[s + 1] = out.get(s + 1, Poly2()).add(mul(q).scale(-2.0 * s))
-    return diff(L), {s: q for s, q in out.items() if q}
+    L, qs = imag_power_poly(k), {}
+    steps = chain(repeat((Poly2.diff_y, Poly2.mul_y), m), repeat((Poly2.diff_x, Poly2.mul_x), l))
+    for n, (diff, mul) in enumerate(steps, 1):
+        out = {1: mul(L).scale(2.0)}
+        for s, q in qs.items():
+            out[s] = out.get(s, Poly2()).add(diff(q))
+            out[s + 1] = out.get(s + 1, Poly2()).add(mul(q).scale(-2.0 * s))
+        L, qs = diff(L), {s: q for s, q in out.items() if q}
+        big = max((abs(c) for P in (L, *qs.values()) for c in P.terms.values()), default=0.0)
+        if big >= EXACT_COEF_LIMIT:
+            raise ValidationError(
+                f"order {l + m} is too high for k={k}: the order-{n} derivative terms"
+                f" have coefficients up to {big:.3g}, beyond exact doubles (2**53)"
+            )
+    return L, qs
 
 
 def log_component_derivative_field(k: int, l: int, m: int, epsilon: float):
@@ -200,23 +206,6 @@ def log_component_derivative_field(k: int, l: int, m: int, epsilon: float):
         return out / (2.0 * math.pi)
 
     return field
-
-
-def _check_exact_terms(k: int, order: int) -> None:
-    """Refuse a seminorm order whose log_field_terms coefficients reach EXACT_COEF_LIMIT.
-
-    Orders are built one at a time, so the cached recursion stays one level
-    deep and an absurd order stops at the first inexact one.
-    """
-    for n in range(1, order + 1):
-        for l in range(n + 1):
-            L, qs = log_field_terms(k, l, n - l)
-            big = max(abs(c) for P in (L, *qs.values()) for c in P.terms.values())
-            if big >= EXACT_COEF_LIMIT:
-                raise ValidationError(
-                    f"order {order} is too high for k={k}: the order-{n} derivative terms"
-                    f" have coefficients up to {big:.3g}, beyond exact doubles (2**53)"
-                )
 
 
 def log_component_seminorm_sq(k: int, epsilon: float, grid: GridSpec, order: int) -> float:
@@ -273,35 +262,36 @@ def _reg_field(k: int, epsilon: float, order: int):
     return field
 
 
-def _gate_check(measure, grid: GridSpec, label: str) -> float:
-    """Refinement gate: measure(grid) and measure(grid.refined()) within GATE_REL_CHANGE.
+def _eps_sweep(experiment: str, k: int, R: float, p: float, order: int, eps_list,
+               grid: GridSpec | None, measure, label: str):
+    """measure(e, grid) at every eps, ascending, as (eps, values, reports).
 
-    Returns measure(grid), so the caller need not compute it again.
+    Refinement gate: at the extreme eps, measure(e, grid.refined()) must stay
+    within GATE_REL_CHANGE of measure(e, grid), which is then the reported
+    value; only the interior eps are computed afresh.
     """
+    eps = np.asarray(sorted(eps_list), dtype=float)
+    if eps.size < 3 or np.any(eps <= 0.0):
+        raise ValidationError("need at least 3 positive eps values")
+    grid = grid if grid is not None else GridSpec(R)
+    if abs(grid.R - R) > 1e-12 * max(1.0, R):
+        raise ValidationError(f"grid radius {grid.R} does not match R = {R}")
     fine_grid = grid.refined()  # first: a grid too large to refine fails before any norm
-    coarse = measure(grid)
-    fine = measure(fine_grid)
-    scale = max(abs(coarse), abs(fine))
-    if scale > 0.0 and abs(fine - coarse) > GATE_REL_CHANGE * scale:
-        raise GateFailed(
-            f"{label} moved {abs(fine - coarse) / scale:.2%} under grid doubling"
-            f" (gate {GATE_REL_CHANGE:.1%}); refine the grid"
-        )
-    return coarse
-
-
-def _gated_values(measure, eps: np.ndarray, grid: GridSpec, label: str) -> list[float]:
-    """measure(e, grid) for every e in eps, gated by grid doubling at eps[0] and eps[-1].
-
-    The gate's coarse values are the end values; only the interior eps are
-    computed afresh.
-    """
-    ends = [
-        _gate_check(lambda g: measure(float(e), g), grid, f"eps={e:g}: {label}")
-        for e in (eps[0], eps[-1])
+    ends = []
+    for e in (eps[0], eps[-1]):
+        coarse, fine = measure(float(e), grid), measure(float(e), fine_grid)
+        scale = max(abs(coarse), abs(fine))
+        if scale > 0.0 and abs(fine - coarse) > GATE_REL_CHANGE * scale:
+            raise GateFailed(
+                f"eps={e:g}: {label} moved {abs(fine - coarse) / scale:.2%} under grid doubling"
+                f" (gate {GATE_REL_CHANGE:.1%}); refine the grid"
+            )
+        ends.append(coarse)
+    values = [ends[0], *(measure(float(e), grid) for e in eps[1:-1]), ends[1]]
+    reports = [
+        ErrorReport(experiment, k, R, p, order, float(e), float(v)) for e, v in zip(eps, values)
     ]
-    inner = [measure(float(e), grid) for e in eps[1:-1]]
-    return [ends[0], *inner, ends[1]]
+    return eps, values, reports
 
 
 def reg_error_experiment(
@@ -320,26 +310,14 @@ def reg_error_experiment(
     """
     if k < 2:
         raise KTooSmall("regularization-rate experiments require k >= 2")
-    if order not in (0, 1, 2):
-        raise ValidationError(f"derivative order must be 0, 1 or 2, got {order}")
-    eps = np.asarray(sorted(eps_list), dtype=float)
-    if eps.size < 3:
-        raise ValidationError("need at least 3 eps values")
-    if np.any(eps <= 0.0):
-        raise ValidationError("eps values must be positive")
-    if eps[-1] > R / 10.0 + 1e-15:
-        raise ValidationError(f"largest eps {eps[-1]} exceeds R/10 = {R / 10.0}")
-    grid = grid if grid is not None else GridSpec(R)
-    if abs(grid.R - R) > 1e-12 * max(1.0, R):
-        raise ValidationError(f"grid radius {grid.R} does not match R = {R}")
+    eps_max = max(eps_list, default=0.0)
+    if eps_max > R / 10.0 + 1e-15:
+        raise ValidationError(f"largest eps {eps_max} exceeds R/10 = {R / 10.0}")
 
-    values = _gated_values(
-        lambda e, g: norm_lp_halfdisk(_reg_field(k, e, order), g, p), eps, grid, "norm"
+    eps, values, reports = _eps_sweep(
+        "reg", k, R, p, order, eps_list, grid,
+        lambda e, g: norm_lp_halfdisk(_reg_field(k, e, order), g, p), "norm",
     )
-    reports = [
-        ErrorReport("reg", k, R, p, order, float(e), float(v), grid)
-        for e, v in zip(eps, values)
-    ]
     return reports, fit_loglog(eps, values)
 
 
@@ -384,21 +362,14 @@ def sobolev_lognorm_experiment(
     order = k + 2 if order is None else int(order)
     if order < 1:
         raise ValidationError(f"order must be >= 1, got {order}")
-    _check_exact_terms(k, order)
-    eps = np.asarray(sorted(eps_list), dtype=float)
-    if eps.size < 3 or np.any(eps <= 0.0):
-        raise ValidationError("need at least 3 positive eps values")
-    grid = grid if grid is not None else GridSpec(R, grading=3.0)
-    if abs(grid.R - R) > 1e-12 * max(1.0, R):
-        raise ValidationError(f"grid radius {grid.R} does not match R = {R}")
+    for l in range(order + 1):  # an inexact order fails here, before any norm
+        log_field_terms(k, l, order - l)
 
-    values = _gated_values(
-        lambda e, g: log_component_seminorm_sq(k, e, g, order), eps, grid, "seminorm^2"
+    eps, values, reports = _eps_sweep(
+        "sobolev", k, R, 2.0, order, eps_list,
+        GridSpec(R, grading=3.0) if grid is None else grid,
+        lambda e, g: log_component_seminorm_sq(k, e, g, order), "seminorm^2",
     )
-    reports = [
-        ErrorReport("sobolev", k, R, 2.0, order, float(e), float(v), grid)
-        for e, v in zip(eps, values)
-    ]
     return reports, fit_linear(np.abs(np.log(eps)), values)
 
 
@@ -435,7 +406,6 @@ def mc_rate_experiment(
     q: float,
     seeds,
     grid: GridSpec | None = None,
-    quad_points: int = 257,
 ) -> tuple[list[ErrorReport], RateFit, float]:
     """W^{m,q} subsampling error of n-neuron networks drawn from `target`.
 
@@ -466,7 +436,7 @@ def mc_rate_experiment(
         raise ValidationError("need at least one seed")
 
     if target.dim == 1:
-        rule = gauss_legendre_rule(quad_points, -1.0, 1.0)
+        rule = gauss_legendre_rule(MC_QUAD_POINTS, -1.0, 1.0)
         pts = rule.nodes
         weights = rule.weights
     else:
@@ -488,10 +458,7 @@ def mc_rate_experiment(
             errs.append(_sobolev_error(target_fields, subnet, q, pts, weights))
             bound_hits += barron_cost(subnet) <= cost_target * 1.05
         values.append(float(np.mean(errs)))
-    reports = [
-        ErrorReport("mc", 0, 1.0, q, m, float(n), float(v), grid)
-        for n, v in zip(ns, values)
-    ]
+    reports = [ErrorReport("mc", 0, 1.0, q, m, float(n), float(v)) for n, v in zip(ns, values)]
     fit = fit_loglog(np.asarray(ns, dtype=float), values)
     return reports, fit, bound_hits / (len(ns) * len(seeds))
 

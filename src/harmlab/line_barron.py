@@ -149,10 +149,6 @@ def ensemble_from_derivative(
     barron_norm_upper(df)  # raises DivergenceDetected on non-integrable input
 
     lo, hi = df.support
-    coefs: list[float] = []
-    ws: list[float] = []
-    bs: list[float] = []
-
     fact = math.factorial(k)
     right = (max(lo, 0.0), hi)
     left = (lo, min(hi, 0.0))
@@ -161,37 +157,25 @@ def ensemble_from_derivative(
     n_right = quad_nodes if not has_left else max(1, quad_nodes // 2)
     n_left = quad_nodes - n_right if has_right else quad_nodes
 
+    blocks = [(np.empty(0),) * 3]  # (coefs, ws, bs) of the right, left and Taylor atoms
     if has_right:
-        nodes, cell = _equal_mass_atoms(df.deriv, right[0], right[1], n_right)
-        for t, c in zip(nodes, cell):
-            if c != 0.0:
-                coefs.append(c / fact)
-                ws.append(1.0)
-                bs.append(-t)
+        t, c = _equal_mass_atoms(df.deriv, right[0], right[1], n_right)
+        blocks.append((c / fact, np.ones_like(t), -t))
     if has_left and n_left > 0:
-        nodes, cell = _equal_mass_atoms(df.deriv, left[0], left[1], n_left)
-        sign = (-1.0) ** (k + 1)
-        for t, c in zip(nodes, cell):
-            if c != 0.0:
-                coefs.append(sign * c / fact)
-                ws.append(-1.0)
-                bs.append(t)
-
+        t, c = _equal_mass_atoms(df.deriv, left[0], left[1], n_left)
+        blocks.append(((-1.0) ** (k + 1) * c / fact, -np.ones_like(t), t))
     if np.any(taylor != 0.0):
         shifts, lam = _monomial_shift_solve(taylor, k)
-        scale = max(1.0, float(np.max(np.abs(lam))))
-        for h, l in zip(shifts, lam):
-            if abs(l) > 1e-14 * scale:
-                coefs.append(l)
-                ws.append(1.0)
-                bs.append(-h)
-                coefs.append((-1.0) ** k * l)
-                ws.append(-1.0)
-                bs.append(h)
-
-    return NeuronEnsemble.from_signed_atoms(
-        np.asarray(coefs), np.asarray(ws), np.asarray(bs), float(k)
-    )
+        keep = np.abs(lam) > 1e-14 * max(1.0, float(np.max(np.abs(lam))))
+        h, l = shifts[keep], lam[keep]
+        # interleaved pairs (l, 1, -h), ((-1)^k l, -1, h)
+        blocks.append((
+            np.column_stack([l, (-1.0) ** k * l]).ravel(),
+            np.tile([1.0, -1.0], l.size),
+            np.column_stack([-h, h]).ravel(),
+        ))
+    coefs, ws, bs = (np.concatenate(col) for col in zip(*blocks))
+    return NeuronEnsemble.from_signed_atoms(coefs, ws, bs, float(k))
 
 
 def xklogx_derivative(k: int):

@@ -307,6 +307,26 @@ def test_hostile_sizes_exit_2(tmp_path, capsys, argv):
     assert not (tmp_path / "x.out").exists()
 
 
+@pytest.mark.parametrize(
+    "argv,reason",
+    [
+        (["rates", "reg", "--k", "2", "--p", "abc", "--out", "{tmp}/r.csv"], "p must be a number, got 'abc'"),
+        (["solve", "--boundary", "relu:abc", "--x", "1", "--y", "1"], "got 'abc'"),
+        (["ensemble", "slice", "--in", "{plane}", "--out", "{tmp}/o.txt", "--x0", "a,b"], "got 'a'"),
+        (["ensemble", "slice", "--in", "{plane}", "--out", "{tmp}/o.txt", "--v", "1,x"], "got 'x'"),
+        (["ensemble", "lift", "--in", "{line}", "--out", "{tmp}/o.txt", "--nodes", "0"], "n = 0"),
+    ],
+)
+def test_unparsable_numbers_exit_2(tmp_path, capsys, argv, reason):
+    line, plane = tmp_path / "line.txt", tmp_path / "plane.txt"
+    save_ensemble(NeuronEnsemble([1.0], [1.0], [[1.0]], [0.0], 0.5), line)
+    save_ensemble(NeuronEnsemble([1.0], [1.0], [[1.0, 1.0]], [0.0], 0.5), plane)
+    code, out, err = invoke(capsys, *[a.format(tmp=tmp_path, line=line, plane=plane) for a in argv])
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and err.startswith("harmlab: invalid input: ") and reason in err
+    assert not (tmp_path / "o.txt").exists() and not (tmp_path / "r.csv").exists()
+
+
 _HEADER = "#barron-ensemble v1 alpha=0.5 dim=1\n"
 
 

@@ -383,6 +383,35 @@ def _ref_log_component_derivative_field(k, l, m, epsilon):
     return field
 
 
+# The recursion the loop replaced: one derivative rule step from the cached
+# (l-1, m) terms, or from (0, m-1) when l = 0.
+@functools.lru_cache(maxsize=None)
+def _ref_log_field_terms(k, l, m):
+    if l == m == 0:
+        return imag_power_poly(k), {}
+    if l > 0:
+        L, qs = _ref_log_field_terms(k, l - 1, m)
+        diff, mul = Poly2.diff_x, Poly2.mul_x
+    else:
+        L, qs = _ref_log_field_terms(k, l, m - 1)
+        diff, mul = Poly2.diff_y, Poly2.mul_y
+    out = {1: mul(L).scale(2.0)}
+    for s, q in qs.items():
+        out[s] = out.get(s, Poly2()).add(diff(q))
+        out[s + 1] = out.get(s + 1, Poly2()).add(mul(q).scale(-2.0 * s))
+    return diff(L), {s: q for s, q in out.items() if q}
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_log_field_loop_matches_recursion(k):
+    for n in range(13):
+        for l in range(n + 1):
+            L, qs = log_field_terms(k, l, n - l)
+            ref_L, ref_qs = _ref_log_field_terms(k, l, n - l)
+            assert L.terms == ref_L.terms, (k, l, n - l)
+            assert {s: q.terms for s, q in qs.items()} == {s: q.terms for s, q in ref_qs.items()}
+
+
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
 def test_log_field_matches_leibniz_reference(k):
     rng = np.random.default_rng(4100 + k)
@@ -496,11 +525,29 @@ def test_sobolev_refuses_orders_beyond_exact_coefficients(monkeypatch, k):
         raise AssertionError("a seminorm was computed at an inexact order")
 
     # order 14 is the last whose derivative terms have coefficients below 2**53
-    experiments_module._check_exact_terms(k, 14)
+    for l in range(15):
+        log_field_terms(k, l, 14 - l)
     monkeypatch.setattr(experiments_module, "log_component_seminorm_sq", never)
     for order in (15, 16, 1000):
         with pytest.raises(ValidationError, match=r"order %d is too high .*2\*\*53" % order):
             sobolev_lognorm_experiment(k, 1.0, [1e-3, 1e-2, 1e-1], order=order)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: log_component_seminorm_sq(2, 0.1, GridSpec(1.0, 32, 32), 15),
+        lambda: log_component_derivative_field(3, 15, 0, 0.1),
+        lambda: log_field_terms(2, 1000, 0),
+    ],
+    ids=["seminorm", "field", "terms"],
+)
+def test_library_refuses_inexact_orders(call):
+    # from order 15 on, k = 2 and 3 terms have coefficients past 2**53; a cold
+    # cache must not recurse either
+    log_field_terms.cache_clear()
+    with pytest.raises(ValidationError, match=r"^order \d+ is too high .*2\*\*53\)$"):
+        call()
 
 
 def test_sobolev_gate_rejects_coarse_grid():
@@ -630,9 +677,9 @@ def test_error_report_validation():
     from harmlab import ErrorReport
 
     with pytest.raises(ValidationError):
-        ErrorReport("reg", 2, 1.0, 2.0, 0, knob=0.0, value=1.0, grid=None)
+        ErrorReport("reg", 2, 1.0, 2.0, 0, knob=0.0, value=1.0)
     with pytest.raises(ValidationError):
-        ErrorReport("reg", 2, 1.0, 2.0, 0, knob=0.1, value=-1.0, grid=None)
+        ErrorReport("reg", 2, 1.0, 2.0, 0, knob=0.1, value=-1.0)
 
 
 def test_mc_two_dimensional_target():

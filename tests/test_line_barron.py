@@ -18,7 +18,7 @@ from harmlab import (
     ensemble_from_derivative,
     log_divergence_diagnostic,
 )
-from harmlab.line_barron import xklogx_derivative
+from harmlab.line_barron import _equal_mass_atoms, _monomial_shift_solve, xklogx_derivative
 
 
 def test_norm_upper_cubic():
@@ -112,6 +112,71 @@ def test_quadratic_poly_part_k2():
     e = ensemble_from_derivative(df, 50, [1.0, 1.0, 1.0])
     xs = np.linspace(-1, 1, 33)
     assert np.max(np.abs(ensemble_eval_many(e, xs) - (1 + xs + xs**2))) < 1e-12
+
+
+def _ref_ensemble_from_derivative(df, quad_nodes, taylor):
+    """The per-atom list loop the array construction replaced."""
+    k = df.k
+    taylor = np.asarray(taylor, dtype=float)
+    lo, hi = df.support
+    coefs, ws, bs = [], [], []
+    fact = math.factorial(k)
+    right = (max(lo, 0.0), hi)
+    left = (lo, min(hi, 0.0))
+    has_right = right[1] > right[0]
+    has_left = left[1] > left[0]
+    n_right = quad_nodes if not has_left else max(1, quad_nodes // 2)
+    n_left = quad_nodes - n_right if has_right else quad_nodes
+    if has_right:
+        nodes, cell = _equal_mass_atoms(df.deriv, right[0], right[1], n_right)
+        for t, c in zip(nodes, cell):
+            if c != 0.0:
+                coefs.append(c / fact)
+                ws.append(1.0)
+                bs.append(-t)
+    if has_left and n_left > 0:
+        nodes, cell = _equal_mass_atoms(df.deriv, left[0], left[1], n_left)
+        sign = (-1.0) ** (k + 1)
+        for t, c in zip(nodes, cell):
+            if c != 0.0:
+                coefs.append(sign * c / fact)
+                ws.append(-1.0)
+                bs.append(t)
+    if np.any(taylor != 0.0):
+        shifts, lam = _monomial_shift_solve(taylor, k)
+        scale = max(1.0, float(np.max(np.abs(lam))))
+        for h, l in zip(shifts, lam):
+            if abs(l) > 1e-14 * scale:
+                coefs.append(l)
+                ws.append(1.0)
+                bs.append(-h)
+                coefs.append((-1.0) ** k * l)
+                ws.append(-1.0)
+                bs.append(h)
+    return NeuronEnsemble.from_signed_atoms(
+        np.asarray(coefs), np.asarray(ws), np.asarray(bs), float(k)
+    )
+
+
+@pytest.mark.parametrize(
+    "deriv,k,support,nodes,taylor",
+    [
+        (lambda x: 6.0 * x, 1, (-1.0, 1.0), 1000, [0.0, 0.0]),
+        (lambda x: -np.sin(x), 1, (-math.pi, math.pi), 101, [0.0, 1.0]),
+        (lambda x: np.zeros_like(x), 2, (-1.0, 1.0), 50, [1.0, 1.0, 1.0]),
+        (lambda x: np.exp(x), 3, (0.0, 2.0), 37, [1.0, 1.0, 0.5, 1.0 / 6.0]),
+        (lambda x: np.cos(3.0 * x), 2, (-2.0, -0.5), 64, [0.3, -0.2, 0.1]),
+        # zero-mass cells left of 0.8, zero derivative on the left half: zero atoms to drop
+        (lambda x: x * (x > 0.8), 1, (-1.0, 1.0), 40, [0.0, 2.0]),
+    ],
+)
+def test_ensemble_from_derivative_matches_atom_loop(deriv, k, support, nodes, taylor):
+    df = DifferentiableFunction1D(deriv, deriv, k, support)
+    got = ensemble_from_derivative(df, nodes, taylor)
+    want = _ref_ensemble_from_derivative(df, nodes, taylor)
+    for name in ("probs", "a", "w", "b"):
+        np.testing.assert_array_equal(getattr(got, name), getattr(want, name), err_msg=name)
+    assert got.alpha == want.alpha
 
 
 def test_taylor_length_validated():
