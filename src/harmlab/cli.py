@@ -19,6 +19,7 @@ import numpy as np
 
 from .diagnostics import slice_log_fit
 from .ensembles import (
+    MAX_NEURONS,
     cauchy_tangent_rule,
     homogeneous_extend,
     lift_ensemble,
@@ -190,12 +191,14 @@ def _cmd_rates_reg(args) -> int:
 
 
 def _cmd_rates_mc(args) -> int:
-    target = make_random_target(args.alpha, args.target_size, args.target_seed, dim=1)
     if args.n_min < 1 or args.n_max <= args.n_min or args.steps < 3:
         raise ValidationError("need 1 <= n-min < n-max and steps >= 3")
+    if args.steps > MAX_NEURONS:  # logspace would materialize every step
+        raise ValidationError(f"steps = {args.steps} exceeds the limit of {MAX_NEURONS} sizes")
     ns = np.unique(
         np.round(np.logspace(math.log10(args.n_min), math.log10(args.n_max), args.steps)).astype(int)
     )
+    target = make_random_target(args.alpha, args.target_size, args.target_seed, dim=1)
     reports, fit, rate = mc_rate_experiment(target, ns, args.order, args.q, args.seeds)
     return _emit_rates(args, reports, fit, f" bound_rate={rate:.3f}")
 

@@ -159,7 +159,7 @@ def ensemble_eval_many(e: NeuronEnsemble, xs) -> np.ndarray:
     return f.reshape(xs.shape) if e.dim == 1 else f
 
 
-def ensemble_derivatives(e: NeuronEnsemble, xs, order: int) -> list[np.ndarray]:
+def ensemble_derivatives(e: NeuronEnsemble, xs, order: int, weights=None) -> list[np.ndarray]:
     """Partial-derivative components of order `order` at many points.
 
     Returns [f] for order 0; [f_x] (d=1) or [f_x, f_y] (d=2) for order 1;
@@ -167,6 +167,11 @@ def ensemble_derivatives(e: NeuronEnsemble, xs, order: int) -> list[np.ndarray]:
     differentiates analytically: D^m sigma_alpha = prod_{i<m}(alpha-i) *
     sigma_(alpha-m) * w^(tensor m); the components are those of w^(tensor m)
     with nondecreasing indices.
+
+    `weights` of shape (len(e), k) takes the place of `e.probs`: each
+    component then has shape (m, k), its column j belonging to
+    sum_i weights[i, j] a_i sigma_alpha(w_i . x + b_i). The activation block
+    is evaluated once for all k columns.
     """
     if order not in (0, 1, 2):
         raise ValidationError(f"order must be 0, 1 or 2, got {order}")
@@ -174,11 +179,18 @@ def ensemble_derivatives(e: NeuronEnsemble, xs, order: int) -> list[np.ndarray]:
     pts = xs.reshape(-1, 1) if e.dim == 1 else xs
     if e.dim == 2 and (pts.ndim != 2 or pts.shape[1] != 2):
         raise DimensionMismatch(f"points of shape {xs.shape} fed to a dim-2 ensemble")
+    if weights is None:
+        pa = e.probs * e.a
+    else:
+        weights = np.asarray(weights, dtype=float)
+        if weights.ndim != 2 or weights.shape[0] != len(e):
+            raise ValidationError(f"weights must have shape ({len(e)}, k), got {weights.shape}")
+        pa = weights * e.a[:, None]
+    atom = (slice(None),) + (None,) * (pa.ndim - 1)  # broadcasts a per-atom factor over columns
     m = pts.shape[0]
     coef = math.prod(e.alpha - i for i in range(order))
     comps = list(itertools.combinations_with_replacement(range(e.dim), order))
-    outs = [np.zeros(m) for _ in comps]
-    pa = e.probs * e.a
+    outs = [np.zeros((m,) + pa.shape[1:]) for _ in comps]
     step = max(1, _EVAL_CHUNK // max(1, m))
     for lo in range(0, len(e), step):
         hi = min(lo + step, len(e))
@@ -187,17 +199,27 @@ def ensemble_derivatives(e: NeuronEnsemble, xs, order: int) -> list[np.ndarray]:
         if order:
             S *= coef
         for out, comp in zip(outs, comps):
-            out += S @ (pa[lo:hi] * np.prod(wj[:, comp], axis=1))
+            out += S @ (pa[lo:hi] * np.prod(wj[:, comp], axis=1)[atom])
     return outs
+
+
+def _atom_cost(e: NeuronEnsemble) -> np.ndarray:
+    """|a_i| (|w_i| + |b_i|)^alpha per neuron; weighted by any probabilities it is a cost."""
+    return np.abs(e.a) * (np.linalg.norm(e.w, axis=1) + np.abs(e.b)) ** e.alpha
 
 
 def barron_cost(e: NeuronEnsemble) -> float:
     """E[|a| (|w| + |b|)^alpha] for this representation (upper-bounds the Barron norm)."""
-    base = np.linalg.norm(e.w, axis=1) + np.abs(e.b)
-    return float(np.dot(e.probs, np.abs(e.a) * base**e.alpha))
+    return float(np.dot(e.probs, _atom_cost(e)))
 
 
 # --- Cauchy-node rules for the harmonic lift -----------------------------------
+
+
+def _check_node_count(n: int) -> None:
+    """ValidationError unless a Cauchy rule gets at least one node."""
+    if n < 1:
+        raise ValidationError(f"need at least 1 node, got n = {n}")
 
 
 def cauchy_tangent_rule(n: int = 201) -> QuadratureRule:
@@ -208,8 +230,7 @@ def cauchy_tangent_rule(n: int = 201) -> QuadratureRule:
     dense eigensolve, so n is capped; use cauchy_midpoint_rule or
     cauchy_graded_rule for dense lifts.
     """
-    if n < 1:
-        raise ValidationError(f"need at least 1 node, got n = {n}")
+    _check_node_count(n)
     if n > 2000:
         raise ValidationError(
             f"n = {n} too large for Gauss-Legendre node computation; "
@@ -228,6 +249,7 @@ def cauchy_midpoint_rule(n: int) -> QuadratureRule:
     All weights equal 1/n, so the rule integrates indicator data with error
     at most 1/(2n); use for step-activation lifts needing guaranteed bounds.
     """
+    _check_node_count(n)
     psi = (-0.5 + (np.arange(int(n)) + 0.5) / int(n)) * np.pi
     q = np.full(int(n), 1.0 / int(n))
     return QuadratureRule(np.tan(psi), q, (-math.inf, math.inf), 1.0)
@@ -241,6 +263,7 @@ def cauchy_graded_rule(n: int, grading: float = 4.0) -> QuadratureRule:
     edges pi/2 * (1 - (1-s)^grading)) restores fast convergence of the lift
     for 0 < alpha < 1.
     """
+    _check_node_count(n)
     half = (int(n) + 1) // 2
     s = np.arange(half + 1) / half
     u = (1.0 - s) ** grading  # decreasing 1 -> 0; cell width prop. to u_i - u_{i+1}
@@ -319,15 +342,19 @@ def homogeneous_extend(e: NeuronEnsemble) -> NeuronEnsemble:
     return NeuronEnsemble(e.probs, e.a, w2d, np.zeros(len(e)), e.alpha)
 
 
+def _draw_atoms(e: NeuronEnsemble, n: int, seed) -> np.ndarray:
+    """Atom indices of n iid draws from the ensemble's categorical distribution."""
+    check_neuron_count(n, "n")
+    return np.random.default_rng(seed).choice(len(e), size=int(n), p=e.probs)
+
+
 def sample_subnetwork(e: NeuronEnsemble, n: int, seed: int | None = None) -> NeuronEnsemble:
     """n iid draws from the ensemble's categorical distribution, 1/n convention.
 
     The returned network is unbiased for f; its barron_cost matches the target
     cost in expectation (the per-draw coefficient bound).
     """
-    check_neuron_count(n, "n")
-    rng = np.random.default_rng(seed)
-    idx = rng.choice(len(e), size=int(n), p=e.probs)
+    idx = _draw_atoms(e, n, seed)
     probs = np.full(int(n), 1.0 / int(n))
     return NeuronEnsemble(probs, e.a[idx], e.w[idx], e.b[idx], e.alpha)
 

@@ -22,6 +22,16 @@ derivative is radial tables times angular tables:
 The coefficients are integers, so the bookkeeping is exact while they stay
 below 2**53. They reach it at order 15 for k = 2 and 3, and `log_field_terms`
 refuses such orders, so every function built on it does too.
+
+A Monte-Carlo draw of n neurons from a target sum_i p_i a_i sigma(w_i . x + b_i)
+only reweights the target's atoms: with c_i the number of times atom i was
+drawn, the draw is sum_i (c_i/n) a_i sigma(w_i . x + b_i). Its error field of
+any order is therefore sum_i (p_i - c_i/n) a_i D sigma(w_i . x + b_i), and
+`mc_rate_experiment` gets the error fields of a block of draws from one
+weighted `ensemble_derivatives` call per order, with weights p - C/n for the
+block's count matrix C. No subnetwork is built. Blocks hold at most
+_EVAL_CHUNK // max(atoms, points) draws, so the weight matrix and the fields
+stay bounded however many sizes and seeds are asked for.
 """
 
 from __future__ import annotations
@@ -33,12 +43,14 @@ from itertools import chain, repeat
 
 import numpy as np
 
+from . import ensembles
 from .ensembles import (
     NeuronEnsemble,
+    _atom_cost,
+    _draw_atoms,
     barron_cost,
     check_neuron_count,
     ensemble_derivatives,
-    sample_subnetwork,
 )
 from .errors import GateFailed, InadmissiblePair, KTooSmall, ValidationError
 from .numerics import (
@@ -384,21 +396,6 @@ def _holder_split(alpha: float) -> tuple[int, float]:
     return k, alpha - k
 
 
-def _sobolev_error(target_fields: list[list[np.ndarray]], subnet: NeuronEnsemble, q: float,
-                   pts: np.ndarray, weights: np.ndarray) -> float:
-    """W^{m,q} quadrature norm of (target - subnet) over the sampled domain.
-
-    `target_fields[order]` holds the target's derivative components of that
-    order at `pts`, for orders 0..m.
-    """
-    acc = np.zeros(pts.shape[0])
-    for order, big in enumerate(target_fields):
-        small = ensemble_derivatives(subnet, pts, order)
-        for comp_b, comp_s in zip(big, small):
-            acc = acc + np.abs(comp_b - comp_s) ** q
-    return float(np.dot(weights, acc) ** (1.0 / q))
-
-
 def mc_rate_experiment(
     target: NeuronEnsemble,
     n_list,
@@ -413,9 +410,16 @@ def mc_rate_experiment(
     sampling theorem gives n^{-1/2}), and reports the fraction of draws whose
     coefficient bound (1/n) sum |a_i| (|w_i|+|b_i|)^alpha stays within 5% of
     the target cost. Domain: [-1, 1] for 1D targets, the half-disk for 2D.
+
+    Draw (n, s) takes the atoms `sample_subnetwork(target, n, seed=(s, n))`
+    would take, but is kept as its atom counts c: its error field is that of
+    the weights p - c/n on the target's atoms and its coefficient bound is
+    (c/n) . cost (see the module docstring). Draws run n-major, seed-minor, in
+    blocks of at most _EVAL_CHUNK // max(atoms, points), one weighted
+    `ensemble_derivatives` call per order and block.
     """
-    if q < 2.0:
-        raise ValidationError(f"q must be >= 2, got {q}")
+    if not (2.0 <= q < math.inf):
+        raise ValidationError(f"q must be finite and >= 2, got {q}")
     if m not in (0, 1, 2):
         raise ValidationError(f"derivative order must be 0, 1 or 2, got {m}")
     k_act, gamma = _holder_split(target.alpha)
@@ -438,29 +442,37 @@ def mc_rate_experiment(
     if target.dim == 1:
         rule = gauss_legendre_rule(MC_QUAD_POINTS, -1.0, 1.0)
         pts = rule.nodes
-        weights = rule.weights
+        w_quad = rule.weights
     else:
         grid = grid if grid is not None else GridSpec(1.0, 64, 64, 2.0)
         X, Y = grid.mesh()
         r = grid.radial_nodes()
         wr = grid.radial_weights() * r * grid.angular_weight
         pts = np.column_stack([X.ravel(), Y.ravel()])
-        weights = np.broadcast_to(wr[:, None], X.shape).ravel()
+        w_quad = np.broadcast_to(wr[:, None], X.shape).ravel()
 
-    cost_target = barron_cost(target)
-    target_fields = [ensemble_derivatives(target, pts, order) for order in range(m + 1)]
-    values = []
+    cost = _atom_cost(target)
+    bound = barron_cost(target) * 1.05
+    draws = [(n, s) for n in ns for s in seeds]
+    per_block = max(1, ensembles._EVAL_CHUNK // max(len(target), len(pts)))
+    errs = np.empty(len(draws))
     bound_hits = 0
-    for n in ns:
-        errs = []
-        for s in seeds:
-            subnet = sample_subnetwork(target, n, seed=(s, n))
-            errs.append(_sobolev_error(target_fields, subnet, q, pts, weights))
-            bound_hits += barron_cost(subnet) <= cost_target * 1.05
-        values.append(float(np.mean(errs)))
+    for lo in range(0, len(draws), per_block):
+        block = draws[lo : lo + per_block]
+        frac = np.array(
+            [np.bincount(_draw_atoms(target, n, (s, n)), minlength=len(target)) / n for n, s in block]
+        )
+        bound_hits += int(np.count_nonzero(frac @ cost <= bound))
+        diff = (target.probs - frac).T  # atoms x draws: target minus draw weights
+        acc = np.zeros((len(pts), len(block)))
+        for order in range(m + 1):
+            for comp in ensemble_derivatives(target, pts, order, weights=diff):
+                acc += np.abs(comp) ** q
+        errs[lo : lo + len(block)] = (w_quad @ acc) ** (1.0 / q)
+    values = [float(np.mean(row)) for row in errs.reshape(len(ns), len(seeds))]
     reports = [ErrorReport("mc", 0, 1.0, q, m, float(n), float(v)) for n, v in zip(ns, values)]
     fit = fit_loglog(np.asarray(ns, dtype=float), values)
-    return reports, fit, bound_hits / (len(ns) * len(seeds))
+    return reports, fit, bound_hits / len(draws)
 
 
 def make_random_target(alpha: float, size: int, seed: int, dim: int = 1) -> NeuronEnsemble:

@@ -170,6 +170,29 @@ def test_rates_mc_inadmissible_exit_code(tmp_path, capsys):
     assert code == 2 and "invalid input" in err
 
 
+def test_rates_mc_infinite_q_exits_2(tmp_path, capsys):
+    code, out, err = invoke(
+        capsys, "rates", "mc", "--alpha", "2", "--n-min", "32", "--n-max", "256", "--steps", "3",
+        "--seeds", "2", "--q", "inf", "--out", str(tmp_path / "x.csv"),
+    )
+    assert code == 2 and out == ""
+    assert err == "harmlab: invalid input: q must be finite and >= 2, got inf\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_rates_mc_too_many_steps_exits_2_before_any_work(tmp_path, capsys, monkeypatch):
+    def never(*a, **kw):
+        raise AssertionError("work started on an oversized --steps")
+
+    monkeypatch.setattr(cli.np, "logspace", never)
+    monkeypatch.setattr(cli, "make_random_target", never)
+    code, out, err = invoke(capsys, "rates", "mc", "--alpha", "2", "--steps", "100000000",
+                            "--out", str(tmp_path / "x.csv"))
+    assert code == 2 and out == ""
+    assert err == "harmlab: invalid input: steps = 100000000 exceeds the limit of 10000000 sizes\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_rates_sobolev_csv(tmp_path, capsys):
     out = tmp_path / "s.csv"
     code, stdout, _ = invoke(

@@ -1,6 +1,7 @@
 """Neuron ensembles: evaluation, cost, lifting, slicing, extension, sampling,
 serialization, and the regularity bounds their costs control."""
 
+import collections
 import math
 import tempfile
 import warnings
@@ -616,6 +617,65 @@ def test_evaluators_match_per_neuron_reference(dim, alpha, n, data):
             want, scale = _reference_derivative(e, x, ())
             assert abs(value - want) <= 1e-13 * scale
             assert abs(ensemble_eval(e, x) - want) <= 1e-13 * scale
+
+
+# what _reference_derivative reads of an ensemble, with probs free to be signed
+_Atoms = collections.namedtuple("_Atoms", "probs a w b alpha")
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(
+    dim=st.sampled_from([1, 2]),
+    alpha=st.sampled_from([0.0, 0.5, 1.0, 2.0, 2.5]),
+    n=st.integers(1, 5),
+    k=st.integers(1, 4),
+    data=st.data(),
+)
+def test_weighted_derivatives_match_single_column_calls(dim, alpha, n, k, data):
+    w = _float_array(data, n * dim, _DYADIC).reshape(n, dim)
+    b = _float_array(data, n, _DYADIC)
+    xs = _float_array(data, n * dim, _DYADIC).reshape(n, dim)
+    probs = _float_array(data, n, st.integers(1, 4))
+    e = NeuronEnsemble(probs / probs.sum(), _float_array(data, n, _DYADIC), w, b, alpha)
+    # signed columns, the first one the ensemble's own probabilities
+    weights = np.column_stack([e.probs, _float_array(data, n * k, _DYADIC).reshape(n, k)])
+    pts = xs[:, 0] if dim == 1 else xs
+
+    with np.errstate(**_RAISE):
+        for order in range(3):
+            fields = ensemble_derivatives(e, pts, order, weights=weights)
+            default = ensemble_derivatives(e, pts, order)
+            for c, (field, comp) in enumerate(zip(fields, _COMPONENTS[(dim, order)])):
+                assert field.shape == (n, k + 1)
+                for j in range(k + 1):
+                    single = ensemble_derivatives(e, pts, order, weights=weights[:, [j]])[c][:, 0]
+                    # column 0 holds the probabilities: the default call's values
+                    plain = default[c] if j == 0 else single
+                    for x, got, one, base in zip(xs.tolist(), field[:, j].tolist(),
+                                                 single.tolist(), plain.tolist()):
+                        want, scale = _reference_derivative(
+                            _Atoms(weights[:, j], e.a, e.w, e.b, alpha), x, comp)
+                        assert abs(got - one) <= 1e-12 * scale, (order, comp, j)
+                        assert abs(got - base) <= 1e-12 * scale, (order, comp, j)
+                        assert abs(got - want) <= 1e-12 * scale, (order, comp, j)
+
+
+def test_weighted_derivatives_reject_bad_shapes():
+    e = NeuronEnsemble(np.full(3, 1.0 / 3.0), np.ones(3), [0.5, -1.0, 2.0], np.zeros(3), 1.5)
+    for bad in (np.ones(3), np.ones((2, 2)), np.ones((3, 1, 1))):
+        with pytest.raises(ValidationError, match="weights must have shape"):
+            ensemble_derivatives(e, np.linspace(-1.0, 1.0, 4), 1, weights=bad)
+    assert ensemble_derivatives(e, np.linspace(-1.0, 1.0, 4), 1, weights=np.ones((3, 2)))[0].shape == (4, 2)
+
+
+@pytest.mark.parametrize("rule", [cauchy_tangent_rule, cauchy_midpoint_rule, cauchy_graded_rule])
+@pytest.mark.parametrize("n", [0, -3])
+def test_cauchy_rules_refuse_fewer_than_one_node(rule, n):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # refused before any numpy arithmetic
+        with pytest.raises(ValidationError, match=f"need at least 1 node, got n = {n}"):
+            rule(n)
+        assert rule(1).weights.sum() == pytest.approx(1.0)
 
 
 def test_neuron_count_limit(monkeypatch):

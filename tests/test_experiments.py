@@ -621,8 +621,33 @@ def test_mc_equals_explicit_draw_loop(dim, alpha, m, q):
             errs.append(_sobolev_error_per_draw(target, subnet, m, q, pts, weights))
             hits += barron_cost(subnet) <= cost * 1.05
         want.append(float(np.mean(errs)))
-    assert [r.value for r in reports] == want
+    # the count-based error sums its terms in another order than the explicit draws
+    np.testing.assert_allclose([r.value for r in reports], want, rtol=1e-12, atol=0.0)
     assert rate == hits / (len(ns) * len(seeds))
+
+
+@pytest.mark.parametrize("dim,m", [(1, 1), (2, 0)])
+def test_mc_draw_blocks_match_one_block(monkeypatch, dim, m):
+    target = make_random_target(2.0, 1000, seed=99, dim=dim)
+    grid = None if dim == 1 else GridSpec(1.0, 16, 16, 2.0)
+    ns, seeds = [16, 32, 64, 128], [0, 1, 2]
+    one_block = mc_rate_experiment(target, ns, m, 2.0, seeds, grid=grid)
+    blocks = []
+    real = ensembles_module.ensemble_derivatives
+
+    def spy(e, xs, order, weights=None):
+        blocks.append(weights.shape[1])
+        return real(e, xs, order, weights=weights)
+
+    # 12 draws in blocks of 5, 5 and 2; atom chunks of 5000 // 257 or 5000 // 256 = 19 neurons
+    monkeypatch.setattr(ensembles_module, "_EVAL_CHUNK", 5 * 1000)
+    monkeypatch.setattr(experiments_module, "ensemble_derivatives", spy)
+    reports, fit, rate = mc_rate_experiment(target, ns, m, 2.0, seeds, grid=grid)
+    assert blocks == [k for k in (5, 5, 2) for _ in range(m + 1)]
+    np.testing.assert_allclose([r.value for r in reports], [r.value for r in one_block[0]],
+                               rtol=1e-12, atol=0.0)
+    assert rate == one_block[2]
+    assert fit.slope == pytest.approx(one_block[1].slope, rel=1e-12)
 
 
 def test_random_target_size_limit(monkeypatch):
@@ -638,6 +663,9 @@ def test_mc_admissibility():
         mc_rate_experiment(target, [32, 64, 128], 2, 2.0, seeds=2)
     with pytest.raises(ValidationError):
         mc_rate_experiment(target, [32, 64, 128], 0, 1.5, seeds=2)  # q < 2
+    for q in (math.inf, math.nan):  # an inf-norm of |comp|^q would read 1 on every draw
+        with pytest.raises(ValidationError, match=f"q must be finite and >= 2, got {q}"):
+            mc_rate_experiment(target, [32, 64, 128], 0, q, seeds=2)
     small = make_random_target(2.0, 10, seed=83)
     with pytest.raises(ValidationError):
         mc_rate_experiment(small, [32, 64, 128], 0, 2.0, seeds=2)
