@@ -24,10 +24,8 @@ from .errors import (
     ValidationError,
     ZeroDirection,
 )
-from .halfplane import HalfPlanePoint, PolarPoint, complex_power, to_polar
+from .halfplane import HalfPlanePoint
 from .solutions import (
-    SolutionKind,
-    eval_components,
     eval_heaviside,
     eval_u_fractional,
     eval_u_half,

@@ -41,7 +41,16 @@ from .halfplane import HalfPlanePoint
 from .line_barron import log_divergence_diagnostic
 from .numerics import GridSpec, RateFit
 from .poisson import BoundaryFunction, solve_at
-from .solutions import SolutionKind
+from .solutions import (
+    _check_fractional,
+    _check_k,
+    eval_heaviside,
+    eval_u_fractional,
+    eval_u_half,
+    eval_u_integer,
+    eval_u_reg,
+    eval_u_three_half,
+)
 
 CSV_HEADER = "experiment,k,R,p,order,knob,value"
 
@@ -144,24 +153,35 @@ def _summary(fit: RateFit) -> str:
 # --- subcommand handlers ------------------------------------------------------
 
 
-# --kind -> (SolutionKind constructor, the flags it takes in order)
+# --kind -> (evaluator, the flags it takes after the point, their check). The
+# check runs before the point is built, so a bad --k is reported before a bad
+# --y. reg, the one closed form defined on y = 0, takes (x, y, eps, k) and
+# checks eps and k itself before the point.
 _EVAL_KINDS = {
-    "int": (SolutionKind.integer_power, ("k",)),
-    "frac": (SolutionKind.fractional_power, ("alpha",)),
-    "half": (lambda: SolutionKind("half"), ()),
-    "threehalf": (lambda: SolutionKind("threehalf"), ()),
-    "heaviside": (SolutionKind.heaviside, ()),
-    "reg": (SolutionKind.regularized, ("k", "eps")),
+    "int": (eval_u_integer, ("k",), _check_k),
+    "frac": (eval_u_fractional, ("alpha",), _check_fractional),
+    "half": (eval_u_half, (), None),
+    "threehalf": (eval_u_three_half, (), None),
+    "heaviside": (eval_heaviside, (), None),
+    "reg": (eval_u_reg, ("k", "eps"), None),
 }
 
 
 def _cmd_eval(args) -> int:
-    make, flags = _EVAL_KINDS[args.kind]
+    evaluate, flags, check = _EVAL_KINDS[args.kind]
     values = [getattr(args, flag) for flag in flags]
     if None in values:
         needs = " and ".join(f"--{flag}" for flag in flags)
         raise ValidationError(f"eval --kind {args.kind} needs {needs}")
-    value = make(*values).evaluate_xy(args.x, args.y)
+    with np.errstate(all="ignore"):  # a non-finite value is refused below, not warned about
+        if evaluate is eval_u_reg:
+            value = eval_u_reg(args.x, args.y, args.eps, args.k)
+        else:
+            if check is not None:
+                check(*values)
+            value = evaluate(HalfPlanePoint(args.x, args.y), *values)
+    if not math.isfinite(value):
+        raise NumericalError(f"eval --kind {args.kind} at ({args.x}, {args.y}) is not finite: {value}")
     print(f"{value + 0.0:.15g}")  # + 0.0 turns a negative zero into 0
     return 0
 

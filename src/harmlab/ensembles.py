@@ -36,6 +36,7 @@ __all__ = [
     "barron_cost",
     "cauchy_tangent_rule",
     "cauchy_midpoint_rule",
+    "cauchy_graded_rule",
     "lift_ensemble",
     "slice_ensemble",
     "homogeneous_extend",
@@ -240,7 +241,7 @@ def cauchy_tangent_rule(n: int = 201) -> QuadratureRule:
     psi = 0.5 * np.pi * x
     q = 0.5 * w  # GL weights scaled to (-pi/2, pi/2), divided by pi
     q = q / q.sum()  # exact normalization against rounding
-    return QuadratureRule(np.tan(psi), q, (-math.inf, math.inf), 1.0)
+    return QuadratureRule(np.tan(psi), q, 1.0)
 
 
 def cauchy_midpoint_rule(n: int) -> QuadratureRule:
@@ -252,7 +253,7 @@ def cauchy_midpoint_rule(n: int) -> QuadratureRule:
     _check_node_count(n)
     psi = (-0.5 + (np.arange(int(n)) + 0.5) / int(n)) * np.pi
     q = np.full(int(n), 1.0 / int(n))
-    return QuadratureRule(np.tan(psi), q, (-math.inf, math.inf), 1.0)
+    return QuadratureRule(np.tan(psi), q, 1.0)
 
 
 def cauchy_graded_rule(n: int, grading: float = 4.0) -> QuadratureRule:
@@ -273,7 +274,7 @@ def cauchy_graded_rule(n: int, grading: float = 4.0) -> QuadratureRule:
     psi = np.concatenate([-psi_pos[::-1], psi_pos])
     q = np.concatenate([du[::-1], du]) * 0.25
     q = q / q.sum()
-    return QuadratureRule(np.tan(psi), q, (-math.inf, math.inf), 1.0)
+    return QuadratureRule(np.tan(psi), q, 1.0)
 
 
 def lift_ensemble(

@@ -55,6 +55,7 @@ from .ensembles import (
 from .errors import GateFailed, InadmissiblePair, KTooSmall, ValidationError
 from .numerics import (
     GridSpec,
+    QuadratureRule,
     RateFit,
     bisect_root,
     fit_linear,
@@ -396,6 +397,12 @@ def _holder_split(alpha: float) -> tuple[int, float]:
     return k, alpha - k
 
 
+@lru_cache(maxsize=None)
+def _mc_line_rule() -> QuadratureRule:
+    """The Gauss-Legendre rule of 1D subsampling errors, built on first use only."""
+    return gauss_legendre_rule(MC_QUAD_POINTS, -1.0, 1.0)
+
+
 def mc_rate_experiment(
     target: NeuronEnsemble,
     n_list,
@@ -440,7 +447,7 @@ def mc_rate_experiment(
         raise ValidationError("need at least one seed")
 
     if target.dim == 1:
-        rule = gauss_legendre_rule(MC_QUAD_POINTS, -1.0, 1.0)
+        rule = _mc_line_rule()
         pts = rule.nodes
         w_quad = rule.weights
     else:

@@ -55,7 +55,6 @@ class QuadratureRule:
 
     nodes: np.ndarray
     weights: np.ndarray
-    domain: tuple[float, float]
     measure: float
 
     def __post_init__(self):
@@ -83,7 +82,7 @@ def gauss_legendre_rule(n: int, a: float, b: float) -> QuadratureRule:
     x, w = np.polynomial.legendre.leggauss(n)
     half = 0.5 * (b - a)
     mid = 0.5 * (b + a)
-    return QuadratureRule(mid + half * x, half * w, (a, b), b - a)
+    return QuadratureRule(mid + half * x, half * w, b - a)
 
 
 def _fejer2(n: int) -> tuple[np.ndarray, np.ndarray]:

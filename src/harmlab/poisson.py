@@ -37,7 +37,6 @@ class BoundaryFunction:
     `kinks` lists boundary abscissae where g is not smooth.
     """
 
-    tag: str
     fn: Callable[[np.ndarray], np.ndarray]
     growth_alpha: float
     growth_const: float
@@ -56,16 +55,16 @@ class BoundaryFunction:
         if w == 0.0:
             raise ValidationError("relu_power requires w != 0")
         c = (abs(w) + abs(b)) ** alpha
-        return cls("relu_power", lambda s: activation(w * s + b, alpha), alpha, c, kinks=(-b / w,))
+        return cls(lambda s: activation(w * s + b, alpha), alpha, c, kinks=(-b / w,))
 
     @classmethod
     def heaviside(cls) -> "BoundaryFunction":
-        return cls("heaviside", lambda s: activation(s, 0.0), 0.0, 1.0, kinks=(0.0,))
+        return cls(lambda s: activation(s, 0.0), 0.0, 1.0, kinks=(0.0,))
 
     @classmethod
     def tanh(cls, w: float = 1.0, b: float = 0.0) -> "BoundaryFunction":
         """g(s) = tanh(w*s + b); bounded, so growth_alpha = 0."""
-        return cls("tanh", lambda s: np.tanh(w * s + b), 0.0, 1.0)
+        return cls(lambda s: np.tanh(w * s + b), 0.0, 1.0)
 
     @classmethod
     def polynomial(cls, coeffs) -> "BoundaryFunction":
@@ -75,7 +74,7 @@ class BoundaryFunction:
             raise ValidationError("polynomial needs at least one coefficient")
         deg = max((i for i, c in enumerate(coeffs) if c != 0.0), default=0)
         poly = np.polynomial.Polynomial(coeffs)
-        return cls("polynomial", lambda s: poly(s), float(deg), float(sum(abs(c) for c in coeffs)))
+        return cls(lambda s: poly(s), float(deg), float(sum(abs(c) for c in coeffs)))
 
     @classmethod
     def custom(
@@ -85,7 +84,7 @@ class BoundaryFunction:
         growth_const: float,
         kinks: tuple[float, ...] = (),
     ) -> "BoundaryFunction":
-        return cls("custom", fn, float(growth_alpha), float(growth_const), tuple(kinks))
+        return cls(fn, float(growth_alpha), float(growth_const), tuple(kinks))
 
 
 def _segments(interior: list[float], lo: float, hi: float) -> list[tuple[float, float]]:

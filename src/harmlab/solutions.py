@@ -21,7 +21,6 @@ algebraic forms, kept as reference values for the alpha = 1/2, 3/2 branch.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,13 +28,11 @@ from .errors import NearIntegerAlpha, NonpositiveEpsilon, ValidationError
 from .halfplane import HalfPlanePoint
 
 __all__ = [
-    "SolutionKind",
     "eval_u_integer",
     "eval_u_fractional",
     "eval_u_half",
     "eval_u_three_half",
     "eval_heaviside",
-    "eval_components",
     "eval_u_reg",
     "u_integer_field",
     "u_fractional_field",
@@ -51,6 +48,8 @@ _NEAR_INT_CUTOFF = 1e-9
 def _check_fractional(alpha: float) -> None:
     if alpha <= 0.0:
         raise ValidationError(f"alpha must be > 0, got {alpha}")
+    if not math.isfinite(alpha):
+        raise ValidationError(f"alpha must be finite, got {alpha}")
     if abs(alpha - round(alpha)) <= _NEAR_INT_CUTOFF:
         raise NearIntegerAlpha(
             f"alpha = {alpha} is within 1e-9 of an integer; cot(pi*alpha) is not usable"
@@ -66,6 +65,8 @@ def _check_reg_args(epsilon: float, k: int) -> None:
     _check_k(k)
     if not (epsilon > 0.0):
         raise NonpositiveEpsilon(f"epsilon must be > 0, got {epsilon}")
+    if epsilon == math.inf:
+        raise ValidationError(f"epsilon must be finite, got {epsilon}")
 
 
 # --- the closed forms, one numpy body each ---------------------------------------
@@ -123,13 +124,6 @@ def eval_u_integer(p: HalfPlanePoint, k: int) -> float:
     return float(u_integer_field(p.x, p.y, k))
 
 
-def eval_components(p: HalfPlanePoint, k: int) -> tuple[float, float]:
-    """The two pieces (arctan part, log part) whose difference is eval_u_integer."""
-    _check_k(k)
-    arc, log = _integer_parts(p.x, p.y, k, 0.0)
-    return float(arc), float(log)
-
-
 def eval_u_fractional(p: HalfPlanePoint, alpha: float) -> float:
     """u_fractional_field at one interior point."""
     return float(u_fractional_field(p.x, p.y, alpha))
@@ -163,63 +157,10 @@ def eval_u_reg(x: float, y: float, epsilon: float, k: int) -> float:
     _check_reg_args(epsilon, k)
     if y < 0.0:
         raise ValidationError(f"eval_u_reg needs y >= 0, got y = {y}")
+    if not (math.isfinite(x) and math.isfinite(y)):
+        raise ValidationError(f"non-finite point ({x}, {y})")
     arc, log = _integer_parts(x, y, k, epsilon * epsilon)
     return float(arc - log)
-
-
-# --- dispatch over the family ------------------------------------------------------
-
-# tag -> value at (x, y); all but the regularized family need y > 0
-_EVALUATORS = {
-    "integer": lambda s, x, y: eval_u_integer(HalfPlanePoint(x, y), s.k),
-    "fractional": lambda s, x, y: eval_u_fractional(HalfPlanePoint(x, y), s.alpha),
-    "half": lambda s, x, y: eval_u_half(HalfPlanePoint(x, y)),
-    "threehalf": lambda s, x, y: eval_u_three_half(HalfPlanePoint(x, y)),
-    "heaviside": lambda s, x, y: eval_heaviside(HalfPlanePoint(x, y)),
-    "regularized": lambda s, x, y: eval_u_reg(x, y, s.epsilon, s.k),
-}
-
-
-@dataclass(frozen=True)
-class SolutionKind:
-    """Tagged description of one member of the closed-form family.
-
-    tag is one of 'integer', 'fractional', 'heaviside', 'regularized', or
-    'half' / 'threehalf' for the algebraic alpha = 1/2, 3/2 forms.
-    """
-
-    tag: str
-    k: int = 0
-    alpha: float = 0.0
-    epsilon: float = 0.0
-
-    @classmethod
-    def integer_power(cls, k: int) -> "SolutionKind":
-        _check_k(k)
-        return cls("integer", k=k)
-
-    @classmethod
-    def fractional_power(cls, alpha: float) -> "SolutionKind":
-        _check_fractional(alpha)
-        return cls("fractional", alpha=alpha)
-
-    @classmethod
-    def heaviside(cls) -> "SolutionKind":
-        return cls("heaviside")
-
-    @classmethod
-    def regularized(cls, k: int, epsilon: float) -> "SolutionKind":
-        _check_reg_args(epsilon, k)
-        return cls("regularized", k=k, epsilon=epsilon)
-
-    def evaluate(self, p: HalfPlanePoint) -> float:
-        return self.evaluate_xy(p.x, p.y)
-
-    def evaluate_xy(self, x: float, y: float) -> float:
-        """Value at (x, y); the regularized family also accepts y = 0."""
-        if self.tag not in _EVALUATORS:
-            raise ValidationError(f"unknown solution tag {self.tag!r}")
-        return _EVALUATORS[self.tag](self, x, y)
 
 
 # --- regularization error v = u_{eps,k} - u_k and its derivatives -------------

@@ -113,9 +113,9 @@ def test_quadrature_rule_validation():
     assert gl.weights.sum() == pytest.approx(2.0, abs=1e-13)
     assert gl.apply(lambda x: x**3) == pytest.approx(4.0, rel=1e-13)
     with pytest.raises(ValidationError):
-        QuadratureRule(np.array([0.5]), np.array([2.0]), (0.0, 1.0), 1.0)
+        QuadratureRule(np.array([0.5]), np.array([2.0]), 1.0)
     with pytest.raises(ValidationError):
-        QuadratureRule(np.array([0.5]), np.array([-1.0]), (0.0, 1.0), -1.0)
+        QuadratureRule(np.array([0.5]), np.array([-1.0]), -1.0)
 
 
 # --- finite differences ----------------------------------------------------------

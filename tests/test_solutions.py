@@ -1,6 +1,7 @@
 """Closed-form solution family: spot values, harmonicity, homogeneity, boundary."""
 
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -9,9 +10,7 @@ from harmlab import (
     HalfPlanePoint,
     NearIntegerAlpha,
     NonpositiveEpsilon,
-    SolutionKind,
     ValidationError,
-    eval_components,
     eval_heaviside,
     eval_u_fractional,
     eval_u_half,
@@ -22,6 +21,7 @@ from harmlab import (
     fit_loglog,
 )
 from harmlab.solutions import (
+    heaviside_field,
     reg_diff_gradient,
     reg_diff_hessian,
     reg_diff_value,
@@ -88,22 +88,6 @@ def test_heaviside_values_and_range():
         assert 0.0 < v < 1.0
 
 
-def test_components_identity_and_spots():
-    ur, ui = eval_components(HalfPlanePoint(1.0, 1.0), 2)
-    assert ur == pytest.approx(0.0, abs=1e-15)
-    assert ui == pytest.approx(math.log(2) / math.pi, rel=1e-14)
-    ur, ui = eval_components(HalfPlanePoint(0.0, 1.0), 1)
-    assert ur == pytest.approx(0.0, abs=1e-15)
-    assert ui == pytest.approx(0.0, abs=1e-15)
-    rng = np.random.default_rng(13)
-    for _ in range(100):
-        p = HalfPlanePoint(rng.uniform(-3, 3), rng.uniform(1e-2, 3))
-        k = int(rng.integers(1, 5))
-        ur, ui = eval_components(p, k)
-        u = eval_u_integer(p, k)
-        assert ur - ui == pytest.approx(u, rel=1e-13, abs=1e-13 * (abs(ur) + abs(ui) + 1))
-
-
 def test_u_reg_values():
     # eps -> 0 recovers the unregularized solution
     assert eval_u_reg(1.0, 1.0, 1e-12, 2) == pytest.approx(
@@ -127,23 +111,15 @@ def test_u_reg_validation():
     with pytest.raises(NonpositiveEpsilon):
         eval_u_reg(1.0, 1.0, 0.0, 2)
     with pytest.raises(NonpositiveEpsilon):
-        SolutionKind.regularized(2, -1.0)
-
-
-def test_solution_kind_dispatch():
-    p = HalfPlanePoint(0.7, 0.9)
-    assert SolutionKind.integer_power(2).evaluate(p) == eval_u_integer(p, 2)
-    assert SolutionKind.fractional_power(0.3).evaluate(p) == eval_u_fractional(p, 0.3)
-    assert SolutionKind.heaviside().evaluate(p) == eval_heaviside(p)
-    assert SolutionKind.regularized(2, 0.1).evaluate(p) == eval_u_reg(p.x, p.y, 0.1, 2)
-    assert SolutionKind("half").evaluate(p) == eval_u_half(p)
-    assert SolutionKind("threehalf").evaluate(p) == eval_u_three_half(p)
-    # only the regularized family reaches the boundary
-    assert SolutionKind.regularized(2, 0.1).evaluate_xy(1.5, 0.0) == 2.25
-    with pytest.raises(ValidationError):
-        SolutionKind.heaviside().evaluate_xy(1.5, 0.0)
-    with pytest.raises(ValidationError):
-        SolutionKind("unknown").evaluate(p)
+        eval_u_reg(1.0, 1.0, -1.0, 2)
+    # parameters first, then the point: y < 0, then non-finite coordinates
+    with pytest.raises(NonpositiveEpsilon):
+        eval_u_reg(1.0, -1.0, -1.0, 2)
+    with pytest.raises(ValidationError, match="needs y >= 0"):
+        eval_u_reg(math.nan, -1.0, 0.1, 2)
+    for x, y, eps in [(1.0, 0.0, math.inf), (math.nan, 0.0, 0.1), (1.0, math.inf, 0.1), (-math.inf, 1.0, 0.1)]:
+        with pytest.raises(ValidationError, match="finite"):
+            eval_u_reg(x, y, eps, 2)
 
 
 def _residual_orders(u, points, hs=(2e-2, 1e-2, 5e-3, 2.5e-3)):
@@ -169,13 +145,13 @@ def sample_interior_points(rng, count, r_lo=0.25, r_hi=2.5, y_min=0.06):
 @pytest.mark.parametrize(
     "kind",
     [
-        SolutionKind.integer_power(1),
-        SolutionKind.integer_power(2),
-        SolutionKind.integer_power(3),
-        SolutionKind.fractional_power(0.3),
-        SolutionKind.fractional_power(0.5),
-        SolutionKind.fractional_power(1.5),
-        SolutionKind.heaviside(),
+        partial(u_integer_field, k=1),
+        partial(u_integer_field, k=2),
+        partial(u_integer_field, k=3),
+        partial(u_fractional_field, alpha=0.3),
+        partial(u_fractional_field, alpha=0.5),
+        partial(u_fractional_field, alpha=1.5),
+        partial(heaviside_field),
     ],
 )
 def test_harmonicity_fd_order(kind):
@@ -184,7 +160,7 @@ def test_harmonicity_fd_order(kind):
     pts = sample_interior_points(rng, 12)
 
     def u(x, y):
-        return kind.evaluate(HalfPlanePoint(x, y))
+        return float(kind(x, y))
 
     slopes = _residual_orders(u, pts)
     for s in slopes:
