@@ -141,9 +141,17 @@ def _grid_from_args(args, R: float) -> GridSpec:
 def _eps_list(args) -> np.ndarray:
     if not (0.0 < args.eps_min < args.eps_max):
         raise ValidationError("need 0 < eps-min < eps-max")
+    if math.isinf(args.eps_max):
+        raise ValidationError("eps-max must be finite, got inf")
     if args.steps < 3:
         raise ValidationError("need at least 3 steps")
     return np.logspace(math.log10(args.eps_min), math.log10(args.eps_max), args.steps)
+
+
+def _check_seed(seed: int, flag: str) -> None:
+    """numpy seeds are non-negative; refuse others before any work."""
+    if seed < 0:
+        raise ValidationError(f"{flag} must be >= 0, got {seed}")
 
 
 def _summary(fit: RateFit) -> str:
@@ -215,6 +223,7 @@ def _cmd_rates_mc(args) -> int:
         raise ValidationError("need 1 <= n-min < n-max and steps >= 3")
     if args.steps > MAX_NEURONS:  # logspace would materialize every step
         raise ValidationError(f"steps = {args.steps} exceeds the limit of {MAX_NEURONS} sizes")
+    _check_seed(args.target_seed, "--target-seed")
     ns = np.unique(
         np.round(np.logspace(math.log10(args.n_min), math.log10(args.n_max), args.steps)).astype(int)
     )
@@ -241,6 +250,8 @@ def _cmd_rates_sobolev(args) -> int:
 def _cmd_diag_xklogx(args) -> int:
     if args.steps < 3:
         raise ValidationError("need at least 3 steps")
+    if not 0.0 < args.delta_min < 0.1:  # the cutoffs run from 0.1 down to delta-min
+        raise ValidationError(f"need 0 < delta-min < 0.1, got {args.delta_min}")
     deltas = np.logspace(math.log10(0.1), math.log10(args.delta_min), args.steps)
     fit = log_divergence_diagnostic(args.k, deltas)
     print(f"slope={fit.slope:.6g} intercept={fit.intercept:.6g} r2={fit.r_squared:.6f}")
@@ -258,6 +269,7 @@ def _cmd_diag_slice(args) -> int:
 
 
 def _cmd_ensemble(args) -> int:
+    _check_seed(args.seed, "--seed")
     e = load_ensemble(args.infile)
     if args.action == "lift":
         if args.samples is not None:

@@ -12,6 +12,7 @@ boundary data `relu_power` and `heaviside` evaluate through it too.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import re
@@ -326,9 +327,10 @@ def slice_ensemble(e: NeuronEnsemble, x0, v) -> NeuronEnsemble:
     v = np.asarray(v, dtype=float)
     if x0.shape != (2,) or v.shape != (2,):
         raise ValidationError("x0 and v must be 2-vectors")
-    if np.linalg.norm(v) == 0.0:
-        raise ZeroDirection("slice direction must be nonzero")
-    return NeuronEnsemble(e.probs, e.a, e.w @ v, e.w @ x0 + e.b, e.alpha)
+    with np.errstate(over="ignore"):  # an overflow is refused as a non-finite w or b
+        if np.linalg.norm(v) == 0.0:
+            raise ZeroDirection("slice direction must be nonzero")
+        return NeuronEnsemble(e.probs, e.a, e.w @ v, e.w @ x0 + e.b, e.alpha)
 
 
 def homogeneous_extend(e: NeuronEnsemble) -> NeuronEnsemble:
@@ -368,23 +370,219 @@ _HEADER_RE = re.compile(
 
 
 # Rows formatted per write. One block's text and floats are a few MB at most,
-# so saving never holds the whole file as Python objects.
+# so saving never holds the whole file in memory.
 _SAVE_BLOCK = 8192
 
 
 def save_ensemble(e: NeuronEnsemble, path) -> None:
-    """One neuron per line: `prob a w_1 [w_2] b`, doubles at 17 significant digits.
+    """One neuron per line: `prob a w_1 [w_2] b`, each double as `"%.17g" % x` writes it.
 
-    Each block of rows is one %-format of a repeated row template in C;
-    `"%.17g" % x` gives the same bytes as `f"{x:.17g}"`.
+    Blocks of rows go through `_encode_17g`, a numpy encoder whose bytes equal
+    `"%.17g"`'s for every finite double; `load_ensemble` reads them back bit
+    for bit.
     """
-    row = " ".join(["%.17g"] * (3 + e.dim)) + "\n"
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(f"#barron-ensemble v1 alpha={e.alpha:.17g} dim={e.dim}\n")
+    with open(path, "wb") as fh:
+        fh.write(f"#barron-ensemble v1 alpha={e.alpha:.17g} dim={e.dim}\n".encode())
         for start in range(0, len(e), _SAVE_BLOCK):
             rows = slice(start, start + _SAVE_BLOCK)
-            block = np.column_stack([e.probs[rows], e.a[rows], e.w[rows], e.b[rows]])
-            fh.write(row * len(block) % tuple(block.ravel().tolist()))
+            fh.write(_encode_17g(np.column_stack([e.probs[rows], e.a[rows], e.w[rows], e.b[rows]])))
+
+
+# --- "%.17g" encoder ---------------------------------------------------------------
+#
+# "%.17g" prints a double x != 0 from D = round(|x| 10^(16-X)), the integer of its
+# 17 significant digits, and X, its decimal exponent: fixed form for -4 <= X <= 16,
+# exponent form otherwise, trailing zeros stripped.
+#
+# Fast path, 1e-280 <= |x| < 1e300: k = floor(log10|x|), and |x| 10^(16-k) in
+# double-double arithmetic (Dekker's exact two-product with 10^q = hi + lo) to
+# about 1e-31 relative, so its floor, and whether its fraction is above 1/2, are
+# exact unless the fraction is within _TIE of 1/2. Each value then becomes four
+# little-endian 64-bit words that hold its text, with NUL bytes wherever "%.17g"
+# writes nothing; one bytes.translate drops them:
+#   word 0     sign, "0." and up to three zeros (X in [-4, -1]), first digit
+#   words 1-2  digits 2..17: the first `keep` of them (trailing zeros dropped,
+#              integer digits kept), "." inserted after the first P (P = X in
+#              fixed form with X >= 0, 0 in exponent form, 16 for X < 0 where
+#              word 0 holds the point); byte 0 of word 3 takes the digit the
+#              point pushes out
+#   word 3     bytes 1-5 "e+XX" or "e-XXX" in exponent form, byte 7 ' ' or '\n'
+#
+# Python's own "%.17g" formats, in one call per block, what the fast path cannot
+# certify: 0 and -0, |x| outside the range (subnormals included), a fraction
+# within _TIE of 1/2, and a log10 that missed k, which leaves the floor below
+# 10^16 (k too high) or at 10^17 or above (k too low). Rounding up to 10^17 is a
+# carry: D = 10^16 and X = k + 1.
+
+_FAST_MIN, _FAST_MAX = 1e-280, 1e300
+_Q_MIN = 16 - 300  # 10^q for q = 16 - k, k = floor(log10|x|) in [-281, 300]
+_Q_MAX = 16 + 281
+_TIE = 1e-6  # the double-double error is below 1e-14 of a unit in the 17th digit
+_DEKKER = 134217729.0  # 2^27 + 1
+_X_MIN = -324  # finite doubles have decimal exponents -324..308
+_ENCODE_ROWS = 1024  # rows per pass: a pass's temporaries stay within the CPU cache
+_SPACE, _NEWLINE = 32 << 56, 10 << 56  # word 3's byte 7
+
+
+def _split(x):
+    """Dekker's split: x = hi + lo exactly, both halves 26 bits wide."""
+    t = x * _DEKKER
+    hi = t - (t - x)
+    return hi, x - hi
+
+
+def _pow10_table() -> np.ndarray:
+    """Rows hh, hl, lo with hh + hl = hi and hi + lo = 10^q to about 1e-31, q = _Q_MIN.._Q_MAX.
+
+    Anchors 10^(_Q_MIN + 16j) come correctly rounded from Python ints (hi as
+    1 / 10**m for negative powers), and each is times the exact 10^0..10^15.
+    """
+    anchors = []
+    for q in range(_Q_MIN, _Q_MAX + 1, 16):
+        if q >= 0:
+            hi = float(10**q)
+            anchors.append((hi, float(10**q - int(hi))))
+        else:
+            m = 10**-q
+            hi = 1 / m
+            num, den = hi.as_integer_ratio()
+            anchors.append((hi, (den - num * m) / (den * m)))
+    size = _Q_MAX - _Q_MIN + 1
+    h, low = np.repeat(np.array(anchors), 16, axis=0)[:size].T
+    t = np.resize([float(10**b) for b in range(16)], size)
+    hi = h * t
+    (hh, hl), (th, tl) = _split(h), _split(t)
+    lo = ((hh * th - hi) + hh * tl + hl * th) + hl * tl + low * t
+    return np.stack([*_split(hi), lo])
+
+
+def _words(byte_rows) -> np.ndarray:
+    """The little-endian 64-bit words of rows of 8 * j bytes, shape (rows, j)."""
+    return np.ascontiguousarray(byte_rows, dtype=np.uint8).view("<u8")
+
+
+def _exponent_tables():
+    """Per decimal exponent X = -324..308: word 0's prefix, word 3's exponent bytes,
+    17 * P (P as above), and the integer digits among 2..17 that are always kept."""
+    x = np.arange(_X_MIN, 309)
+    ax = np.abs(x)[:, None]
+    fix_neg = (x >= -4) & (x < 0)
+    fix_pos = (x >= 0) & (x <= 16)
+    prefix = np.zeros((x.size, 8), dtype=np.uint8)
+    prefix[fix_neg, 1:3] = [48, 46]  # "0."
+    prefix[:, 3:6] = np.where(fix_neg[:, None] & (x[:, None] <= [-2, -3, -4]), 48, 0)
+    two = ax[:, 0] < 100
+    exponent = np.zeros((x.size, 8), dtype=np.uint8)
+    exponent[:, 1] = 101  # e
+    exponent[:, 2] = np.where(x < 0, 45, 43)
+    exponent[:, 3:6] = ax // np.where(two[:, None], [10, 1, 1], [100, 10, 1]) % 10 + 48
+    exponent[two, 5] = 0
+    exponent[fix_neg | fix_pos] = 0
+    point17 = np.where(fix_pos, x, np.where(fix_neg, 16, 0)) * 17
+    keep_min = np.where(fix_pos, x, 0).astype(np.int8)
+    return _words(prefix)[:, 0], _words(exponent)[:, 0], point17, keep_min
+
+
+def _chunk_tables():
+    """Per 4-digit chunk 0000..9999: its characters as a little-endian uint32, and for
+    chunk j of digits 2..17 the digits up to its last nonzero one, 4j + 1..4j + 4
+    (0 for 0000)."""
+    digits = np.indices((10,) * 4, dtype=np.uint8).reshape(4, -1)
+    chars = np.ascontiguousarray((digits + 48).T).view("<u4")[:, 0]
+    last = ((digits != 0) * np.arange(1, 5, dtype=np.int8)[:, None]).max(axis=0)
+    return chars, np.where(last > 0, last + np.arange(0, 16, 4, dtype=np.int8)[:, None], 0).astype(np.int8)
+
+
+def _point_masks() -> np.ndarray:
+    """Rows low, move, dot (two words each) per code 17 * P + keep for words 1, 2:
+    digits [0, min(P, keep)) stay, [P, keep) move one byte up, "." goes to byte
+    P when keep > P."""
+    i = np.arange(16)
+    P, keep = (g[..., None] for g in np.indices((17, 17)))
+    low = i < np.minimum(P, keep)
+    move = (i >= P) & (i < keep)
+    dot = (i == P) & (keep > P)
+    b = np.concatenate([low * 255, move * 255, dot * 46], axis=-1).reshape(289, 48)
+    return np.ascontiguousarray(_words(b).T)
+
+
+def _head_table() -> np.ndarray:
+    """Word 0's sign and first digit, indexed 2 * digit + (x < 0)."""
+    b = np.zeros((10, 2, 8), dtype=np.uint8)
+    b[:, 1, 0] = 45  # "-"
+    b[:, :, 6] = np.arange(48, 58)[:, None]
+    return _words(b.reshape(20, 8))[:, 0]
+
+
+@functools.cache
+def _encoder_tables() -> tuple:
+    """All lookup tables of the encoder, built on first use: a process that never
+    saves an ensemble neither builds them nor touches the numpy code that does."""
+    return (_pow10_table(), *_exponent_tables(), *_chunk_tables(), _point_masks(), _head_table())
+
+
+def _encode_17g(block: np.ndarray) -> bytes:
+    """A 2D float block as text: each entry as `"%.17g" % x`, ' ' between columns, a newline per row."""
+    return b"".join(_encode_rows(block[i : i + _ENCODE_ROWS]) for i in range(0, len(block), _ENCODE_ROWS))
+
+
+def _encode_rows(block: np.ndarray) -> bytes:
+    pow10, prefix, exponent, point17, keep_min, digits4, significant, point_masks, head = _encoder_tables()
+    rows, cols = block.shape
+    v = np.ascontiguousarray(block, dtype=float).ravel()
+    a = np.abs(v)
+    fast = (a >= _FAST_MIN) & (a < _FAST_MAX)
+    a[~fast] = 1.0  # a stand-in until Python formats these values
+    k = np.log10(a)
+    k = np.floor(k, out=k).astype(np.intp)
+    hh, hl, lo = pow10.take(16 - _Q_MIN - k, axis=1)
+    # scaled = |x| 10^(16-k) = p + err, err first the exact error of p = |x| hi
+    ah, al = _split(a)
+    p = a * (hh + hl)
+    err = ah * hh - p
+    err += ah * hl
+    err += al * hh
+    err += al * hl
+    err += a * lo
+    whole = np.floor(err)
+    err -= whole  # the fraction of the scaled value; p is an integer from 2^53 on
+    d = p.astype(np.int64)
+    d += whole.astype(np.int64)
+    fast &= (d >= 10**16) & (d < 10**17) & (np.abs(err - 0.5) > _TIE)
+    d += err > 0.5
+    carry = d == 10**17
+    d[carry] = 10**16
+    k += carry
+
+    lead = d // 10**16
+    d -= lead * 10**16
+    hi8 = d // 10**8
+    d -= hi8 * 10**8
+    c0, c2 = hi8 // 10**4, d // 10**4
+    chunks = (c0, hi8 - c0 * 10**4, c2, d - c2 * 10**4)
+    x = k - _X_MIN
+    keep = keep_min.take(x)  # digits 2..17 written, before the trailing zeros
+    for j, c in enumerate(chunks):
+        np.maximum(keep, significant[j].take(c), out=keep)
+    low0, low1, move0, move1, dot0, dot1 = point_masks.take(point17.take(x) + keep, axis=1)
+    d0, d1 = np.stack([digits4.take(c) for c in chunks], axis=1).view("<u8").T
+    move0 &= d0
+    move1 &= d1
+    out = np.empty((v.size, 4), dtype="<u8")
+    # lead is 1..9 where the value is certified; clip keeps the rest in the table
+    out[:, 0] = prefix.take(x) | head.take(2 * lead + np.signbit(v), mode="clip")
+    out[:, 1] = (d0 & low0) | (move0 << np.uint64(8)) | dot0
+    out[:, 2] = (d1 & low1) | (move1 << np.uint64(8)) | (move0 >> np.uint64(56)) | dot1
+    seps = np.array([_SPACE] * (cols - 1) + [_NEWLINE], dtype=np.uint64)
+    out.reshape(rows, cols, 4)[:, :, 3] = ((move1 >> np.uint64(56)) | exponent.take(x)).reshape(rows, cols) | seps
+
+    slow = np.flatnonzero(~fast)
+    if slow.size:
+        text = ("%.17g\0" * slow.size % tuple(v[slow].tolist())).split("\0")[:-1]
+        raw = out.view(np.uint8)
+        raw[slow, :24] = np.array(text, dtype="S24").view(np.uint8).reshape(-1, 24)
+        raw[slow, 24:31] = 0
+    return out.tobytes().translate(None, b"\0")
 
 
 def load_ensemble(path) -> NeuronEnsemble:

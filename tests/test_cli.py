@@ -384,6 +384,64 @@ def test_hostile_sizes_exit_2(tmp_path, capsys, argv):
 @pytest.mark.parametrize(
     "argv,reason",
     [
+        (["ensemble", "sample", "--in", "{plane}", "--n", "5", "--seed", "-1"], "--seed must be >= 0, got -1"),
+        (["ensemble", "lift", "--in", "{line}", "--samples", "5", "--seed", "-3"], "--seed must be >= 0, got -3"),
+        (["rates", "mc", "--alpha", "2", "--target-seed", "-1"], "--target-seed must be >= 0, got -1"),
+    ],
+    ids=["sample", "lift", "mc"],
+)
+def test_negative_seed_exits_2(tmp_path, capsys, argv, reason):
+    # numpy refuses negative seeds with a ValueError; the CLI refuses them first
+    line, plane = tmp_path / "line.txt", tmp_path / "plane.txt"
+    save_ensemble(NeuronEnsemble([1.0], [1.0], [[1.0]], [0.0], 0.5), line)
+    save_ensemble(NeuronEnsemble([1.0], [1.0], [[1.0, 1.0]], [0.0], 0.5), plane)
+    out = tmp_path / "x.out"
+    code, stdout, err = invoke(capsys, *[a.format(line=line, plane=plane) for a in argv], "--out", str(out))
+    assert code == 2 and stdout == ""
+    assert err == f"harmlab: invalid input: {reason}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv,reason",
+    [
+        (["rates", "reg", "--k", "2", "--eps-max", "inf"], "eps-max must be finite, got inf"),
+        (["rates", "sobolev", "--k", "2", "--eps-max", "inf"], "eps-max must be finite, got inf"),
+        (["diag", "xklogx", "--k", "2", "--delta-min", "inf"], "need 0 < delta-min < 0.1, got inf"),
+        (["diag", "xklogx", "--k", "2", "--delta-min", "0"], "need 0 < delta-min < 0.1, got 0.0"),
+    ],
+    ids=["reg", "sobolev", "xklogx-inf", "xklogx-0"],
+)
+def test_infinite_logspace_endpoint_exits_2(tmp_path, capsys, argv, reason):
+    out = ["--out", str(tmp_path / "x.csv")] if argv[0] == "rates" else []
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # numpy's logspace warning would otherwise reach stderr
+        code, stdout, err = invoke(capsys, *argv, *out)
+    assert code == 2 and stdout == ""
+    assert err == f"harmlab: invalid input: {reason}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "x0,v,reason",
+    [("0,0", "1e308,1e308", "w contains non-finite entries"), ("1e308,1e308", "1,1", "b contains non-finite entries")],
+    ids=["v", "x0"],
+)
+def test_overflowing_slice_exits_2_with_one_line(tmp_path, capsys, x0, v, reason):
+    plane = tmp_path / "plane.txt"
+    save_ensemble(NeuronEnsemble([1.0], [1.0], [[1.0, 1.0]], [0.0], 0.5), plane)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # numpy's matmul overflow warning would reach stderr
+        code, stdout, err = invoke(capsys, "ensemble", "slice", "--in", str(plane), f"--x0={x0}", f"--v={v}",
+                                   "--out", str(tmp_path / "o.txt"))
+    assert code == 2 and stdout == ""
+    assert err == f"harmlab: invalid input: {reason}\n"
+    assert not (tmp_path / "o.txt").exists()
+
+
+@pytest.mark.parametrize(
+    "argv,reason",
+    [
         (["rates", "reg", "--k", "2", "--p", "abc", "--out", "{tmp}/r.csv"], "p must be a number, got 'abc'"),
         (["solve", "--boundary", "relu:abc", "--x", "1", "--y", "1"], "got 'abc'"),
         (["ensemble", "slice", "--in", "{plane}", "--out", "{tmp}/o.txt", "--x0", "a,b"], "got 'a'"),

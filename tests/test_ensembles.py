@@ -5,6 +5,7 @@ import collections
 import math
 import tempfile
 import warnings
+from decimal import Decimal
 from pathlib import Path
 
 import numpy as np
@@ -35,6 +36,7 @@ from harmlab import (
     slice_ensemble,
 )
 from harmlab import ensembles as ensembles_module
+from harmlab.cli import run as cli_run
 from harmlab.ensembles import activation, cauchy_graded_rule, ensemble_derivatives
 
 
@@ -408,6 +410,82 @@ def test_save_bytes_match_per_row_writer(tmp_path, dim, n):
     e2 = load_ensemble(tmp_path / "new.txt")
     for got, want in ((e2.probs, e.probs), (e2.a, e.a), (e2.w, e.w), (e2.b, e.b)):
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def _printf_17g(block):
+    """What `_encode_17g` must write: Python's "%.17g" per entry, one line per row."""
+    return "".join(" ".join("%.17g" % x for x in row) + "\n" for row in block.tolist()).encode()
+
+
+def _ties():
+    """Odd multiples of 2^-j whose exact decimal expansion has 18 digits ending in 5:
+    a 17-digit round-half-even tie."""
+    out = []
+    for j in range(1, 80):
+        for m in range(1, 200, 2):
+            digits = format(Decimal(m * 2.0**-j), "f").replace(".", "").strip("0")
+            if len(digits) == 18 and digits.endswith("5"):
+                out.append(m * 2.0**-j)
+    return out
+
+
+def _fixed_rows():
+    tens = [float(f"1e{q}") for q in range(-320, 309)]
+    below = np.nextafter(tens, 0.0)
+    above = np.nextafter(tens, np.inf)
+    twos = [2.0**q for q in range(-1074, 1024)]
+    special = [0.0, 5e-324, 1e-310, 2.2250738585072009e-308, 2.2250738585072014e-308, 1.7976931348623157e308]
+    values = np.concatenate([tens, below, above, twos, _ties(), special])
+    values = np.concatenate([values, -values])
+    return np.resize(values, (values.size + 4) // 5 * 5).reshape(-1, 5)
+
+
+_FIXED_ROWS = _fixed_rows()
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(
+    bits=st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=40),
+    floats=st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=40),
+    cols=st.integers(1, 5),
+)
+def test_encoder_matches_printf_on_any_finite_double(bits, floats, cols):
+    values = np.array(bits, dtype=np.uint64).view(np.float64)
+    values = np.concatenate([values[np.isfinite(values)], floats])
+    block = np.resize(values, (values.size + cols - 1) // cols * cols).reshape(-1, cols)
+    assert ensembles_module._encode_17g(block) == _printf_17g(block)
+
+
+def test_encoder_matches_printf_on_fixed_rows():
+    # powers of ten with both neighbours (log10 misses k just below many of them),
+    # every power of two, 17-digit ties, zeros, subnormals and the extremes
+    assert ensembles_module._encode_17g(_FIXED_ROWS) == _printf_17g(_FIXED_ROWS)
+    ties = np.array(_ties())
+    assert ties.size >= 100 and 2.0**-25 in ties
+
+
+@pytest.mark.parametrize("ulps", [-1, 1])
+def test_encoder_matches_printf_when_log10_is_one_ulp_off(monkeypatch, ulps):
+    # a libm whose log10 is off by an ulp: too low leaves the scaled value at 10^17
+    # (refused) or rounds it up to 10^17 (a carry into the next exponent)
+    log10 = np.log10
+    monkeypatch.setattr(np, "log10", lambda a: np.nextafter(log10(a), ulps * np.inf))
+    assert ensembles_module._encode_17g(_FIXED_ROWS) == _printf_17g(_FIXED_ROWS)
+
+
+def test_lift_file_through_cli_matches_per_row_writer(tmp_path):
+    # the benchmark's biggest file: a seeded 400-atom line lifted on 201 nodes
+    rng = np.random.default_rng(400)
+    probs = rng.uniform(0.5, 1.5, 400)
+    line = NeuronEnsemble(probs / probs.sum(), rng.uniform(0.5, 1.5, 400) * rng.choice([-1.0, 1.0], 400),
+                          rng.uniform(-2.0, 2.0, 400), rng.uniform(-1.0, 1.0, 400), 0.5)
+    save_ensemble(line, tmp_path / "line.txt")
+    argv = ["ensemble", "lift", "--in", str(tmp_path / "line.txt"), "--out", str(tmp_path / "plane.txt")]
+    assert cli_run([*argv, "--nodes", "201"]) == 0
+    plane = load_ensemble(tmp_path / "plane.txt")
+    assert len(plane) == 400 * 201
+    _save_per_row(plane, tmp_path / "per_row.txt")
+    assert (tmp_path / "plane.txt").read_bytes() == (tmp_path / "per_row.txt").read_bytes()
 
 
 def test_load_skips_blank_lines_whitespace_and_crlf(tmp_path):
