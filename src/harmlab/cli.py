@@ -272,10 +272,8 @@ def _cmd_ensemble(args) -> int:
     _check_seed(args.seed, "--seed")
     e = load_ensemble(args.infile)
     if args.action == "lift":
-        if args.samples is not None:
-            out = lift_ensemble(e, n_samples=args.samples, seed=args.seed)
-        else:
-            out = lift_ensemble(e, t_rule=cauchy_tangent_rule(args.nodes))
+        rule = None if args.nodes is None else cauchy_tangent_rule(args.nodes)
+        out = lift_ensemble(e, t_rule=rule, n_samples=args.samples, seed=args.seed)
     elif args.action == "slice":
         x0 = [_float(t, "--x0 entry") for t in args.x0.split(",")]
         v = [_float(t, "--v entry") for t in args.v.split(",")]
@@ -388,7 +386,7 @@ def build_parser() -> argparse.ArgumentParser:
     en.add_argument("action", choices=["lift", "slice", "extend", "sample"])
     en.add_argument("--in", dest="infile", required=True, help="input ensemble file")
     en.add_argument("--out", required=True, help="output ensemble file")
-    en.add_argument("--nodes", type=int, default=201, help="quadrature nodes for lift (default 201)")
+    en.add_argument("--nodes", type=int, default=None, help="quadrature nodes for lift (201 without --samples)")
     en.add_argument("--samples", type=int, default=None, help="random Cauchy draws for lift")
     en.add_argument("--seed", type=int, default=0, help="random seed for sampling operations")
     en.add_argument("--n", type=int, default=None, help="subnetwork size for sample")

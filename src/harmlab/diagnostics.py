@@ -11,19 +11,19 @@ imaginary part alone gains one extra order for odd k by parity).
 
 The slice diagnostics probe the log component of the integer-power solution:
 restricted to a ray y = x tan(theta) it is exactly
-c * x^k log x + d * x^k with c = sec^k(theta) sin(k theta) / pi.
+c * x^k log|x| + d * x^k with c = sec^k(theta) sin(k theta) / pi.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import DegenerateAngle, ValidationError
+from .errors import DegenerateAngle, NumericalError, ValidationError
 from .halfplane import HalfPlanePoint
-from .numerics import integrate_adaptive
+from .line_barron import DifferentiableFunction1D, barron_norm_upper
 from .solutions import _integer_parts
 
 __all__ = [
@@ -74,12 +74,14 @@ class SliceLogFit:
 
 
 def slice_log_fit(k: int, theta: float, n_points: int = 60) -> SliceLogFit:
-    """Fit the log component along the ray y = x tan(theta).
+    """Fit the log component along the ray y = x tan(theta) as c x^k log|x| + d x^k.
 
     The decomposition is an identity, so the residual sits at machine scale
-    and c_fit recovers sec^k(theta) sin(k theta) / pi. Angles with
-    k*theta in pi*Z are rejected (the log coefficient vanishes there).
-    Angles beyond pi/2 address the reflected ray (x < 0).
+    and c_fit recovers sec^k(theta) sin(k theta) / pi on both rays; angles
+    beyond pi/2 address the reflected ray (x < 0). Angles with k*theta in
+    pi*Z are rejected (the log coefficient vanishes there). From about k = 100
+    the design is ill-conditioned, so it is solved by lstsq, and NumericalError
+    is raised when the samples are not finite or the design has rank < 2.
     """
     if k < 1:
         raise ValidationError(f"k must be a positive integer, got {k}")
@@ -94,14 +96,17 @@ def slice_log_fit(k: int, theta: float, n_points: int = 60) -> SliceLogFit:
             f"k*theta = {k * theta} is within 1e-6 of pi*Z; log coefficient vanishes"
         )
     t = np.logspace(-3, 0, n_points)
-    sign = 1.0 if math.cos(theta) > 0.0 else -1.0
-    x = sign * t
+    x = math.copysign(1.0, math.cos(theta)) * t
     y = x * math.tan(theta)  # positive on both branches
-    ui = _integer_parts(x, y, k, 0.0)[1]
-    # normal equations; the two-function model is exact, conditioning is benign
-    basis = np.column_stack([t**k * np.log(t), t**k])
-    coef = np.linalg.solve(basis.T @ basis, basis.T @ ui)
-    residual = float(np.max(np.abs(basis @ coef - ui)))
+    with np.errstate(all="ignore"):
+        ui = _integer_parts(x, y, k, 0.0)[1]
+        basis = np.column_stack([x**k * np.log(t), x**k])
+        if not (np.all(np.isfinite(ui)) and np.all(np.isfinite(basis))):
+            raise NumericalError(f"the log part along the ray is not finite in double precision at k = {k}")
+        coef, _, rank, _ = np.linalg.lstsq(basis, ui, rcond=None)
+        if rank < 2:
+            raise NumericalError(f"x^k log|x| and x^k are numerically dependent on the ray at k = {k}")
+        residual = float(np.max(np.abs(basis @ coef - ui)))
     return SliceLogFit(float(coef[0]), float(coef[1]), residual)
 
 
@@ -110,9 +115,9 @@ class SliceCriterionReport:
     """Weighted criterion integral of the arctan-component slice at y = 1.
 
     `value` integrates |d^(k+1) ((1/2 + arctan/pi) Re((xi+i)^k))| (1+|xi|^k)
-    over the whole line (tangent substitution); `cutoff_values` are the same
-    integral truncated to [-T, T] for each T in `cutoffs`. Finiteness
-    certifies the representation criterion for this component.
+    over the whole line; `cutoff_values` are the same integral truncated to
+    [-T, T] for each T in `cutoffs`. Finiteness certifies the representation
+    criterion for this component.
     """
 
     k: int
@@ -124,7 +129,7 @@ class SliceCriterionReport:
 def ur_slice_barron_check(
     k: int, cutoffs: tuple[float, ...] = (1e2, 1e3, 1e4), tol: float = 1e-10
 ) -> SliceCriterionReport:
-    """Evaluate the slice criterion integral; the polynomial part contributes zero.
+    """Evaluate the slice criterion integral by barron_norm_upper; the polynomial part contributes zero.
 
     The integrand decays like |xi|^(k-1) * |xi|^(-(k+1)) ~ xi^(-2) after the
     weight, so the full-line value is finite and cutoff truncations approach
@@ -132,24 +137,11 @@ def ur_slice_barron_check(
     """
     if k < 1:
         raise ValidationError(f"k must be a positive integer, got {k}")
-
-    def weighted(xi):
-        xi = np.asarray(xi, dtype=float)
-        return np.abs(_dk1_field(xi, 1.0, k)) / math.pi * (1.0 + np.abs(xi) ** k)
-
-    def substituted(eta):
-        eta = np.asarray(eta, dtype=float)
-        xi = np.tan(eta)
-        return weighted(xi) * (1.0 + xi * xi)
-
-    half = math.pi / 2.0
-    value = integrate_adaptive(substituted, -half, 0.0, tol=tol) + integrate_adaptive(
-        substituted, 0.0, half, tol=tol
+    df = DifferentiableFunction1D(
+        lambda xi: _integer_parts(xi, 1.0, k, 0.0)[0],  # the arctan part
+        lambda xi: _dk1_field(xi, 1.0, k) / math.pi,
+        k,
+        (-math.inf, math.inf),
     )
-    cuts = []
-    for T in cutoffs:
-        cuts.append(
-            integrate_adaptive(weighted, -float(T), 0.0, tol=tol)
-            + integrate_adaptive(weighted, 0.0, float(T), tol=tol)
-        )
-    return SliceCriterionReport(k, value, tuple(float(T) for T in cutoffs), tuple(cuts))
+    cuts = tuple(barron_norm_upper(replace(df, support=(-float(T), float(T))), tol) for T in cutoffs)
+    return SliceCriterionReport(k, barron_norm_upper(df, tol), tuple(float(T) for T in cutoffs), cuts)

@@ -288,9 +288,11 @@ def lift_ensemble(
 
     Push-forward along (a, w, b; t) -> (a, (w, t*w), b) with t Cauchy
     distributed: deterministic nodes from `t_rule` (default 201 tangent-mapped
-    Gauss-Legendre nodes), or iid Cauchy draws when `n_samples` is given.
-    Requires alpha < 1 so the lifted cost stays finite.
+    Gauss-Legendre nodes), or iid Cauchy draws when `n_samples` is given; not
+    both. Requires alpha < 1 so the lifted cost stays finite.
     """
+    if t_rule is not None and n_samples is not None:
+        raise ValidationError("lift takes quadrature nodes or random samples, not both")
     if e.dim != 1:
         raise DimensionMismatch("lift_ensemble needs a one-dimensional ensemble")
     if e.alpha >= 1.0:
@@ -328,7 +330,7 @@ def slice_ensemble(e: NeuronEnsemble, x0, v) -> NeuronEnsemble:
     if x0.shape != (2,) or v.shape != (2,):
         raise ValidationError("x0 and v must be 2-vectors")
     with np.errstate(over="ignore"):  # an overflow is refused as a non-finite w or b
-        if np.linalg.norm(v) == 0.0:
+        if not np.any(v):
             raise ZeroDirection("slice direction must be nonzero")
         return NeuronEnsemble(e.probs, e.a, e.w @ v, e.w @ x0 + e.b, e.alpha)
 

@@ -18,7 +18,7 @@ discretized by a midpoint rule on an equal-mass mesh of |f^(k+1)|.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -46,7 +46,8 @@ class DifferentiableFunction1D:
     """A function with an analytically supplied (k+1)-th derivative.
 
     Both callables must accept numpy arrays. `singular_points` declares where
-    the derivative blows up (endpoints included in the split logic).
+    the derivative blows up (endpoints included in the split logic). The
+    support may have infinite ends.
     """
 
     f: Callable[[np.ndarray], np.ndarray]
@@ -72,8 +73,13 @@ def _pieces(df: DifferentiableFunction1D) -> list[tuple[float, float]]:
 def barron_norm_upper(df: DifferentiableFunction1D, tol: float = 1e-9) -> float:
     """integral over the support of |f^(k+1)(x)| (1 + |x|^k) dx.
 
-    Raises DivergenceDetected when adaptive refinement near a singular point
-    exhausts its budget with growing partial sums (non-integrable derivative).
+    The one quadrature of the criterion, split at 0 and at the singular
+    points. A piece with an infinite end is integrated in theta = arctan x,
+    with integrand w(tan theta) (1 + tan^2 theta). Raises DivergenceDetected
+    when refinement exhausts its budget, or when the integrand blows up at a
+    declared singular endpoint or refinement reaches an infinite end (theta =
+    +-pi/2 at floating-point resolution: a tail that diverges, or decays too
+    slowly to meet tol); messages name the piece in x.
     """
     k = df.k
 
@@ -81,11 +87,21 @@ def barron_norm_upper(df: DifferentiableFunction1D, tol: float = 1e-9) -> float:
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
             return np.abs(df.deriv(x)) * (1.0 + np.abs(x) ** k)
 
+    def tangent(theta):
+        # a node at theta = +-pi/2 means refinement reached the infinite end at
+        # floating-point resolution, where tol cannot be met; refuse it as non-finite
+        x = np.tan(theta)
+        return np.where(np.abs(theta) < math.pi / 2, weighted(x) * (1.0 + x * x), np.inf)
+
     total = 0.0
-    sing = set(df.singular_points)
+    sing = {*df.singular_points, -math.inf, math.inf}
     for lo, hi in _pieces(df):
+        if math.isinf(lo) or math.isinf(hi):
+            g, a, b = tangent, math.atan(lo), math.atan(hi)
+        else:
+            g, a, b = weighted, lo, hi
         try:
-            total += integrate_adaptive(weighted, lo, hi, tol=tol, max_intervals=6000)
+            total += integrate_adaptive(g, a, b, tol=tol, max_intervals=6000)
         except MaxSubdivisionsExceeded as exc:
             raise DivergenceDetected(
                 f"criterion integral does not converge on ({lo}, {hi}); "
@@ -94,7 +110,7 @@ def barron_norm_upper(df: DifferentiableFunction1D, tol: float = 1e-9) -> float:
         except NonFiniteSample:
             if lo in sing or hi in sing:
                 raise DivergenceDetected(
-                    f"criterion integrand blows up at a declared singular endpoint of ({lo}, {hi})"
+                    f"criterion integral does not converge at a singular or infinite end of ({lo}, {hi})"
                 ) from None
             raise
     return total
@@ -146,6 +162,8 @@ def ensemble_from_derivative(
         raise ValidationError(f"need k+1 = {k + 1} taylor coefficients, got {taylor.shape}")
     if quad_nodes < 1:
         raise ValidationError(f"quad_nodes must be >= 1, got {quad_nodes}")
+    if not all(map(math.isfinite, df.support)):
+        raise ValidationError(f"the equal-mass mesh needs a finite support, got {df.support}")
     barron_norm_upper(df)  # raises DivergenceDetected on non-integrable input
 
     lo, hi = df.support
@@ -179,38 +197,26 @@ def ensemble_from_derivative(
 
 
 def xklogx_derivative(k: int):
-    """The (k+1)-th derivative of x^k log x as a termwise Leibniz sum (vectorized).
+    """The (k+1)-th derivative of x^k log x: the closed form k!/x (vectorized).
 
-    The l-th term pairs d^l x^k with d^(k+1-l) log x; the sum collapses to a
-    constant multiple of 1/x, which is what the divergence diagnostic probes.
+    Leibniz pairs d^l x^k with d^(k+1-l) log x; the k+1 terms have sizes
+    summing to (2^(k+1) - 1) k! and cancel to k!/x, so they are not summed
+    here. k > 170 is refused: k! is not a double there.
     """
     if k < 1:
         raise ValidationError(f"k must be a positive integer, got {k}")
-    terms = []
-    for l in range(k + 1):
-        c = (
-            math.comb(k + 1, l)
-            * (math.factorial(k) // math.factorial(k - l))
-            * (-1.0) ** (k - l)
-            * math.factorial(k - l)
-        )
-        terms.append((c, k - l, -(k + 1 - l)))  # c * x^(k-l) * x^(-(k+1-l))
-
-    def deriv(x):
-        x = np.asarray(x, dtype=float)
-        out = np.zeros_like(x)
-        for c, p1, p2 in terms:
-            out += c * x**p1 * x**p2
-        return out
-
-    return deriv
+    if k > 170:
+        raise ValidationError(f"k! is not a double for k > 170, got k = {k}")
+    fact = float(math.factorial(k))
+    return lambda x: fact / np.asarray(x, dtype=float)
 
 
 def log_divergence_diagnostic(k: int, deltas) -> RateFit:
     """Fit I(delta) = int_delta^1 |d^(k+1)(x^k log x)| (1 + x^k) dx against |log delta|.
 
-    The slope estimates the divergence constant (k! for this family) and
-    r^2 >= 0.999 certifies logarithmic blow-up of the criterion integral.
+    Each I(delta) is one barron_norm_upper call at tol 1e-11. The slope
+    estimates the divergence constant (k! for this family) and r^2 >= 0.999
+    certifies logarithmic blow-up of the criterion integral.
     """
     deltas = np.asarray(deltas, dtype=float)
     if deltas.ndim != 1 or deltas.size < 3:
@@ -221,10 +227,6 @@ def log_divergence_diagnostic(k: int, deltas) -> RateFit:
         raise ValidationError("deltas must be strictly decreasing")
     if deltas[-1] < 1e-8:
         raise ValidationError("deltas below 1e-8 are not resolved")
-    dk1 = xklogx_derivative(k)
-
-    def weighted(x):
-        return np.abs(dk1(x)) * (1.0 + x**k)
-
-    values = [integrate_adaptive(weighted, float(d), 1.0, tol=1e-11) for d in deltas]
+    df = DifferentiableFunction1D(lambda x: x**k * np.log(x), xklogx_derivative(k), k, (deltas[0], 1.0))
+    values = [barron_norm_upper(replace(df, support=(float(d), 1.0)), tol=1e-11) for d in deltas]
     return fit_linear(np.abs(np.log(deltas)), values)

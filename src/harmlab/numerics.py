@@ -20,6 +20,7 @@ from .errors import (
     DegenerateDesign,
     MaxSubdivisionsExceeded,
     NonFiniteSample,
+    NumericalError,
     StencilLeavesDomain,
     ValidationError,
 )
@@ -282,6 +283,8 @@ class GridSpec:
     def __post_init__(self):
         if not (self.R > 0.0):
             raise ValidationError(f"R must be > 0, got {self.R}")
+        if not (math.isfinite(self.R) and math.isfinite(self.grading)):
+            raise ValidationError(f"R and grading must be finite, got R = {self.R}, grading = {self.grading}")
         if self.nr < 8 or self.nphi < 8:
             raise ValidationError(f"need nr, nphi >= 8, got ({self.nr}, {self.nphi})")
         if self.grading < 1.0:
@@ -394,14 +397,18 @@ def norm_lp_halfdisk(f, grid: GridSpec, p: float) -> float:
     if not (p >= 1.0):
         raise ValidationError(f"p must be in [1, inf], got {p}")
     r, phi = grid.polar()
-    V = np.asarray(f(r, phi), dtype=float)
+    with np.errstate(all="ignore"):  # a non-finite field is refused below, not warned about
+        V = np.asarray(f(r, phi), dtype=float)
     if V.shape != (grid.nr, grid.nphi):
         raise ValidationError("field must evaluate elementwise on the grid")
     if not np.all(np.isfinite(V)):
         raise NonFiniteSample("field evaluated to a non-finite value on the grid")
     absV = np.abs(V)
     if math.isinf(p):
-        grid_max, _, ray_max, edge = ray_refined_max(f, grid, absV)
+        with np.errstate(all="ignore"):
+            grid_max, _, ray_max, edge = ray_refined_max(f, grid, absV)
+        if not (math.isfinite(ray_max) and math.isfinite(edge)):
+            raise NonFiniteSample("field evaluated to a non-finite value along the maximizing ray")
         return max(grid_max, ray_max, edge)
     wr = grid.radial_weights()
     integral = float(np.sum(absV**p * r * wr[:, None]) * grid.angular_weight)
@@ -422,7 +429,11 @@ class RateFit:
 
 
 def fit_linear(xs, ys) -> RateFit:
-    """Least-squares line y ~ slope*x + intercept."""
+    """Least-squares line y ~ slope*x + intercept.
+
+    NumericalError when the slope, intercept or r^2 is not finite: the sums
+    of squares overflow once the spread of y nears 1e154.
+    """
     x = np.asarray(xs, dtype=float)
     y = np.asarray(ys, dtype=float)
     if x.shape != y.shape or x.ndim != 1:
@@ -431,17 +442,20 @@ def fit_linear(xs, ys) -> RateFit:
         raise ValidationError(f"need at least 3 points, got {x.size}")
     if np.ptp(x) == 0.0:
         raise DegenerateDesign("all abscissae identical; cannot fit a line")
-    xm, ym = x.mean(), y.mean()
-    sxx = float(np.sum((x - xm) ** 2))
-    slope = float(np.sum((x - xm) * (y - ym)) / sxx)
-    intercept = ym - slope * xm
-    resid = y - (slope * x + intercept)
-    ss_res = float(np.sum(resid**2))
-    ss_tot = float(np.sum((y - ym) ** 2))
+    with np.errstate(all="ignore"):  # an overflowed fit is refused below, not warned about
+        xm, ym = x.mean(), y.mean()
+        sxx = float(np.sum((x - xm) ** 2))
+        slope = float(np.sum((x - xm) * (y - ym)) / sxx)
+        intercept = ym - slope * xm
+        resid = y - (slope * x + intercept)
+        ss_res = float(np.sum(resid**2))
+        ss_tot = float(np.sum((y - ym) ** 2))
     if ss_tot == 0.0:
         r2 = 1.0 if ss_res <= 1e-28 else 0.0
     else:
         r2 = 1.0 - ss_res / ss_tot
+    if not all(map(math.isfinite, (slope, intercept, r2))):
+        raise NumericalError(f"line fit is not finite: slope {slope:g}, intercept {intercept:g}, r2 {r2:g}")
     return RateFit(slope, intercept, r2, int(x.size))
 
 

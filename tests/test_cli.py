@@ -25,6 +25,7 @@ from harmlab import (
     load_ensemble,
     numerics,
     save_ensemble,
+    slice_ensemble,
 )
 from harmlab.cli import run
 
@@ -327,6 +328,48 @@ def test_diag_slice_degenerate_exit(capsys):
     assert code == 2 and "invalid input" in err
 
 
+def test_diag_slice_odd_k_reflected_ray_matches_expected(capsys):
+    code, out, err = invoke(capsys, "diag", "slice", "--k", "1", "--theta", "2.0")
+    fields = dict(tok.split("=") for tok in out.split())
+    assert code == 0 and err == ""
+    assert fields["c_fit"] == fields["expected"] == "-0.695519790182"
+
+
+def test_diag_slice_large_k_matches_expected(capsys):
+    code, out, err = invoke(capsys, "diag", "slice", "--k", "200", "--theta", "0.3")
+    fields = dict(tok.split("=") for tok in out.split())
+    assert code == 0 and err == ""
+    assert float(fields["c_fit"]) == pytest.approx(float(fields["expected"]), rel=1e-9)
+
+
+@pytest.mark.parametrize("k", ["300", "100000"])
+def test_diag_slice_unresolvable_k_exits_3(capsys, k):
+    code, out, err = invoke(capsys, "diag", "slice", "--k", k, "--theta", "0.3")
+    assert code == 3 and out == ""
+    assert err.count("\n") == 1 and err.startswith("harmlab: numerical failure: ")
+
+
+@pytest.mark.parametrize("k", [40, 60, 100])
+def test_diag_xklogx_large_k_slope_is_k_factorial(capsys, k):
+    code, out, err = invoke(capsys, "diag", "xklogx", "--k", str(k), "--delta-min", "1e-6", "--steps", "5")
+    assert code == 0 and err == ""
+    assert out.split()[0] == f"slope={math.factorial(k):.6g}"
+
+
+@pytest.mark.parametrize(
+    "k,code,reason",
+    [
+        ("140", 3, "numerical failure: line fit is not finite"),
+        ("171", 2, "invalid input: k! is not a double for k > 170"),
+        ("100000", 2, "invalid input: k! is not a double for k > 170"),
+    ],
+)
+def test_diag_xklogx_hostile_k_exits_with_one_line(capsys, k, code, reason):
+    got, out, err = invoke(capsys, "diag", "xklogx", "--k", k, "--delta-min", "1e-6", "--steps", "5")
+    assert got == code and out == ""
+    assert err.count("\n") == 1 and err.startswith(f"harmlab: {reason}")
+
+
 def test_ensemble_pipeline(tmp_path, capsys):
     src = tmp_path / "e1.txt"
     e = NeuronEnsemble([1.0], [1.0], [[1.0]], [0.0], 0.5)
@@ -607,3 +650,48 @@ def test_rates_reg_default_slope_band(tmp_path, capsys):
     assert code == 0
     slope = float(stdout.split()[0].split("=")[1])
     assert 1.90 <= slope <= 2.10
+
+
+@pytest.mark.parametrize(
+    "argv,code,reason",
+    [
+        (["rates", "reg", "--k", "2", "--grading", "nan"], 2, "invalid input: R and grading must be finite"),
+        (["rates", "reg", "--k", "2", "--grading", "inf"], 2, "invalid input: R and grading must be finite"),
+        (["rates", "reg", "--k", "2", "--R", "inf"], 2, "invalid input: R and grading must be finite"),
+        (["rates", "reg", "--k", "2", "--R", "1e200"], 3, "numerical failure: field evaluated to a non-finite value"),
+        (["rates", "sobolev", "--k", "2", "--R", "1e200"], 3,
+         "numerical failure: field evaluated to a non-finite value"),
+    ],
+    ids=["grading-nan", "grading-inf", "R-inf", "reg-R-1e200", "sobolev-R-1e200"],
+)
+def test_non_finite_half_disk_exits_with_one_line(tmp_path, capsys, argv, code, reason):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy overflow warning would otherwise reach stderr
+        got, out, err = invoke(capsys, *argv, "--out", str(tmp_path / "x.csv"))
+    assert got == code and out == ""
+    assert err.count("\n") == 1 and err.startswith(f"harmlab: {reason}")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_tiny_slice_direction_succeeds(tmp_path, capsys):
+    plane = tmp_path / "plane.txt"
+    e = NeuronEnsemble([0.5, 0.5], [1.0, -2.0], [[1.0, 2.0], [0.5, -3.0]], [0.0, 0.25], 0.5)
+    save_ensemble(e, plane)
+    code, out, err = invoke(capsys, "ensemble", "slice", "--in", str(plane), "--x0=0,0", "--v=1e-200,1e-200",
+                            "--out", str(tmp_path / "o.txt"))
+    assert code == 0 and out == "" and err == ""
+    want = slice_ensemble(load_ensemble(plane), [0.0, 0.0], [1e-200, 1e-200])
+    got = load_ensemble(tmp_path / "o.txt")
+    for name in ("probs", "a", "w", "b"):
+        np.testing.assert_array_equal(getattr(got, name), getattr(want, name), err_msg=name)
+
+
+@pytest.mark.parametrize("nodes", ["0", "5"])
+def test_lift_nodes_with_samples_exits_2(tmp_path, capsys, nodes):
+    line = tmp_path / "line.txt"
+    save_ensemble(NeuronEnsemble([1.0], [1.0], [[1.0]], [0.0], 0.5), line)
+    code, out, err = invoke(capsys, "ensemble", "lift", "--in", str(line), "--nodes", nodes, "--samples", "3",
+                            "--out", str(tmp_path / "o.txt"))
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and err.startswith("harmlab: invalid input: ")
+    assert not (tmp_path / "o.txt").exists()

@@ -8,6 +8,7 @@ import pytest
 from harmlab import (
     DegenerateAngle,
     HalfPlanePoint,
+    NumericalError,
     ValidationError,
     closed_form_dk1,
     dk1_angle_factor,
@@ -96,6 +97,31 @@ def test_slice_reflected_angle_antisymmetry():
         assert c_minus == pytest.approx(-c_plus, rel=1e-9)
 
 
+@pytest.mark.parametrize("k", [1, 3, 5])
+@pytest.mark.parametrize("theta", [2.0, 2.5])
+def test_slice_log_fit_reflected_ray_odd_k(k, theta):
+    # the fit is in x, so c keeps the formula's sign on the reflected ray
+    res = slice_log_fit(k, theta)
+    expected_c = (1.0 / math.cos(theta)) ** k * math.sin(k * theta) / math.pi
+    expected_d = expected_c * math.log(1.0 / abs(math.cos(theta)))
+    assert res.c_fit == pytest.approx(expected_c, rel=1e-9)
+    assert res.d_fit == pytest.approx(expected_d, rel=1e-9)
+    assert res.residual <= 1e-10 * abs(expected_c)
+
+
+def test_slice_log_fit_large_k_is_well_conditioned():
+    # the design's condition number is about 1e11 here, so its normal equations fail
+    res = slice_log_fit(200, 0.3)
+    expected_c = (1.0 / math.cos(0.3)) ** 200 * math.sin(200 * 0.3) / math.pi
+    assert res.c_fit == pytest.approx(expected_c, rel=1e-9)
+
+
+@pytest.mark.parametrize("k,reason", [(300, "numerically dependent"), (100000, "not finite")])
+def test_slice_log_fit_unresolvable_k_raises(k, reason):
+    with pytest.raises(NumericalError, match=reason):
+        slice_log_fit(k, 0.3)
+
+
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
 def test_criterion_integral_finite_and_cutoff_converging(k):
     rep = ur_slice_barron_check(k)
@@ -116,3 +142,12 @@ def test_criterion_integral_tolerance_stability():
     loose = ur_slice_barron_check(2, tol=1e-6).value
     tight = ur_slice_barron_check(2, tol=1e-11).value
     assert loose == pytest.approx(tight, rel=1e-6)
+
+
+@pytest.mark.parametrize(
+    "k,value",
+    [(1, 1.6366197723675815), (2, 5.09295817894065), (3, 25.93658550998355), (4, 183.3464944418631)],
+)
+def test_criterion_integral_values_pinned(k, value):
+    # full-line values, integrated in theta = arctan(xi) by barron_norm_upper
+    assert ur_slice_barron_check(k).value == pytest.approx(value, rel=1e-13)

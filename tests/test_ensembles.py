@@ -149,6 +149,11 @@ def test_lift_sampling_mode_deterministic():
     assert not np.array_equal(l3.w, l1.w)
 
 
+def test_lift_refuses_nodes_and_samples_together():
+    with pytest.raises(ValidationError, match="not both"):
+        lift_ensemble(single(1.0, 1.0, 0.0, 0.5), t_rule=cauchy_tangent_rule(5), n_samples=3, seed=0)
+
+
 def test_lift_rejects_alpha_ge_one():
     with pytest.raises(AlphaTooLarge):
         lift_ensemble(single(1.0, 1.0, 0.0, 1.0))
@@ -203,6 +208,13 @@ def test_slice_zero_direction():
     e = NeuronEnsemble([1.0], [1.0], [[1.0, 0.0]], [0.0], 1.0)
     with pytest.raises(ZeroDirection):
         slice_ensemble(e, [0.0, 0.0], [0.0, 0.0])
+
+
+def test_slice_tiny_direction_is_nonzero():
+    # the norm of (1e-200, 1e-200) underflows to 0; the direction is still nonzero
+    e = NeuronEnsemble([1.0], [1.0], [[1.0, 2.0]], [0.5], 1.0)
+    s = slice_ensemble(e, [0.0, 0.0], [1e-200, 1e-200])
+    assert s.w[0, 0] == pytest.approx(3e-200, rel=1e-15) and s.b[0] == 0.5
 
 
 def test_extend_single_neuron():

@@ -1,6 +1,7 @@
 """1D representation criterion, constructive ensembles, and the x^k log x diagnostic."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -10,6 +11,8 @@ from harmlab import (
     DifferentiableFunction1D,
     DivergenceDetected,
     NeuronEnsemble,
+    NonFiniteSample,
+    NumericalError,
     ValidationError,
     barron_cost,
     barron_norm_upper,
@@ -61,6 +64,46 @@ def test_integrable_singularity_is_fine():
     )
     # int 0.25 x^(-1/2) (1 + x) dx over (0,1) = 0.25 (2 + 2/3)
     assert barron_norm_upper(df) == pytest.approx(0.25 * (2 + 2 / 3), rel=1e-7)
+
+
+@pytest.mark.parametrize(
+    "support,want",
+    [
+        ((-math.inf, math.inf), math.sqrt(math.pi) + 1.0),
+        ((0.0, math.inf), 0.5 * math.sqrt(math.pi) + 0.5),
+        ((-math.inf, 0.0), 0.5 * math.sqrt(math.pi) + 0.5),
+    ],
+)
+def test_norm_upper_infinite_support(support, want):
+    # k = 1, f'' = exp(-x^2): int exp(-x^2) (1 + |x|) dx = sqrt(pi) + 1 over the line
+    df = DifferentiableFunction1D(lambda x: x, lambda x: np.exp(-x * x), 1, support)
+    assert barron_norm_upper(df) == pytest.approx(want, rel=1e-9)
+
+
+@pytest.mark.parametrize(
+    "deriv,k,support,where",
+    [
+        (lambda x: 1.0 / x**2, 1, (1.0, math.inf), "(1.0, inf)"),  # log-divergent tail
+        (lambda x: 1.0 / (1.0 + x * x), 1, (-math.inf, math.inf), "(-inf, 0.0)"),
+        (lambda x: np.exp(x), 1, (0.0, math.inf), "(0.0, inf)"),  # overflows on the way out
+    ],
+)
+def test_norm_upper_divergent_tail_detected_and_named_in_x(deriv, k, support, where):
+    df = DifferentiableFunction1D(deriv, deriv, k, support)
+    with pytest.raises(DivergenceDetected, match=re.escape(where)):
+        barron_norm_upper(df)
+
+
+def test_norm_upper_non_finite_inside_finite_piece_is_not_divergence():
+    df = DifferentiableFunction1D(lambda x: x, lambda x: np.where(x > 0.5, np.nan, 1.0), 1, (0.0, 1.0))
+    with pytest.raises(NonFiniteSample):
+        barron_norm_upper(df)
+
+
+def test_ensemble_from_derivative_refuses_infinite_support():
+    df = DifferentiableFunction1D(lambda x: x, lambda x: np.exp(-x * x), 1, (0.0, math.inf))
+    with pytest.raises(ValidationError, match="finite support"):
+        ensemble_from_derivative(df, 100, [0.0, 0.0])
 
 
 def test_single_neuron_target_direct_construction():
@@ -208,3 +251,28 @@ def test_log_divergence_validation():
         log_divergence_diagnostic(1, [0.5, 0.6, 0.7])  # increasing
     with pytest.raises(ValidationError):
         log_divergence_diagnostic(1, [1e-2, 1e-5, 1e-9])  # below 1e-8
+
+
+@pytest.mark.parametrize("k", [1, 2, 10, 40, 100, 170])
+def test_xklogx_derivative_is_k_factorial_over_x(k):
+    x = np.array([0.3, 1.0, 7.5, 1e3])
+    np.testing.assert_array_equal(xklogx_derivative(k)(x), float(math.factorial(k)) / x)
+
+
+@pytest.mark.parametrize("k", [0, 171, 100000])
+def test_xklogx_derivative_refuses_k(k):
+    with pytest.raises(ValidationError):
+        xklogx_derivative(k)
+
+
+@pytest.mark.parametrize("k", [40, 60, 100])
+def test_log_divergence_slope_is_k_factorial_at_large_k(k):
+    # a termwise Leibniz sum of the derivative cancels (2^(k+1) - 1) k! down to k!/x here
+    fit = log_divergence_diagnostic(k, np.logspace(-1, -6, 5))
+    assert fit.slope == pytest.approx(math.factorial(k), rel=1e-9)
+
+
+def test_log_divergence_overflowing_fit_raises():
+    # k = 140: the values are near 1e242, so the fit's sums of squares overflow
+    with pytest.raises(NumericalError, match="line fit is not finite"):
+        log_divergence_diagnostic(140, np.logspace(-1, -6, 5))

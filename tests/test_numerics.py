@@ -11,6 +11,7 @@ from harmlab import (
     HalfPlanePoint,
     MaxSubdivisionsExceeded,
     NonFiniteSample,
+    NumericalError,
     QuadratureRule,
     StencilLeavesDomain,
     ValidationError,
@@ -180,6 +181,9 @@ def test_gridspec_validation():
         GridSpec(-1.0)
     with pytest.raises(ValidationError):
         GridSpec(1.0, grading=0.5)
+    for R, grading in ((1.0, math.nan), (1.0, math.inf), (math.inf, 2.0), (math.nan, 2.0)):
+        with pytest.raises(ValidationError):
+            GridSpec(R, grading=grading)
 
 
 def test_gridspec_node_limit(monkeypatch):
@@ -242,6 +246,24 @@ def test_norm_nonfinite_rejected():
 
     with pytest.raises(NonFiniteSample):
         norm_lp_halfdisk(f, g, 2.0)
+
+
+def test_norm_overflowing_field_rejected_without_warnings():
+    # pytest turns RuntimeWarning into an error, so a warning fails this test
+    g = GridSpec(1e200, 16, 16, 1.0)
+    with pytest.raises(NonFiniteSample, match="on the grid"):
+        norm_lp_halfdisk(lambda r, phi: r * r * np.sin(phi), g, 2.0)
+
+
+def test_norm_nonfinite_ray_max_rejected():
+    g = GridSpec(1.0, 16, 16, 1.0)
+
+    def f(r, phi):  # finite on the grid, NaN on the one-point ray calls
+        return np.ones_like(r * phi) if np.size(r) > 1 else np.sqrt(-np.ones_like(r * phi))
+
+    assert norm_lp_halfdisk(f, g, 2.0) > 0.0
+    with pytest.raises(NonFiniteSample, match="maximizing ray"):
+        norm_lp_halfdisk(f, g, math.inf)
 
 
 def test_norm_linf_reg_difference_window():
@@ -311,6 +333,12 @@ def test_fit_degenerate_design():
         fit_loglog([2.0, 2.0, 2.0], [1.0, 2.0, 3.0])
     with pytest.raises(DegenerateDesign):
         fit_linear([1.0, 1.0, 1.0], [1.0, 2.0, 3.0])
+
+
+def test_fit_overflow_raises():
+    # the sums of squares of values near 1e200 overflow; r^2 would be nan
+    with pytest.raises(NumericalError, match="line fit is not finite"):
+        fit_linear([1.0, 2.0, 3.0, 4.0], [1e200, 3e200, 2e200, 5e200])
 
 
 def test_fit_validation():
