@@ -138,6 +138,12 @@ def _grid_from_args(args, R: float) -> GridSpec:
     return GridSpec(R, args.nr, args.nphi, args.grading)
 
 
+def _check_sweep(n: int, what: str, unit: str) -> None:
+    """Refuse a sweep of more than MAX_NEURONS entries before numpy builds its knobs."""
+    if n > MAX_NEURONS:
+        raise ValidationError(f"{what} = {n} exceeds the limit of {MAX_NEURONS} {unit}")
+
+
 def _eps_list(args) -> np.ndarray:
     if not (0.0 < args.eps_min < args.eps_max):
         raise ValidationError("need 0 < eps-min < eps-max")
@@ -145,6 +151,7 @@ def _eps_list(args) -> np.ndarray:
         raise ValidationError("eps-max must be finite, got inf")
     if args.steps < 3:
         raise ValidationError("need at least 3 steps")
+    _check_sweep(args.steps, "steps", "eps values")
     return np.logspace(math.log10(args.eps_min), math.log10(args.eps_max), args.steps)
 
 
@@ -221,8 +228,8 @@ def _cmd_rates_reg(args) -> int:
 def _cmd_rates_mc(args) -> int:
     if args.n_min < 1 or args.n_max <= args.n_min or args.steps < 3:
         raise ValidationError("need 1 <= n-min < n-max and steps >= 3")
-    if args.steps > MAX_NEURONS:  # logspace would materialize every step
-        raise ValidationError(f"steps = {args.steps} exceeds the limit of {MAX_NEURONS} sizes")
+    _check_sweep(args.steps, "steps", "sizes")
+    _check_sweep(args.steps * args.seeds, "steps x seeds", "draws")
     _check_seed(args.target_seed, "--target-seed")
     ns = np.unique(
         np.round(np.logspace(math.log10(args.n_min), math.log10(args.n_max), args.steps)).astype(int)
@@ -252,6 +259,7 @@ def _cmd_diag_xklogx(args) -> int:
         raise ValidationError("need at least 3 steps")
     if not 0.0 < args.delta_min < 0.1:  # the cutoffs run from 0.1 down to delta-min
         raise ValidationError(f"need 0 < delta-min < 0.1, got {args.delta_min}")
+    _check_sweep(args.steps, "steps", "cutoffs")
     deltas = np.logspace(math.log10(0.1), math.log10(args.delta_min), args.steps)
     fit = log_divergence_diagnostic(args.k, deltas)
     print(f"slope={fit.slope:.6g} intercept={fit.intercept:.6g} r2={fit.r_squared:.6f}")
@@ -280,12 +288,10 @@ def _cmd_ensemble(args) -> int:
         out = slice_ensemble(e, x0, v)
     elif args.action == "extend":
         out = homogeneous_extend(e)
-    elif args.action == "sample":
+    else:  # sample; argparse refuses any other action
         if args.n is None:
             raise ValidationError("ensemble sample needs --n")
         out = sample_subnetwork(e, args.n, seed=args.seed)
-    else:
-        raise ValidationError(f"unknown ensemble action {args.action!r}")
     save_ensemble(out, args.out)
     return 0
 

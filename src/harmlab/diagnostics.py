@@ -73,7 +73,7 @@ class SliceLogFit:
     residual: float
 
 
-def slice_log_fit(k: int, theta: float, n_points: int = 60) -> SliceLogFit:
+def slice_log_fit(k: int, theta: float) -> SliceLogFit:
     """Fit the log component along the ray y = x tan(theta) as c x^k log|x| + d x^k.
 
     The decomposition is an identity, so the residual sits at machine scale
@@ -85,8 +85,6 @@ def slice_log_fit(k: int, theta: float, n_points: int = 60) -> SliceLogFit:
     """
     if k < 1:
         raise ValidationError(f"k must be a positive integer, got {k}")
-    if n_points < 20:
-        raise ValidationError(f"need n_points >= 20, got {n_points}")
     if not (0.0 < theta < math.pi):
         raise ValidationError(f"theta must lie in (0, pi), got {theta}")
     if abs(math.cos(theta)) < 1e-12:
@@ -95,7 +93,7 @@ def slice_log_fit(k: int, theta: float, n_points: int = 60) -> SliceLogFit:
         raise DegenerateAngle(
             f"k*theta = {k * theta} is within 1e-6 of pi*Z; log coefficient vanishes"
         )
-    t = np.logspace(-3, 0, n_points)
+    t = np.logspace(-3, 0, 60)
     x = math.copysign(1.0, math.cos(theta)) * t
     y = x * math.tan(theta)  # positive on both branches
     with np.errstate(all="ignore"):
@@ -116,8 +114,8 @@ class SliceCriterionReport:
 
     `value` integrates |d^(k+1) ((1/2 + arctan/pi) Re((xi+i)^k))| (1+|xi|^k)
     over the whole line; `cutoff_values` are the same integral truncated to
-    [-T, T] for each T in `cutoffs`. Finiteness certifies the representation
-    criterion for this component.
+    [-T, T] for each T in `cutoffs` (1e2, 1e3, 1e4). Finiteness certifies the
+    representation criterion for this component.
     """
 
     k: int
@@ -126,9 +124,7 @@ class SliceCriterionReport:
     cutoff_values: tuple[float, ...]
 
 
-def ur_slice_barron_check(
-    k: int, cutoffs: tuple[float, ...] = (1e2, 1e3, 1e4), tol: float = 1e-10
-) -> SliceCriterionReport:
+def ur_slice_barron_check(k: int, tol: float = 1e-10) -> SliceCriterionReport:
     """Evaluate the slice criterion integral by barron_norm_upper; the polynomial part contributes zero.
 
     The integrand decays like |xi|^(k-1) * |xi|^(-(k+1)) ~ xi^(-2) after the
@@ -137,11 +133,8 @@ def ur_slice_barron_check(
     """
     if k < 1:
         raise ValidationError(f"k must be a positive integer, got {k}")
-    df = DifferentiableFunction1D(
-        lambda xi: _integer_parts(xi, 1.0, k, 0.0)[0],  # the arctan part
-        lambda xi: _dk1_field(xi, 1.0, k) / math.pi,
-        k,
-        (-math.inf, math.inf),
-    )
-    cuts = tuple(barron_norm_upper(replace(df, support=(-float(T), float(T))), tol) for T in cutoffs)
-    return SliceCriterionReport(k, barron_norm_upper(df, tol), tuple(float(T) for T in cutoffs), cuts)
+    # the (k+1)-th derivative of the arctan part
+    df = DifferentiableFunction1D(lambda xi: _dk1_field(xi, 1.0, k) / math.pi, k, (-math.inf, math.inf))
+    cutoffs = (1e2, 1e3, 1e4)
+    cuts = tuple(barron_norm_upper(replace(df, support=(-T, T)), tol) for T in cutoffs)
+    return SliceCriterionReport(k, barron_norm_upper(df, tol), cutoffs, cuts)

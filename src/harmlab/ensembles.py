@@ -224,7 +224,7 @@ def _check_node_count(n: int) -> None:
         raise ValidationError(f"need at least 1 node, got n = {n}")
 
 
-def cauchy_tangent_rule(n: int = 201) -> QuadratureRule:
+def cauchy_tangent_rule(n: int) -> QuadratureRule:
     """Gauss-Legendre nodes on (-pi/2, pi/2) pushed through tan.
 
     Integrates h against the Cauchy probability density 1/(pi (1+t^2)):
@@ -257,18 +257,18 @@ def cauchy_midpoint_rule(n: int) -> QuadratureRule:
     return QuadratureRule(np.tan(psi), q, 1.0)
 
 
-def cauchy_graded_rule(n: int, grading: float = 4.0) -> QuadratureRule:
+def cauchy_graded_rule(n: int) -> QuadratureRule:
     """Midpoint rule on an angle mesh graded toward +-pi/2, pushed through tan.
 
     Boundary data growing like |t|^alpha turns into an endpoint singularity
     (pi/2 - psi)^(-alpha) in the angle variable; clustering cells there (cell
-    edges pi/2 * (1 - (1-s)^grading)) restores fast convergence of the lift
-    for 0 < alpha < 1.
+    edges pi/2 * (1 - (1-s)^4)) restores fast convergence of the lift for
+    0 < alpha < 1.
     """
     _check_node_count(n)
     half = (int(n) + 1) // 2
     s = np.arange(half + 1) / half
-    u = (1.0 - s) ** grading  # decreasing 1 -> 0; cell width prop. to u_i - u_{i+1}
+    u = (1.0 - s) ** 4.0  # decreasing 1 -> 0; cell width prop. to u_i - u_{i+1}
     du = u[:-1] - u[1:]
     umid = 0.5 * (u[:-1] + u[1:])
     psi_pos = 0.5 * np.pi * (1.0 - umid)
@@ -371,22 +371,17 @@ _HEADER_RE = re.compile(
 )
 
 
-# Rows formatted per write. One block's text and floats are a few MB at most,
-# so saving never holds the whole file in memory.
-_SAVE_BLOCK = 8192
-
-
 def save_ensemble(e: NeuronEnsemble, path) -> None:
     """One neuron per line: `prob a w_1 [w_2] b`, each double as `"%.17g" % x` writes it.
 
-    Blocks of rows go through `_encode_17g`, a numpy encoder whose bytes equal
-    `"%.17g"`'s for every finite double; `load_ensemble` reads them back bit
-    for bit.
+    Each pass of _ENCODE_ROWS rows is encoded by `_encode_17g`, whose bytes
+    equal `"%.17g"`'s for every finite double, and written at once;
+    `load_ensemble` reads the values back bit for bit.
     """
     with open(path, "wb") as fh:
         fh.write(f"#barron-ensemble v1 alpha={e.alpha:.17g} dim={e.dim}\n".encode())
-        for start in range(0, len(e), _SAVE_BLOCK):
-            rows = slice(start, start + _SAVE_BLOCK)
+        for start in range(0, len(e), _ENCODE_ROWS):
+            rows = slice(start, start + _ENCODE_ROWS)
             fh.write(_encode_17g(np.column_stack([e.probs[rows], e.a[rows], e.w[rows], e.b[rows]])))
 
 
@@ -525,10 +520,6 @@ def _encoder_tables() -> tuple:
 
 def _encode_17g(block: np.ndarray) -> bytes:
     """A 2D float block as text: each entry as `"%.17g" % x`, ' ' between columns, a newline per row."""
-    return b"".join(_encode_rows(block[i : i + _ENCODE_ROWS]) for i in range(0, len(block), _ENCODE_ROWS))
-
-
-def _encode_rows(block: np.ndarray) -> bytes:
     pow10, prefix, exponent, point17, keep_min, digits4, significant, point_masks, head = _encoder_tables()
     rows, cols = block.shape
     v = np.ascontiguousarray(block, dtype=float).ravel()

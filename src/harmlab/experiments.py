@@ -52,7 +52,7 @@ from .ensembles import (
     check_neuron_count,
     ensemble_derivatives,
 )
-from .errors import GateFailed, InadmissiblePair, KTooSmall, ValidationError
+from .errors import GateFailed, InadmissiblePair, KTooSmall, NumericalError, ValidationError
 from .numerics import (
     GridSpec,
     QuadratureRule,
@@ -331,7 +331,17 @@ def reg_error_experiment(
         "reg", k, R, p, order, eps_list, grid,
         lambda e, g: norm_lp_halfdisk(_reg_field(k, e, order), g, p), "norm",
     )
-    return reports, fit_loglog(eps, values)
+    return reports, _fit_rate("eps", eps, values)
+
+
+def _fit_rate(knob: str, knobs, values) -> RateFit:
+    """fit_loglog of values against knobs; NumericalError at the first knob whose norm underflowed to 0."""
+    for at, v in zip(knobs, values):
+        if v == 0.0:
+            raise NumericalError(
+                f"the measured norm underflowed to 0 at {knob} = {at:g}; no power law can be fitted"
+            )
+    return fit_loglog(knobs, values)
 
 
 def interior_critical_radius(k: int, epsilon: float, R: float):
@@ -478,7 +488,7 @@ def mc_rate_experiment(
         errs[lo : lo + len(block)] = (w_quad @ acc) ** (1.0 / q)
     values = [float(np.mean(row)) for row in errs.reshape(len(ns), len(seeds))]
     reports = [ErrorReport("mc", 0, 1.0, q, m, float(n), float(v)) for n, v in zip(ns, values)]
-    fit = fit_loglog(np.asarray(ns, dtype=float), values)
+    fit = _fit_rate("n", np.asarray(ns, dtype=float), values)
     return reports, fit, bound_hits / len(draws)
 
 

@@ -43,14 +43,13 @@ __all__ = [
 
 @dataclass(frozen=True)
 class DifferentiableFunction1D:
-    """A function with an analytically supplied (k+1)-th derivative.
+    """A function given by its analytically supplied (k+1)-th derivative `deriv`.
 
-    Both callables must accept numpy arrays. `singular_points` declares where
-    the derivative blows up (endpoints included in the split logic). The
-    support may have infinite ends.
+    `deriv` must accept numpy arrays. `singular_points` declares where the
+    derivative blows up (endpoints included in the split logic). The support
+    may have infinite ends.
     """
 
-    f: Callable[[np.ndarray], np.ndarray]
     deriv: Callable[[np.ndarray], np.ndarray]
     k: int
     support: tuple[float, float]
@@ -116,9 +115,9 @@ def barron_norm_upper(df: DifferentiableFunction1D, tol: float = 1e-9) -> float:
     return total
 
 
-def _equal_mass_atoms(deriv, lo: float, hi: float, n_cells: int, fine_per_cell: int = 32):
+def _equal_mass_atoms(deriv, lo: float, hi: float, n_cells: int):
     """Midpoint atoms (node, signed cell integral) on an equal-|mass| partition."""
-    n_fine = max(1024, fine_per_cell * n_cells)
+    n_fine = max(1024, 32 * n_cells)
     edges = np.linspace(lo, hi, n_fine + 1)
     mids = 0.5 * (edges[:-1] + edges[1:])
     dens = np.abs(np.asarray(deriv(mids), dtype=float)) * (hi - lo) / n_fine
@@ -227,6 +226,6 @@ def log_divergence_diagnostic(k: int, deltas) -> RateFit:
         raise ValidationError("deltas must be strictly decreasing")
     if deltas[-1] < 1e-8:
         raise ValidationError("deltas below 1e-8 are not resolved")
-    df = DifferentiableFunction1D(lambda x: x**k * np.log(x), xklogx_derivative(k), k, (deltas[0], 1.0))
+    df = DifferentiableFunction1D(xklogx_derivative(k), k, (deltas[0], 1.0))
     values = [barron_norm_upper(replace(df, support=(float(d), 1.0)), tol=1e-11) for d in deltas]
     return fit_linear(np.abs(np.log(deltas)), values)

@@ -72,9 +72,6 @@ class QuadratureRule:
                 f"weights sum to {weights.sum()!r}, expected measure {self.measure!r}"
             )
 
-    def apply(self, f) -> float:
-        return float(np.dot(self.weights, np.asarray(f(self.nodes), dtype=float)))
-
 
 def gauss_legendre_rule(n: int, a: float, b: float) -> QuadratureRule:
     """n-point Gauss-Legendre rule on [a, b]."""
@@ -343,14 +340,14 @@ class GridSpec:
         return GridSpec(self.R, 2 * self.nr, 2 * self.nphi, self.grading)
 
 
-def golden_max(f, lo: float, hi: float, iters: int = 80) -> tuple[float, float]:
-    """Golden-section maximizer of f on [lo, hi]; returns (argmax, max)."""
+def golden_max(f, lo: float, hi: float) -> tuple[float, float]:
+    """Golden-section maximizer of f on [lo, hi] in 80 steps; returns (argmax, max)."""
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = lo, hi
     c = b - invphi * (b - a)
     d = a + invphi * (b - a)
     fc, fd = f(c), f(d)
-    for _ in range(iters):
+    for _ in range(80):  # shrinks [lo, hi] by 0.618^80, about 2e-17
         if fc > fd:
             b, d, fd = d, c, fc
             c = b - invphi * (b - a)
@@ -425,14 +422,16 @@ class RateFit:
     slope: float
     intercept: float
     r_squared: float
-    n_points: int
 
 
 def fit_linear(xs, ys) -> RateFit:
     """Least-squares line y ~ slope*x + intercept.
 
-    NumericalError when the slope, intercept or r^2 is not finite: the sums
-    of squares overflow once the spread of y nears 1e154.
+    The sums run on y in units of 2^e, the power of two just above max |y|.
+    That scaling is exact, so the fit has the bits of an unscaled one, and
+    r^2 stays right where sum((y - ym)^2) alone would overflow. NumericalError
+    when the slope, intercept or r^2 is not finite, or when the residual sum
+    of squares overflows in y's own units (residuals from about 1e154).
     """
     x = np.asarray(xs, dtype=float)
     y = np.asarray(ys, dtype=float)
@@ -443,6 +442,8 @@ def fit_linear(xs, ys) -> RateFit:
     if np.ptp(x) == 0.0:
         raise DegenerateDesign("all abscissae identical; cannot fit a line")
     with np.errstate(all="ignore"):  # an overflowed fit is refused below, not warned about
+        e = math.frexp(float(np.max(np.abs(y))))[1]
+        y = np.ldexp(y, -e)
         xm, ym = x.mean(), y.mean()
         sxx = float(np.sum((x - xm) ** 2))
         slope = float(np.sum((x - xm) * (y - ym)) / sxx)
@@ -450,13 +451,16 @@ def fit_linear(xs, ys) -> RateFit:
         resid = y - (slope * x + intercept)
         ss_res = float(np.sum(resid**2))
         ss_tot = float(np.sum((y - ym) ** 2))
+        slope, intercept = float(np.ldexp(slope, e)), float(np.ldexp(intercept, e))
+        ss_res_y = float(np.ldexp(ss_res, 2 * e))  # in y's own units
     if ss_tot == 0.0:
-        r2 = 1.0 if ss_res <= 1e-28 else 0.0
+        r2 = 1.0 if ss_res_y <= 1e-28 else 0.0
     else:
         r2 = 1.0 - ss_res / ss_tot
-    if not all(map(math.isfinite, (slope, intercept, r2))):
-        raise NumericalError(f"line fit is not finite: slope {slope:g}, intercept {intercept:g}, r2 {r2:g}")
-    return RateFit(slope, intercept, r2, int(x.size))
+    if not all(map(math.isfinite, (slope, intercept, r2, ss_res_y))):
+        raise NumericalError(f"line fit is not finite: slope {slope:g}, intercept {intercept:g},"
+                             f" r2 {r2:g}, residual sum of squares {ss_res_y:g}")
+    return RateFit(slope, intercept, r2)
 
 
 def fit_loglog(xs, ys) -> RateFit:
@@ -468,8 +472,8 @@ def fit_loglog(xs, ys) -> RateFit:
     return fit_linear(np.log(x), np.log(y))
 
 
-def bisect_root(f, lo: float, hi: float, tol: float = 1e-13, max_iter: int = 200):
-    """Root of f on [lo, hi] by bisection; None if f does not change sign."""
+def bisect_root(f, lo: float, hi: float):
+    """Root of f on [lo, hi] by bisection to 1e-13 relative; None if f does not change sign."""
     flo, fhi = f(lo), f(hi)
     if flo == 0.0:
         return lo
@@ -477,10 +481,10 @@ def bisect_root(f, lo: float, hi: float, tol: float = 1e-13, max_iter: int = 200
         return hi
     if flo * fhi > 0.0:
         return None
-    for _ in range(max_iter):
+    for _ in range(200):
         mid = 0.5 * (lo + hi)
         fm = f(mid)
-        if fm == 0.0 or (hi - lo) < tol * max(1.0, abs(mid)):
+        if fm == 0.0 or (hi - lo) < 1e-13 * max(1.0, abs(mid)):
             return mid
         if flo * fm < 0.0:
             hi = mid

@@ -31,15 +31,15 @@ __all__ = ["BoundaryFunction", "solve_at", "solve_grid"]
 
 @dataclass(frozen=True)
 class BoundaryFunction:
-    """Admissible boundary data g with a growth certificate |g(t)| <= C(1+|t|)^alpha.
+    """Admissible boundary data g with growth exponent alpha: |g(t)| = O(|t|^alpha).
 
-    Use the constructors: relu_power, heaviside, tanh, polynomial, custom.
-    `kinks` lists boundary abscissae where g is not smooth.
+    Use the constructors: relu_power, heaviside, tanh, custom. The solver
+    needs alpha < 1 and maps the kernel tails by it. `kinks` lists boundary
+    abscissae where g is not smooth.
     """
 
     fn: Callable[[np.ndarray], np.ndarray]
     growth_alpha: float
-    growth_const: float
     kinks: tuple[float, ...] = field(default_factory=tuple)
 
     def __call__(self, s):
@@ -54,37 +54,25 @@ class BoundaryFunction:
             raise ValidationError(f"relu_power requires alpha in [0, 1), got {alpha}")
         if w == 0.0:
             raise ValidationError("relu_power requires w != 0")
-        c = (abs(w) + abs(b)) ** alpha
-        return cls(lambda s: activation(w * s + b, alpha), alpha, c, kinks=(-b / w,))
+        return cls(lambda s: activation(w * s + b, alpha), alpha, kinks=(-b / w,))
 
     @classmethod
     def heaviside(cls) -> "BoundaryFunction":
-        return cls(lambda s: activation(s, 0.0), 0.0, 1.0, kinks=(0.0,))
+        return cls(lambda s: activation(s, 0.0), 0.0, kinks=(0.0,))
 
     @classmethod
     def tanh(cls, w: float = 1.0, b: float = 0.0) -> "BoundaryFunction":
         """g(s) = tanh(w*s + b); bounded, so growth_alpha = 0."""
-        return cls(lambda s: np.tanh(w * s + b), 0.0, 1.0)
-
-    @classmethod
-    def polynomial(cls, coeffs) -> "BoundaryFunction":
-        """g(s) = sum_i coeffs[i] * s^i; growth_alpha is the effective degree."""
-        coeffs = tuple(float(c) for c in coeffs)
-        if not coeffs:
-            raise ValidationError("polynomial needs at least one coefficient")
-        deg = max((i for i, c in enumerate(coeffs) if c != 0.0), default=0)
-        poly = np.polynomial.Polynomial(coeffs)
-        return cls(lambda s: poly(s), float(deg), float(sum(abs(c) for c in coeffs)))
+        return cls(lambda s: np.tanh(w * s + b), 0.0)
 
     @classmethod
     def custom(
         cls,
         fn: Callable[[np.ndarray], np.ndarray],
         growth_alpha: float,
-        growth_const: float,
         kinks: tuple[float, ...] = (),
     ) -> "BoundaryFunction":
-        return cls(fn, float(growth_alpha), float(growth_const), tuple(kinks))
+        return cls(fn, float(growth_alpha), tuple(kinks))
 
 
 def _segments(interior: list[float], lo: float, hi: float) -> list[tuple[float, float]]:

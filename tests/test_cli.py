@@ -245,6 +245,81 @@ def test_rates_mc_too_many_steps_exits_2_before_any_work(tmp_path, capsys, monke
     assert list(tmp_path.iterdir()) == []
 
 
+def _sweep(capsys, monkeypatch, tmp_path, argv):
+    """invoke argv (plus --out unless it is a diag) with no work allowed to start."""
+    def never(*a, **kw):
+        raise AssertionError("work started on an oversized sweep")
+
+    monkeypatch.setattr(cli.np, "logspace", never)
+    monkeypatch.setattr(cli, "make_random_target", never)
+    out_flag = [] if argv[0] == "diag" else ["--out", str(tmp_path / "x.csv")]
+    return invoke(capsys, *argv, *out_flag)
+
+
+_SWEEPS = [  # (argv with the sweep at limit + 1, argv at the limit, reason), limit 10
+    (["rates", "reg", "--k", "2", "--steps", "11"], ["rates", "reg", "--k", "2", "--steps", "10"],
+     "steps = 11 exceeds the limit of 10 eps values"),
+    (["rates", "sobolev", "--k", "2", "--steps", "11"], ["rates", "sobolev", "--k", "2", "--steps", "10"],
+     "steps = 11 exceeds the limit of 10 eps values"),
+    (["diag", "xklogx", "--k", "2", "--steps", "11"], ["diag", "xklogx", "--k", "2", "--steps", "10"],
+     "steps = 11 exceeds the limit of 10 cutoffs"),
+    (["rates", "mc", "--alpha", "2", "--steps", "3", "--seeds", "4"],
+     ["rates", "mc", "--alpha", "2", "--steps", "5", "--seeds", "2"],
+     "steps x seeds = 12 exceeds the limit of 10 draws"),
+]
+
+
+@pytest.mark.parametrize("over,at,reason", _SWEEPS)
+def test_oversized_sweep_exits_2_before_any_work(tmp_path, capsys, monkeypatch, over, at, reason):
+    monkeypatch.setattr(cli, "MAX_NEURONS", 10)
+    code, out, err = _sweep(capsys, monkeypatch, tmp_path, over)
+    assert code == 2 and out == ""
+    assert err == f"harmlab: invalid input: {reason}\n"
+    with pytest.raises(AssertionError, match="work started"):  # the limit itself is allowed
+        _sweep(capsys, monkeypatch, tmp_path, at)
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "argv,reason",
+    [
+        (["rates", "reg", "--k", "2", "--steps", "1000000000"],
+         "steps = 1000000000 exceeds the limit of 10000000 eps values"),
+        (["rates", "sobolev", "--k", "2", "--steps", "100000000"],
+         "steps = 100000000 exceeds the limit of 10000000 eps values"),
+        (["diag", "xklogx", "--k", "2", "--steps", "100000000"],
+         "steps = 100000000 exceeds the limit of 10000000 cutoffs"),
+        (["rates", "mc", "--alpha", "2", "--seeds", "100000000"],
+         "steps x seeds = 800000000 exceeds the limit of 10000000 draws"),
+    ],
+)
+def test_hostile_sweep_exits_2_with_one_line(tmp_path, capsys, monkeypatch, argv, reason):
+    code, out, err = _sweep(capsys, monkeypatch, tmp_path, argv)
+    assert code == 2 and out == ""
+    assert err == f"harmlab: invalid input: {reason}\n"
+
+
+@pytest.mark.parametrize(
+    "argv,where",
+    [
+        # |error|^1000 underflows at every node, so each W^{0,1000} error is 0
+        (["rates", "mc", "--alpha", "2", "--q", "1000", "--n-min", "32", "--n-max", "128",
+          "--steps", "3", "--seeds", "2"], "n = 32"),
+        # the regularization error is about eps^2, below the smallest double
+        (["rates", "reg", "--k", "2", "--steps", "3", "--eps-min", "1e-300", "--eps-max", "1e-299"],
+         "eps = 1e-300"),
+    ],
+)
+def test_vanished_norm_exits_3_naming_the_knob(tmp_path, capsys, argv, where):
+    code, out, err = invoke(capsys, *argv, "--out", str(tmp_path / "x.csv"))
+    assert code == 3 and out == ""
+    assert err == (
+        f"harmlab: numerical failure: the measured norm underflowed to 0 at {where};"
+        " no power law can be fitted\n"
+    )
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_rates_sobolev_csv(tmp_path, capsys):
     out = tmp_path / "s.csv"
     code, stdout, _ = invoke(

@@ -84,8 +84,6 @@ def test_slice_degenerate_angles():
     with pytest.raises(DegenerateAngle):
         slice_log_fit(2, math.pi / 2 + 1e-9)  # cos guard aside, sin(k theta) ~ 0
     with pytest.raises(ValidationError):
-        slice_log_fit(2, 0.7, n_points=5)
-    with pytest.raises(ValidationError):
         slice_log_fit(2, -0.3)
 
 

@@ -399,7 +399,7 @@ def _save_per_row(e, path):
             fh.write(" ".join(f"{c:.17g}" for c in cols) + "\n")
 
 
-_BLOCK = ensembles_module._SAVE_BLOCK
+_BLOCK = 8 * ensembles_module._ENCODE_ROWS  # the sizes below straddle pass edges
 _EDGES = [-0.0, 5e-324, -5e-324, 1.5e-310, 1.797e308, -1.797e308]
 
 
@@ -605,7 +605,7 @@ def test_lift_matches_kernel_solver_for_mixture_data():
     )
     lifted = lift_ensemble(e1, t_rule=cauchy_graded_rule(20_000))
     g = BoundaryFunction.custom(
-        lambda s: ensemble_eval_many(e1, s), growth_alpha=alpha, growth_const=3.0,
+        lambda s: ensemble_eval_many(e1, s), growth_alpha=alpha,
         kinks=(0.0, -0.8, -0.2 / 1.3),
     )
     rng = np.random.default_rng(97)

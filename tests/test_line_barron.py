@@ -26,17 +26,19 @@ from harmlab.line_barron import _equal_mass_atoms, _monomial_shift_solve, xklogx
 
 def test_norm_upper_cubic():
     # k=1: f = x^3, f'' = 6x; integral of 6|x|(1+|x|) over [-1,1] = 10
-    df = DifferentiableFunction1D(lambda x: x**3, lambda x: 6.0 * x, 1, (-1.0, 1.0))
+    df = DifferentiableFunction1D(lambda x: 6.0 * x, 1, (-1.0, 1.0))
     assert barron_norm_upper(df) == pytest.approx(10.0, rel=1e-9)
 
 
 def test_norm_upper_sine():
-    df = DifferentiableFunction1D(np.sin, lambda x: -np.sin(x), 1, (-math.pi, math.pi))
+    # k=1: f = sin, f'' = -sin
+    df = DifferentiableFunction1D(lambda x: -np.sin(x), 1, (-math.pi, math.pi))
     assert barron_norm_upper(df) == pytest.approx(4.0 + 2.0 * math.pi, rel=1e-9)
 
 
 def test_norm_upper_low_degree_polynomial_is_zero():
-    df = DifferentiableFunction1D(lambda x: 2.0 * x + 1.0, lambda x: np.zeros_like(x), 1, (-1.0, 1.0))
+    # k=1: f = 2x + 1, f'' = 0
+    df = DifferentiableFunction1D(lambda x: np.zeros_like(x), 1, (-1.0, 1.0))
     assert barron_norm_upper(df) == 0.0
 
 
@@ -46,22 +48,19 @@ def test_norm_upper_symbolic_oracle():
     f = x**4
     d3 = sp.diff(f, x, 3)
     expected = float(sp.integrate(sp.Abs(d3) * (1 + sp.Abs(x) ** 2), (x, -1, 1)))
-    df = DifferentiableFunction1D(lambda t: t**4, lambda t: 24.0 * t, 2, (-1.0, 1.0))
+    df = DifferentiableFunction1D(lambda t: 24.0 * t, 2, (-1.0, 1.0))
     assert barron_norm_upper(df) == pytest.approx(expected, rel=1e-9)
 
 
 def test_divergence_detected_for_xklogx():
-    df = DifferentiableFunction1D(
-        lambda x: x**2 * np.log(x), lambda x: 2.0 / x, 2, (0.0, 1.0), singular_points=(0.0,)
-    )
+    # k=2: f = x^2 log x, f''' = 2/x
+    df = DifferentiableFunction1D(lambda x: 2.0 / x, 2, (0.0, 1.0), singular_points=(0.0,))
     with pytest.raises(DivergenceDetected):
         barron_norm_upper(df)
 
 
 def test_integrable_singularity_is_fine():
-    df = DifferentiableFunction1D(
-        lambda x: x, lambda x: 0.25 * x**-0.5, 1, (0.0, 1.0), singular_points=(0.0,)
-    )
+    df = DifferentiableFunction1D(lambda x: 0.25 * x**-0.5, 1, (0.0, 1.0), singular_points=(0.0,))
     # int 0.25 x^(-1/2) (1 + x) dx over (0,1) = 0.25 (2 + 2/3)
     assert barron_norm_upper(df) == pytest.approx(0.25 * (2 + 2 / 3), rel=1e-7)
 
@@ -76,7 +75,7 @@ def test_integrable_singularity_is_fine():
 )
 def test_norm_upper_infinite_support(support, want):
     # k = 1, f'' = exp(-x^2): int exp(-x^2) (1 + |x|) dx = sqrt(pi) + 1 over the line
-    df = DifferentiableFunction1D(lambda x: x, lambda x: np.exp(-x * x), 1, support)
+    df = DifferentiableFunction1D(lambda x: np.exp(-x * x), 1, support)
     assert barron_norm_upper(df) == pytest.approx(want, rel=1e-9)
 
 
@@ -89,19 +88,19 @@ def test_norm_upper_infinite_support(support, want):
     ],
 )
 def test_norm_upper_divergent_tail_detected_and_named_in_x(deriv, k, support, where):
-    df = DifferentiableFunction1D(deriv, deriv, k, support)
+    df = DifferentiableFunction1D(deriv, k, support)
     with pytest.raises(DivergenceDetected, match=re.escape(where)):
         barron_norm_upper(df)
 
 
 def test_norm_upper_non_finite_inside_finite_piece_is_not_divergence():
-    df = DifferentiableFunction1D(lambda x: x, lambda x: np.where(x > 0.5, np.nan, 1.0), 1, (0.0, 1.0))
+    df = DifferentiableFunction1D(lambda x: np.where(x > 0.5, np.nan, 1.0), 1, (0.0, 1.0))
     with pytest.raises(NonFiniteSample):
         barron_norm_upper(df)
 
 
 def test_ensemble_from_derivative_refuses_infinite_support():
-    df = DifferentiableFunction1D(lambda x: x, lambda x: np.exp(-x * x), 1, (0.0, math.inf))
+    df = DifferentiableFunction1D(lambda x: np.exp(-x * x), 1, (0.0, math.inf))
     with pytest.raises(ValidationError, match="finite support"):
         ensemble_from_derivative(df, 100, [0.0, 0.0])
 
@@ -115,7 +114,7 @@ def test_single_neuron_target_direct_construction():
 
 
 def test_ensemble_from_derivative_cubic():
-    df = DifferentiableFunction1D(lambda x: x**3, lambda x: 6.0 * x, 1, (-1.0, 1.0))
+    df = DifferentiableFunction1D(lambda x: 6.0 * x, 1, (-1.0, 1.0))
     e = ensemble_from_derivative(df, 1000, [0.0, 0.0])
     xs = np.linspace(-1, 1, 81)
     err = np.max(np.abs(ensemble_eval_many(e, xs) - xs**3))
@@ -126,7 +125,7 @@ def test_ensemble_from_derivative_cubic():
 
 
 def test_ensemble_from_derivative_halves_error_with_nodes():
-    df = DifferentiableFunction1D(np.sin, lambda x: -np.sin(x), 1, (-math.pi, math.pi))
+    df = DifferentiableFunction1D(lambda x: -np.sin(x), 1, (-math.pi, math.pi))
     taylor = [0.0, 1.0]  # sin expands as x + O(x^3)
     errs = []
     for nodes in (125, 250, 500, 1000):
@@ -140,7 +139,7 @@ def test_ensemble_from_derivative_halves_error_with_nodes():
 
 
 def test_polynomial_input_has_empty_integral_part():
-    df = DifferentiableFunction1D(lambda x: x, lambda x: np.zeros_like(x), 1, (-1.0, 1.0))
+    df = DifferentiableFunction1D(lambda x: np.zeros_like(x), 1, (-1.0, 1.0))
     e = ensemble_from_derivative(df, 200, [0.0, 1.0])
     assert len(e) <= 4  # shift atoms only
     xs = np.linspace(-1, 1, 33)
@@ -149,9 +148,7 @@ def test_polynomial_input_has_empty_integral_part():
 
 def test_quadratic_poly_part_k2():
     # f = 1 + x + x^2 with k = 2: pure polynomial, exact representation
-    df = DifferentiableFunction1D(
-        lambda x: 1 + x + x**2, lambda x: np.zeros_like(x), 2, (-1.0, 1.0)
-    )
+    df = DifferentiableFunction1D(lambda x: np.zeros_like(x), 2, (-1.0, 1.0))
     e = ensemble_from_derivative(df, 50, [1.0, 1.0, 1.0])
     xs = np.linspace(-1, 1, 33)
     assert np.max(np.abs(ensemble_eval_many(e, xs) - (1 + xs + xs**2))) < 1e-12
@@ -214,7 +211,7 @@ def _ref_ensemble_from_derivative(df, quad_nodes, taylor):
     ],
 )
 def test_ensemble_from_derivative_matches_atom_loop(deriv, k, support, nodes, taylor):
-    df = DifferentiableFunction1D(deriv, deriv, k, support)
+    df = DifferentiableFunction1D(deriv, k, support)
     got = ensemble_from_derivative(df, nodes, taylor)
     want = _ref_ensemble_from_derivative(df, nodes, taylor)
     for name in ("probs", "a", "w", "b"):
@@ -223,7 +220,7 @@ def test_ensemble_from_derivative_matches_atom_loop(deriv, k, support, nodes, ta
 
 
 def test_taylor_length_validated():
-    df = DifferentiableFunction1D(lambda x: x**3, lambda x: 6.0 * x, 1, (-1.0, 1.0))
+    df = DifferentiableFunction1D(lambda x: 6.0 * x, 1, (-1.0, 1.0))
     with pytest.raises(ValidationError):
         ensemble_from_derivative(df, 100, [0.0])
 

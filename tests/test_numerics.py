@@ -112,7 +112,7 @@ def test_integrate_rejects_interior_nan():
 def test_quadrature_rule_validation():
     gl = gauss_legendre_rule(32, 0.0, 2.0)
     assert gl.weights.sum() == pytest.approx(2.0, abs=1e-13)
-    assert gl.apply(lambda x: x**3) == pytest.approx(4.0, rel=1e-13)
+    assert np.dot(gl.weights, gl.nodes**3) == pytest.approx(4.0, rel=1e-13)
     with pytest.raises(ValidationError):
         QuadratureRule(np.array([0.5]), np.array([2.0]), 1.0)
     with pytest.raises(ValidationError):
@@ -336,9 +336,40 @@ def test_fit_degenerate_design():
 
 
 def test_fit_overflow_raises():
-    # the sums of squares of values near 1e200 overflow; r^2 would be nan
+    # residuals near 1e200: their sum of squares overflows in y's own units
     with pytest.raises(NumericalError, match="line fit is not finite"):
         fit_linear([1.0, 2.0, 3.0, 4.0], [1e200, 3e200, 2e200, 5e200])
+
+
+def test_fit_r2_where_total_sum_of_squares_overflows():
+    # y = a (x + t e) with e orthogonal to 1 and x: the fit is a x, its residual
+    # a t e, and 1 - r^2 = 4 t^2 / (5 + 4 t^2). At a = 1e160 sum((y - ym)^2)
+    # overflows while the residual sum of squares (4e306) does not; unscaled,
+    # r^2 = 1 - finite/inf read exactly 1
+    x = np.arange(4.0)
+    t = 1e-7
+    fit = fit_linear(x, 1e160 * (x + t * np.array([1.0, -1.0, -1.0, 1.0])))
+    assert fit.slope == pytest.approx(1e160, rel=1e-12)
+    assert fit.r_squared < 1.0
+    assert 1.0 - fit.r_squared == pytest.approx(4 * t * t / (5 + 4 * t * t), rel=0.05)
+
+
+def _fit_unscaled(x, y):
+    """fit_linear's sums on y as given: the reference for its power-of-two scaling."""
+    xm, ym = x.mean(), y.mean()
+    slope = float(np.sum((x - xm) * (y - ym)) / float(np.sum((x - xm) ** 2)))
+    intercept = ym - slope * xm
+    ss_res = float(np.sum((y - (slope * x + intercept)) ** 2))
+    return slope, float(intercept), 1.0 - ss_res / float(np.sum((y - ym) ** 2))
+
+
+@pytest.mark.parametrize("scale", [1e-12, 0.3, 1.0, 7.0, 1e5, 1e40])
+def test_fit_scaling_keeps_bits_on_ordinary_data(scale):
+    rng = np.random.default_rng(23)
+    x = np.log(np.logspace(-4, -1, 7))
+    y = scale * (2.0 * x + 1.0 + 0.1 * rng.standard_normal(7))
+    fit = fit_linear(x, y)
+    assert (fit.slope, fit.intercept, fit.r_squared) == _fit_unscaled(x, y)
 
 
 def test_fit_validation():

@@ -35,7 +35,7 @@ def test_relu_half_at_3_4():
 
 
 def test_constant_normalization_random_points():
-    g = BoundaryFunction.custom(lambda s: np.full_like(s, 2.5), 0.0, 2.5)
+    g = BoundaryFunction.custom(lambda s: np.full_like(s, 2.5), 0.0)
     rng = np.random.default_rng(31)
     for _ in range(20):
         p = HalfPlanePoint(rng.uniform(-3, 3), rng.uniform(0.05, 3))
@@ -84,18 +84,18 @@ def test_empty_grid_rejected():
 
 
 def test_growth_violation():
-    g = BoundaryFunction.custom(lambda s: s, 1.0, 1.0)
+    g = BoundaryFunction.custom(lambda s: s, 1.0)
     with pytest.raises(GrowthViolation):
         solve_at(g, HalfPlanePoint(0.0, 1.0), tol=1e-9)
     with pytest.raises(ValidationError):
         BoundaryFunction.relu_power(1.0)
-    # non-constant polynomial growth is rejected by the solver
+    # polynomial growth above degree 1 is rejected by the solver too
     with pytest.raises(GrowthViolation):
-        solve_at(BoundaryFunction.polynomial([0.0, 2.0]), HalfPlanePoint(0.0, 1.0))
+        solve_at(BoundaryFunction.custom(lambda s: 2.0 * s * s, 2.0), HalfPlanePoint(0.0, 1.0))
 
 
 def test_constant_polynomial_admitted():
-    g = BoundaryFunction.polynomial([4.0])
+    g = BoundaryFunction.custom(lambda s: np.full_like(s, 4.0), 0.0)
     assert solve_at(g, HalfPlanePoint(0.2, 0.7), tol=1e-9) == pytest.approx(4.0, abs=1e-8)
 
 
@@ -178,7 +178,7 @@ def test_relu09_evaluation_budget():
         evals.append(s.size)
         return g0.fn(s)
 
-    g = BoundaryFunction.custom(counted, g0.growth_alpha, g0.growth_const, g0.kinks)
+    g = BoundaryFunction.custom(counted, g0.growth_alpha, g0.kinks)
     for x, y in ((0.3, 0.5), (-1.2, 0.4), (1.5, 0.1), (0.0, 2.0)):
         evals.clear()
         got = solve_at(g, HalfPlanePoint(x, y), tol=1e-10)
@@ -189,7 +189,7 @@ def test_relu09_evaluation_budget():
 def _two_kink():
     return BoundaryFunction.custom(
         lambda s: np.sqrt(np.abs(s - 0.4)) + np.maximum(-0.6 - s, 0.0) ** 0.5,
-        0.5, 2.0, kinks=(0.4, -0.6),
+        0.5, kinks=(0.4, -0.6),
     )
 
 
