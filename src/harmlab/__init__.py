@@ -4,25 +4,11 @@ approximation-rate experiments.
 """
 
 from .errors import (
-    AlphaTooLarge,
-    DegenerateAngle,
-    DegenerateDesign,
-    DimensionMismatch,
-    DivergenceDetected,
-    GateFailed,
-    GrowthViolation,
     HarmlabError,
-    InadmissiblePair,
-    KTooSmall,
     MaxSubdivisionsExceeded,
-    NearIntegerAlpha,
     NonFiniteSample,
-    NonpositiveEpsilon,
     NumericalError,
-    QuadratureFailure,
-    StencilLeavesDomain,
     ValidationError,
-    ZeroDirection,
 )
 from .halfplane import HalfPlanePoint
 from .solutions import (

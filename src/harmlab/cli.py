@@ -134,8 +134,8 @@ def _boundary_from_spec(spec: str) -> BoundaryFunction:
     raise ValidationError(f"unknown boundary spec {spec!r}")
 
 
-def _grid_from_args(args, R: float) -> GridSpec:
-    return GridSpec(R, args.nr, args.nphi, args.grading)
+def _grid_from_args(args) -> GridSpec:
+    return GridSpec(args.R, args.nr, args.nphi, args.grading)
 
 
 def _check_sweep(n: int, what: str, unit: str) -> None:
@@ -218,10 +218,8 @@ def _emit_rates(args, reports: list[ErrorReport], fit: RateFit, tail: str = "") 
 
 
 def _cmd_rates_reg(args) -> int:
-    grid = _grid_from_args(args, args.R)
-    reports, fit = reg_error_experiment(
-        args.k, args.R, _parse_p(args.p), args.order, _eps_list(args), grid
-    )
+    grid = _grid_from_args(args)
+    reports, fit = reg_error_experiment(args.k, _parse_p(args.p), args.order, _eps_list(args), grid)
     return _emit_rates(args, reports, fit)
 
 
@@ -240,10 +238,8 @@ def _cmd_rates_mc(args) -> int:
 
 
 def _cmd_rates_sobolev(args) -> int:
-    grid = _grid_from_args(args, args.R)
-    reports, fit = sobolev_lognorm_experiment(
-        args.k, args.R, _eps_list(args), grid, order=args.order
-    )
+    grid = _grid_from_args(args)
+    reports, fit = sobolev_lognorm_experiment(args.k, _eps_list(args), grid, order=args.order)
     _emit_rates(args, reports, fit)
     if fit.r_squared < LOG_MODEL_MIN_R2:
         print(
@@ -276,23 +272,21 @@ def _cmd_diag_slice(args) -> int:
     return 0
 
 
+def _lift(args, e):
+    rule = None if args.nodes is None else cauchy_tangent_rule(args.nodes)
+    return lift_ensemble(e, t_rule=rule, n_samples=args.samples, seed=args.seed)
+
+
+def _slice(args, e):
+    x0 = [_float(t, "--x0 entry") for t in args.x0.split(",")]
+    v = [_float(t, "--v entry") for t in args.v.split(",")]
+    return slice_ensemble(e, x0, v)
+
+
 def _cmd_ensemble(args) -> int:
-    _check_seed(args.seed, "--seed")
-    e = load_ensemble(args.infile)
-    if args.action == "lift":
-        rule = None if args.nodes is None else cauchy_tangent_rule(args.nodes)
-        out = lift_ensemble(e, t_rule=rule, n_samples=args.samples, seed=args.seed)
-    elif args.action == "slice":
-        x0 = [_float(t, "--x0 entry") for t in args.x0.split(",")]
-        v = [_float(t, "--v entry") for t in args.v.split(",")]
-        out = slice_ensemble(e, x0, v)
-    elif args.action == "extend":
-        out = homogeneous_extend(e)
-    else:  # sample; argparse refuses any other action
-        if args.n is None:
-            raise ValidationError("ensemble sample needs --n")
-        out = sample_subnetwork(e, args.n, seed=args.seed)
-    save_ensemble(out, args.out)
+    if "seed" in args:  # lift and sample: a bad seed is refused before --in is read
+        _check_seed(args.seed, "--seed")
+    save_ensemble(args.transform(args, load_ensemble(args.infile)), args.out)
     return 0
 
 
@@ -389,16 +383,29 @@ def build_parser() -> argparse.ArgumentParser:
     ds.set_defaults(handler=_cmd_diag_slice)
 
     en = sub.add_parser("ensemble", formatter_class=fmt, help="operate on ensemble text files")
-    en.add_argument("action", choices=["lift", "slice", "extend", "sample"])
-    en.add_argument("--in", dest="infile", required=True, help="input ensemble file")
-    en.add_argument("--out", required=True, help="output ensemble file")
-    en.add_argument("--nodes", type=int, default=None, help="quadrature nodes for lift (201 without --samples)")
-    en.add_argument("--samples", type=int, default=None, help="random Cauchy draws for lift")
-    en.add_argument("--seed", type=int, default=0, help="random seed for sampling operations")
-    en.add_argument("--n", type=int, default=None, help="subnetwork size for sample")
-    en.add_argument("--x0", default="0,0", help="slice base point 'a,b'")
-    en.add_argument("--v", default="1,0", help="slice direction 'c,d'")
-    en.set_defaults(handler=_cmd_ensemble)
+    esub = en.add_subparsers(dest="action", required=True)
+
+    def ensemble_action(name, summary, transform):
+        # no prefix matching: sample's --n must not read as lift's --nodes
+        sp = esub.add_parser(name, formatter_class=fmt, help=summary, allow_abbrev=False)
+        sp.add_argument("--in", dest="infile", required=True, help="input ensemble file")
+        sp.add_argument("--out", required=True, help="output ensemble file")
+        sp.set_defaults(handler=_cmd_ensemble, transform=transform)
+        return sp
+
+    el = ensemble_action("lift", "lift a 1D ensemble to the half-plane", _lift)
+    el.add_argument("--nodes", type=int, default=None, help="quadrature nodes (201 without --samples)")
+    el.add_argument("--samples", type=int, default=None, help="random Cauchy draws")
+    el.add_argument("--seed", type=int, default=0, help="random seed for --samples")
+    esl = ensemble_action("slice", "restrict a 2D ensemble to the line x0 + t v", _slice)
+    esl.add_argument("--x0", default="0,0", help="base point 'a,b'")
+    esl.add_argument("--v", default="1,0", help="direction 'c,d'")
+    ensemble_action("extend", "homogeneous extension y^alpha f(x/y) of a 1D ensemble",
+                    lambda args, e: homogeneous_extend(e))
+    esa = ensemble_action("sample", "draw an n-neuron subnetwork",
+                          lambda args, e: sample_subnetwork(e, args.n, seed=args.seed))
+    esa.add_argument("--n", type=int, required=True, help="subnetwork size")
+    esa.add_argument("--seed", type=int, default=0, help="random seed of the draw")
 
     return ap
 

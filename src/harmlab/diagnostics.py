@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import DegenerateAngle, NumericalError, ValidationError
+from .errors import NumericalError, ValidationError
 from .halfplane import HalfPlanePoint
 from .line_barron import DifferentiableFunction1D, barron_norm_upper
 from .solutions import _integer_parts
@@ -90,7 +90,7 @@ def slice_log_fit(k: int, theta: float) -> SliceLogFit:
     if abs(math.cos(theta)) < 1e-12:
         raise ValidationError("theta = pi/2 has no x-parametrized ray")
     if abs(math.sin(k * theta)) <= 1e-6:
-        raise DegenerateAngle(
+        raise ValidationError(
             f"k*theta = {k * theta} is within 1e-6 of pi*Z; log coefficient vanishes"
         )
     t = np.logspace(-3, 0, 60)

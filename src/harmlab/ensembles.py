@@ -20,12 +20,7 @@ import warnings
 
 import numpy as np
 
-from .errors import (
-    AlphaTooLarge,
-    DimensionMismatch,
-    ValidationError,
-    ZeroDirection,
-)
+from .errors import ValidationError
 from .numerics import QuadratureRule
 
 __all__ = [
@@ -150,7 +145,7 @@ def ensemble_eval(e: NeuronEnsemble, x) -> float:
     """f(x) = sum_i p_i a_i sigma_alpha(w_i . x + b_i) at a single point."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if x.shape != (e.dim,):
-        raise DimensionMismatch(f"point of shape {x.shape} fed to a dim-{e.dim} ensemble")
+        raise ValidationError(f"point of shape {x.shape} fed to a dim-{e.dim} ensemble")
     return float(ensemble_derivatives(e, x[None, :], 0)[0][0])
 
 
@@ -180,7 +175,7 @@ def ensemble_derivatives(e: NeuronEnsemble, xs, order: int, weights=None) -> lis
     xs = np.asarray(xs, dtype=float)
     pts = xs.reshape(-1, 1) if e.dim == 1 else xs
     if e.dim == 2 and (pts.ndim != 2 or pts.shape[1] != 2):
-        raise DimensionMismatch(f"points of shape {xs.shape} fed to a dim-2 ensemble")
+        raise ValidationError(f"points of shape {xs.shape} fed to a dim-2 ensemble")
     if weights is None:
         pa = e.probs * e.a
     else:
@@ -294,9 +289,9 @@ def lift_ensemble(
     if t_rule is not None and n_samples is not None:
         raise ValidationError("lift takes quadrature nodes or random samples, not both")
     if e.dim != 1:
-        raise DimensionMismatch("lift_ensemble needs a one-dimensional ensemble")
+        raise ValidationError("lift_ensemble needs a one-dimensional ensemble")
     if e.alpha >= 1.0:
-        raise AlphaTooLarge(
+        raise ValidationError(
             f"alpha = {e.alpha} >= 1: the Cauchy moment of (1+|t|)^alpha diverges"
         )
     w1 = e.w[:, 0]
@@ -324,14 +319,14 @@ def lift_ensemble(
 def slice_ensemble(e: NeuronEnsemble, x0, v) -> NeuronEnsemble:
     """Restriction to the line t -> x0 + t*v: neuron (a, w, b) -> (a, w.v, w.x0 + b)."""
     if e.dim != 2:
-        raise DimensionMismatch("slice_ensemble needs a two-dimensional ensemble")
+        raise ValidationError("slice_ensemble needs a two-dimensional ensemble")
     x0 = np.asarray(x0, dtype=float)
     v = np.asarray(v, dtype=float)
     if x0.shape != (2,) or v.shape != (2,):
         raise ValidationError("x0 and v must be 2-vectors")
     with np.errstate(over="ignore"):  # an overflow is refused as a non-finite w or b
         if not np.any(v):
-            raise ZeroDirection("slice direction must be nonzero")
+            raise ValidationError("slice direction must be nonzero")
         return NeuronEnsemble(e.probs, e.a, e.w @ v, e.w @ x0 + e.b, e.alpha)
 
 
@@ -342,7 +337,7 @@ def homogeneous_extend(e: NeuronEnsemble) -> NeuronEnsemble:
     y^alpha * f(x/y) for y > 0 exactly.
     """
     if e.dim != 1:
-        raise DimensionMismatch("homogeneous_extend needs a one-dimensional ensemble")
+        raise ValidationError("homogeneous_extend needs a one-dimensional ensemble")
     w2d = np.column_stack([e.w[:, 0], e.b])
     return NeuronEnsemble(e.probs, e.a, w2d, np.zeros(len(e)), e.alpha)
 

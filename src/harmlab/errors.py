@@ -2,7 +2,10 @@
 
 Two families matter to callers (and to the CLI exit codes): `ValidationError`
 for rejected inputs and `NumericalError` for computations that started but
-could not finish to tolerance.
+could not finish to tolerance. The message says which check failed. The two
+subclasses below exist because code in the library catches them:
+`MaxSubdivisionsExceeded` carries the quadrature's state, and
+`NonFiniteSample` tells a non-finite integrand apart from a slow one.
 """
 
 
@@ -18,54 +21,6 @@ class NumericalError(HarmlabError, ArithmeticError):
     """A numerical procedure failed to converge or hit a gate (CLI exit code 3)."""
 
 
-# --- validation failures -----------------------------------------------------
-
-class NearIntegerAlpha(ValidationError):
-    """Fractional-branch exponent within 1e-9 of an integer; cot(pi*alpha) blows up."""
-
-
-class NonpositiveEpsilon(ValidationError):
-    """Regularization parameter must be strictly positive."""
-
-
-class StencilLeavesDomain(ValidationError):
-    """Finite-difference stencil would sample points with y <= 0."""
-
-
-class DegenerateDesign(ValidationError):
-    """Regression abscissae are all identical; no line can be fitted."""
-
-
-class GrowthViolation(ValidationError):
-    """Boundary data grows too fast for the Poisson representation (alpha >= 1)."""
-
-
-class DimensionMismatch(ValidationError):
-    """Evaluation point dimension differs from the ensemble dimension."""
-
-
-class AlphaTooLarge(ValidationError):
-    """Lifting requires activation power alpha < 1 (Cauchy moment diverges otherwise)."""
-
-
-class ZeroDirection(ValidationError):
-    """Slicing direction vector must be nonzero."""
-
-
-class KTooSmall(ValidationError):
-    """Regularization-rate experiments require k >= 2."""
-
-
-class InadmissiblePair(ValidationError):
-    """(derivative order, integrability) pair outside the sampling theorem's range."""
-
-
-class DegenerateAngle(ValidationError):
-    """Slice angle with k*theta in pi*Z: the logarithmic coefficient vanishes."""
-
-
-# --- numerical failures ------------------------------------------------------
-
 class MaxSubdivisionsExceeded(NumericalError):
     """Adaptive quadrature ran out of subdivision budget.
 
@@ -79,17 +34,5 @@ class MaxSubdivisionsExceeded(NumericalError):
         self.err_bound = err_bound
 
 
-class QuadratureFailure(NumericalError):
-    """Poisson-kernel quadrature did not reach the requested tolerance."""
-
-
 class NonFiniteSample(NumericalError):
     """A field evaluated to NaN/inf on a quadrature node."""
-
-
-class DivergenceDetected(NumericalError):
-    """Criterion integral diverges near a singular point (partial sums keep growing)."""
-
-
-class GateFailed(NumericalError):
-    """Quadrature-convergence gate failed: norms change too much under grid refinement."""

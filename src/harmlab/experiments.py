@@ -52,7 +52,7 @@ from .ensembles import (
     check_neuron_count,
     ensemble_derivatives,
 )
-from .errors import GateFailed, InadmissiblePair, KTooSmall, NumericalError, ValidationError
+from .errors import NumericalError, ValidationError
 from .numerics import (
     GridSpec,
     QuadratureRule,
@@ -275,8 +275,8 @@ def _reg_field(k: int, epsilon: float, order: int):
     return field
 
 
-def _eps_sweep(experiment: str, k: int, R: float, p: float, order: int, eps_list,
-               grid: GridSpec | None, measure, label: str):
+def _eps_sweep(experiment: str, k: int, p: float, order: int, eps_list,
+               grid: GridSpec, measure, label: str):
     """measure(e, grid) at every eps, ascending, as (eps, values, reports).
 
     Refinement gate: at the extreme eps, measure(e, grid.refined()) must stay
@@ -286,49 +286,46 @@ def _eps_sweep(experiment: str, k: int, R: float, p: float, order: int, eps_list
     eps = np.asarray(sorted(eps_list), dtype=float)
     if eps.size < 3 or np.any(eps <= 0.0):
         raise ValidationError("need at least 3 positive eps values")
-    grid = grid if grid is not None else GridSpec(R)
-    if abs(grid.R - R) > 1e-12 * max(1.0, R):
-        raise ValidationError(f"grid radius {grid.R} does not match R = {R}")
     fine_grid = grid.refined()  # first: a grid too large to refine fails before any norm
     ends = []
     for e in (eps[0], eps[-1]):
         coarse, fine = measure(float(e), grid), measure(float(e), fine_grid)
         scale = max(abs(coarse), abs(fine))
         if scale > 0.0 and abs(fine - coarse) > GATE_REL_CHANGE * scale:
-            raise GateFailed(
+            raise NumericalError(
                 f"eps={e:g}: {label} moved {abs(fine - coarse) / scale:.2%} under grid doubling"
                 f" (gate {GATE_REL_CHANGE:.1%}); refine the grid"
             )
         ends.append(coarse)
     values = [ends[0], *(measure(float(e), grid) for e in eps[1:-1]), ends[1]]
     reports = [
-        ErrorReport(experiment, k, R, p, order, float(e), float(v)) for e, v in zip(eps, values)
+        ErrorReport(experiment, k, grid.R, p, order, float(e), float(v)) for e, v in zip(eps, values)
     ]
     return eps, values, reports
 
 
 def reg_error_experiment(
     k: int,
-    R: float,
     p: float,
     order: int,
     eps_list,
-    grid: GridSpec | None = None,
+    grid: GridSpec,
 ) -> tuple[list[ErrorReport], RateFit]:
     """L^p norms of the regularization error (or its gradient/Hessian) per eps.
 
-    Returns one report per eps and the fitted log-log slope. The quadrature
-    gate (< 0.5% change under grid doubling, checked at the extreme eps
-    values) guards every reported norm.
+    The half-disk is that of the grid, radius grid.R. Returns one report per
+    eps and the fitted log-log slope. The quadrature gate (< 0.5% change under
+    grid doubling, checked at the extreme eps values) guards every reported
+    norm.
     """
     if k < 2:
-        raise KTooSmall("regularization-rate experiments require k >= 2")
+        raise ValidationError("regularization-rate experiments require k >= 2")
     eps_max = max(eps_list, default=0.0)
-    if eps_max > R / 10.0 + 1e-15:
-        raise ValidationError(f"largest eps {eps_max} exceeds R/10 = {R / 10.0}")
+    if eps_max > grid.R / 10.0 + 1e-15:
+        raise ValidationError(f"largest eps {eps_max} exceeds R/10 = {grid.R / 10.0}")
 
     eps, values, reports = _eps_sweep(
-        "reg", k, R, p, order, eps_list, grid,
+        "reg", k, p, order, eps_list, grid,
         lambda e, g: norm_lp_halfdisk(_reg_field(k, e, order), g, p), "norm",
     )
     return reports, _fit_rate("eps", eps, values)
@@ -370,15 +367,15 @@ def reg_linf_maximizer_radius(k: int, epsilon: float, grid: GridSpec) -> float:
 
 def sobolev_lognorm_experiment(
     k: int,
-    R: float,
     eps_list,
-    grid: GridSpec | None = None,
+    grid: GridSpec,
     order: int | None = None,
 ) -> tuple[list[ErrorReport], RateFit]:
     """Squared top-order Sobolev seminorm of the regularized log component vs |log eps|.
 
-    `order` defaults to k+2. Returns reports (knob=eps, value=seminorm^2) and
-    the straight-line fit of value against |log eps|.
+    The half-disk is that of the grid, radius grid.R. `order` defaults to k+2.
+    Returns reports (knob=eps, value=seminorm^2) and the straight-line fit of
+    value against |log eps|.
     """
     if k not in (2, 3):
         raise ValidationError(f"k must be 2 or 3 for this experiment, got {k}")
@@ -389,8 +386,7 @@ def sobolev_lognorm_experiment(
         log_field_terms(k, l, order - l)
 
     eps, values, reports = _eps_sweep(
-        "sobolev", k, R, 2.0, order, eps_list,
-        GridSpec(R, grading=3.0) if grid is None else grid,
+        "sobolev", k, 2.0, order, eps_list, grid,
         lambda e, g: log_component_seminorm_sq(k, e, g, order), "seminorm^2",
     )
     return reports, fit_linear(np.abs(np.log(eps)), values)
@@ -426,7 +422,8 @@ def mc_rate_experiment(
     Averages the error over seeds for each n, fits the log-log slope (the
     sampling theorem gives n^{-1/2}), and reports the fraction of draws whose
     coefficient bound (1/n) sum |a_i| (|w_i|+|b_i|)^alpha stays within 5% of
-    the target cost. Domain: [-1, 1] for 1D targets, the half-disk for 2D.
+    the target cost. Domain: [-1, 1] for 1D targets (reported R = 1), the
+    half-disk of `grid` for 2D (reported R = grid.R).
 
     Draw (n, s) takes the atoms `sample_subnetwork(target, n, seed=(s, n))`
     would take, but is kept as its atom counts c: its error field is that of
@@ -441,7 +438,7 @@ def mc_rate_experiment(
         raise ValidationError(f"derivative order must be 0, 1 or 2, got {m}")
     k_act, gamma = _holder_split(target.alpha)
     if not (m <= k_act or (m == k_act + 1 and (1.0 - gamma) * q < 1.0)):
-        raise InadmissiblePair(
+        raise ValidationError(
             f"(m={m}, q={q}) inadmissible for alpha={target.alpha}: "
             f"need m <= {k_act} or m = {k_act + 1} with (1-gamma)q < 1"
         )
@@ -460,8 +457,10 @@ def mc_rate_experiment(
         rule = _mc_line_rule()
         pts = rule.nodes
         w_quad = rule.weights
+        R = 1.0  # the half-width of [-1, 1]
     else:
         grid = grid if grid is not None else GridSpec(1.0, 64, 64, 2.0)
+        R = grid.R
         X, Y = grid.mesh()
         r = grid.radial_nodes()
         wr = grid.radial_weights() * r * grid.angular_weight
@@ -487,7 +486,7 @@ def mc_rate_experiment(
                 acc += np.abs(comp) ** q
         errs[lo : lo + len(block)] = (w_quad @ acc) ** (1.0 / q)
     values = [float(np.mean(row)) for row in errs.reshape(len(ns), len(seeds))]
-    reports = [ErrorReport("mc", 0, 1.0, q, m, float(n), float(v)) for n, v in zip(ns, values)]
+    reports = [ErrorReport("mc", 0, R, q, m, float(n), float(v)) for n, v in zip(ns, values)]
     fit = _fit_rate("n", np.asarray(ns, dtype=float), values)
     return reports, fit, bound_hits / len(draws)
 

@@ -24,12 +24,7 @@ from typing import Callable
 import numpy as np
 
 from .ensembles import NeuronEnsemble
-from .errors import (
-    DivergenceDetected,
-    MaxSubdivisionsExceeded,
-    NonFiniteSample,
-    ValidationError,
-)
+from .errors import MaxSubdivisionsExceeded, NonFiniteSample, NumericalError, ValidationError
 from .numerics import RateFit, fit_linear, integrate_adaptive
 
 __all__ = [
@@ -74,7 +69,7 @@ def barron_norm_upper(df: DifferentiableFunction1D, tol: float = 1e-9) -> float:
 
     The one quadrature of the criterion, split at 0 and at the singular
     points. A piece with an infinite end is integrated in theta = arctan x,
-    with integrand w(tan theta) (1 + tan^2 theta). Raises DivergenceDetected
+    with integrand w(tan theta) (1 + tan^2 theta). Raises NumericalError
     when refinement exhausts its budget, or when the integrand blows up at a
     declared singular endpoint or refinement reaches an infinite end (theta =
     +-pi/2 at floating-point resolution: a tail that diverges, or decays too
@@ -102,13 +97,13 @@ def barron_norm_upper(df: DifferentiableFunction1D, tol: float = 1e-9) -> float:
         try:
             total += integrate_adaptive(g, a, b, tol=tol, max_intervals=6000)
         except MaxSubdivisionsExceeded as exc:
-            raise DivergenceDetected(
+            raise NumericalError(
                 f"criterion integral does not converge on ({lo}, {hi}); "
                 f"partial sums reached {exc.estimate!r} with error bound {exc.err_bound!r}"
             ) from exc
         except NonFiniteSample:
             if lo in sing or hi in sing:
-                raise DivergenceDetected(
+                raise NumericalError(
                     f"criterion integral does not converge at a singular or infinite end of ({lo}, {hi})"
                 ) from None
             raise
@@ -163,7 +158,7 @@ def ensemble_from_derivative(
         raise ValidationError(f"quad_nodes must be >= 1, got {quad_nodes}")
     if not all(map(math.isfinite, df.support)):
         raise ValidationError(f"the equal-mass mesh needs a finite support, got {df.support}")
-    barron_norm_upper(df)  # raises DivergenceDetected on non-integrable input
+    barron_norm_upper(df)  # raises NumericalError on non-integrable input
 
     lo, hi = df.support
     fact = math.factorial(k)

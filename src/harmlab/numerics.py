@@ -16,14 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import (
-    DegenerateDesign,
-    MaxSubdivisionsExceeded,
-    NonFiniteSample,
-    NumericalError,
-    StencilLeavesDomain,
-    ValidationError,
-)
+from .errors import MaxSubdivisionsExceeded, NonFiniteSample, NumericalError, ValidationError
 from .halfplane import HalfPlanePoint
 
 __all__ = [
@@ -247,7 +240,7 @@ def fd_laplacian(f, p: HalfPlanePoint, h: float) -> float:
     if not (h > 0.0):
         raise ValidationError(f"h must be > 0, got {h}")
     if p.y <= 2.0 * h:
-        raise StencilLeavesDomain(
+        raise ValidationError(
             f"point at y = {p.y} is within 2h = {2 * h} of the boundary"
         )
     x, y = p.x, p.y
@@ -440,7 +433,7 @@ def fit_linear(xs, ys) -> RateFit:
     if x.size < 3:
         raise ValidationError(f"need at least 3 points, got {x.size}")
     if np.ptp(x) == 0.0:
-        raise DegenerateDesign("all abscissae identical; cannot fit a line")
+        raise ValidationError("all abscissae identical; cannot fit a line")
     with np.errstate(all="ignore"):  # an overflowed fit is refused below, not warned about
         e = math.frexp(float(np.max(np.abs(y))))[1]
         y = np.ldexp(y, -e)

@@ -22,7 +22,7 @@ from typing import Callable
 import numpy as np
 
 from .ensembles import activation
-from .errors import GrowthViolation, MaxSubdivisionsExceeded, QuadratureFailure, ValidationError
+from .errors import MaxSubdivisionsExceeded, NumericalError, ValidationError
 from .halfplane import HalfPlanePoint
 from .numerics import GridSpec, _integrate_lanes, integrate_adaptive
 
@@ -89,7 +89,7 @@ _QUAD_ERRSTATE = dict(divide="ignore", over="ignore", invalid="ignore")
 def _tail_power(g: BoundaryFunction, tol: float) -> float:
     """Validate (g, tol) and return the tail exponent m = 1/(1 - max(alpha, 0))."""
     if g.growth_alpha >= 1.0:
-        raise GrowthViolation(
+        raise ValidationError(
             f"boundary growth exponent {g.growth_alpha} >= 1: kernel integral diverges"
         )
     if not (tol > 0.0):
@@ -133,8 +133,8 @@ def _integrand(g: BoundaryFunction, m: float, x: float, y: float, sign: int):
 def solve_at(g: BoundaryFunction, p: HalfPlanePoint, tol: float = 1e-9) -> float:
     """Poisson-kernel value of the harmonic extension of g at p.
 
-    Raises GrowthViolation when the declared growth exponent is >= 1 (the
-    representation integral diverges) and QuadratureFailure when the adaptive
+    Raises ValidationError when the declared growth exponent is >= 1 (the
+    representation integral diverges) and NumericalError when the adaptive
     rule cannot reach the tolerance.
     """
     m = _tail_power(g, tol)
@@ -149,7 +149,7 @@ def solve_at(g: BoundaryFunction, p: HalfPlanePoint, tol: float = 1e-9) -> float
                     _integrand(g, m, x, y, sign), lo, hi, tol=piece_tol, max_intervals=20000
                 )
     except MaxSubdivisionsExceeded as exc:
-        raise QuadratureFailure(f"kernel quadrature failed at ({x}, {y}): {exc}") from exc
+        raise NumericalError(f"kernel quadrature failed at ({x}, {y}): {exc}") from exc
     return total / math.pi
 
 
@@ -192,7 +192,7 @@ def solve_grid(g: BoundaryFunction, grid: GridSpec, tol: float = 1e-9) -> np.nda
                 vals = _integrate_lanes(f, lo, hi, lane_tol, 20000)
         except MaxSubdivisionsExceeded as exc:
             n = int(node[exc.lane])
-            raise QuadratureFailure(
+            raise NumericalError(
                 f"kernel quadrature failed at ({xs[n]}, {ys[n]}): {exc}"
             ) from exc
         np.add.at(out, node, vals)

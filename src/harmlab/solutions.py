@@ -24,7 +24,7 @@ import math
 
 import numpy as np
 
-from .errors import NearIntegerAlpha, NonpositiveEpsilon, ValidationError
+from .errors import ValidationError
 from .halfplane import HalfPlanePoint
 
 __all__ = [
@@ -51,7 +51,7 @@ def _check_fractional(alpha: float) -> None:
     if not math.isfinite(alpha):
         raise ValidationError(f"alpha must be finite, got {alpha}")
     if abs(alpha - round(alpha)) <= _NEAR_INT_CUTOFF:
-        raise NearIntegerAlpha(
+        raise ValidationError(
             f"alpha = {alpha} is within 1e-9 of an integer; cot(pi*alpha) is not usable"
         )
 
@@ -64,7 +64,7 @@ def _check_k(k: int) -> None:
 def _check_reg_args(epsilon: float, k: int) -> None:
     _check_k(k)
     if not (epsilon > 0.0):
-        raise NonpositiveEpsilon(f"epsilon must be > 0, got {epsilon}")
+        raise ValidationError(f"epsilon must be > 0, got {epsilon}")
     if epsilon == math.inf:
         raise ValidationError(f"epsilon must be finite, got {epsilon}")
 

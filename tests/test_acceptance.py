@@ -15,10 +15,10 @@ import pytest
 
 from harmlab import (
     BoundaryFunction,
-    DegenerateAngle,
     GridSpec,
     HalfPlanePoint,
     NeuronEnsemble,
+    ValidationError,
     barron_cost,
     closed_form_dk1,
     dk1_angle_factor,
@@ -176,7 +176,7 @@ def test_criterion_3_homogeneity_and_anomaly():
 def test_criterion_4_reg_rate(k, p):
     t0 = time.time()
     eps = np.logspace(-4, -1, 7)
-    reports, fit = reg_error_experiment(k, 1.0, p, 0, eps, GRID)
+    reports, fit = reg_error_experiment(k, p, 0, eps, GRID)
     ratios = [r.value / r.knob**2 for r in reports]  # R = 1
     window = max(ratios) / min(ratios)
     elapsed = time.time() - t0
@@ -192,7 +192,7 @@ def test_criterion_4_reg_rate(k, p):
 def test_criterion_5_hessian_exception_model():
     t0 = time.time()
     eps = np.logspace(-4, -1, 7)
-    reports, _ = reg_error_experiment(2, 1.0, 1.0, 2, eps, GRID)
+    reports, _ = reg_error_experiment(2, 1.0, 2, eps, GRID)
     vals = np.array([r.value for r in reports])
     es = np.array([r.knob for r in reports])
     m_log = es**2 * np.abs(np.log(es))
@@ -221,7 +221,7 @@ def test_criterion_6_sobolev_log_growth_order_kplus2():
     t0 = time.time()
     eps = np.logspace(-3, -1, 5)
     grid = GridSpec(1.0, 192, 64, 3.0)
-    reports, fit = sobolev_lognorm_experiment(2, 1.0, eps, grid)  # stated top order k+2
+    reports, fit = sobolev_lognorm_experiment(2, eps, grid)  # stated top order k+2
     elapsed = time.time() - t0
     report(
         6,
@@ -294,14 +294,14 @@ def test_criterion_10_slice_constants():
         want = (1.0 / math.cos(theta)) ** k * math.sin(k * theta) / math.pi
         worst = max(worst, abs(res.c_fit - want) / abs(want))
         assert abs(res.c_fit - want) <= 1e-6 * abs(want)
-    with pytest.raises(DegenerateAngle):
+    with pytest.raises(ValidationError, match="log coefficient vanishes"):
         slice_log_fit(3, math.pi / 3)
     elapsed = time.time() - t0
     report(
         10,
         elapsed < 5.0,
         f"c_fit matches sec^k(theta) sin(k theta)/pi (worst rel {worst:.2e} <= 1e-6), "
-        f"DegenerateAngle raised for k*theta in pi*Z, {elapsed:.1f}s < 5s",
+        f"k*theta in pi*Z refused, {elapsed:.1f}s < 5s",
     )
 
 

@@ -521,6 +521,35 @@ def test_negative_seed_exits_2(tmp_path, capsys, argv, reason):
 
 
 @pytest.mark.parametrize(
+    "argv,error",
+    [
+        (["extend", "--in", "{line}", "--nodes", "0", "--samples", "7", "--n", "-3", "--x0", "a,b", "--v", "0,0"],
+         "unrecognized arguments: --nodes 0 --samples 7 --n -3 --x0 a,b --v 0,0"),
+        (["lift", "--in", "{line}", "--n", "5", "--x0", "zz"], "unrecognized arguments: --n 5 --x0 zz"),
+        (["slice", "--in", "{plane}", "--nodes", "0", "--samples", "0", "--n", "0"],
+         "unrecognized arguments: --nodes 0 --samples 0 --n 0"),
+        (["sample", "--in", "{plane}", "--n", "4", "--nodes", "0", "--x0", "q"], "unrecognized arguments: --nodes 0 --x0 q"),
+        (["extend", "--in", "{line}", "--seed", "-1"], "unrecognized arguments: --seed -1"),
+        (["lift", "--in", "{line}", "--n", "5"], "unrecognized arguments: --n 5"),  # not read as --nodes
+        (["sample", "--in", "{plane}"], "the following arguments are required: --n"),
+    ],
+    ids=["extend", "lift", "slice", "sample", "extend seed", "lift n", "sample without n"],
+)
+def test_ensemble_action_takes_only_its_own_flags(tmp_path, capsys, argv, error):
+    line, plane = tmp_path / "line.txt", tmp_path / "plane.txt"
+    save_ensemble(NeuronEnsemble([1.0], [1.0], [[1.0]], [0.0], 0.5), line)
+    save_ensemble(NeuronEnsemble([1.0], [1.0], [[1.0, 1.0]], [0.0], 0.5), plane)
+    out = tmp_path / "x.out"
+    with pytest.raises(SystemExit) as exc:
+        run(["ensemble", *[a.format(line=line, plane=plane) for a in argv], "--out", str(out)])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.endswith(f" error: {error}\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
     "argv,reason",
     [
         (["rates", "reg", "--k", "2", "--eps-max", "inf"], "eps-max must be finite, got inf"),
@@ -702,7 +731,10 @@ def test_ensemble_sampling_lift_determinism(tmp_path, capsys):
         (["rates", "sobolev"], ("--k", "--R", "--eps-min", "--eps-max", "--steps", "--out")),
         (["diag", "xklogx"], ("--k", "--delta-min", "--steps")),
         (["diag", "slice"], ("--k", "--theta")),
-        (["ensemble"], ("--in", "--out", "--seed", "--n")),
+        (["ensemble", "lift"], ("--in", "--out", "--nodes", "--samples", "--seed")),
+        (["ensemble", "slice"], ("--in", "--out", "--x0", "--v")),
+        (["ensemble", "extend"], ("--in", "--out")),
+        (["ensemble", "sample"], ("--in", "--out", "--n", "--seed")),
     ],
 )
 def test_help_lists_flags(capsys, argv, flags):

@@ -9,11 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from harmlab import (
-    GateFailed,
     GridSpec,
     HalfPlanePoint,
-    InadmissiblePair,
-    KTooSmall,
+    NumericalError,
     ValidationError,
     eval_u_integer,
     gauss_legendre_rule,
@@ -90,7 +88,7 @@ def test_reg_hessian_matches_fd():
 
 def test_reg_rate_k2_sup_norm():
     eps = np.logspace(-4, -1, 7)
-    reports, fit = reg_error_experiment(2, 1.0, math.inf, 0, eps, GRID)
+    reports, fit = reg_error_experiment(2, math.inf, 0, eps, GRID)
     assert fit.slope == pytest.approx(2.0, abs=0.1)
     assert len(reports) == 7
     assert all(r.experiment == "reg" for r in reports)
@@ -98,7 +96,7 @@ def test_reg_rate_k2_sup_norm():
 
 def test_reg_rate_k3_l2_and_ratio_window():
     eps = np.logspace(-4, -1, 7)
-    reports, fit = reg_error_experiment(3, 1.0, 2.0, 0, eps, GRID)
+    reports, fit = reg_error_experiment(3, 2.0, 0, eps, GRID)
     assert fit.slope == pytest.approx(2.0, abs=0.1)
     ratios = [r.value / (1.0 ** (3 - 2) * r.knob**2) for r in reports]
     assert max(ratios) / min(ratios) < 10.0
@@ -107,7 +105,7 @@ def test_reg_rate_k3_l2_and_ratio_window():
 def test_reg_rate_hessian_exception_model():
     # k = 2, p = 1, order 2: eps^2 |log eps| fits better than pure eps^2
     eps = np.logspace(-4, -1, 7)
-    reports, _ = reg_error_experiment(2, 1.0, 1.0, 2, eps, GRID)
+    reports, _ = reg_error_experiment(2, 1.0, 2, eps, GRID)
     vals = np.array([r.value for r in reports])
     es = np.array([r.knob for r in reports])
     m_log = es**2 * np.abs(np.log(es))
@@ -122,25 +120,25 @@ def test_reg_rate_hessian_exception_model():
 
 def test_reg_rate_gradient_slope_lower_bound():
     eps = np.logspace(-4, -1, 7)
-    _, fit = reg_error_experiment(2, 1.0, 2.0, 1, eps, GRID)
+    _, fit = reg_error_experiment(2, 2.0, 1, eps, GRID)
     assert fit.slope >= 0.9
 
 
 def test_reg_rate_validations():
     eps = np.logspace(-3, -1, 5)
-    with pytest.raises(KTooSmall):
-        reg_error_experiment(1, 1.0, 2.0, 0, eps, GRID)
+    with pytest.raises(ValidationError, match="regularization-rate experiments require k >= 2"):
+        reg_error_experiment(1, 2.0, 0, eps, GRID)
     with pytest.raises(ValidationError):
-        reg_error_experiment(2, 1.0, 2.0, 0, [0.2, 0.3, 0.5], GRID)  # eps > R/10
+        reg_error_experiment(2, 2.0, 0, [0.2, 0.3, 0.5], GRID)  # eps > R/10
     with pytest.raises(ValidationError):
-        reg_error_experiment(2, 1.0, 2.0, 3, eps, GRID)
+        reg_error_experiment(2, 2.0, 3, eps, GRID)
 
 
 def test_reg_rate_gate_failure_on_coarse_grid():
     # a deliberately unresolvable grid (few ungraded nodes, tiny eps) trips the gate
     bad = GridSpec(1.0, 8, 8, 1.0)
-    with pytest.raises(GateFailed):
-        reg_error_experiment(2, 1.0, 1.0, 2, np.logspace(-4, -2, 5), bad)
+    with pytest.raises(NumericalError, match=r"eps=0\.0001: norm moved .* under grid doubling"):
+        reg_error_experiment(2, 1.0, 2, np.logspace(-4, -2, 5), bad)
 
 
 # --- polar fields vs the Cartesian fields they replaced ---------------------------------
@@ -491,7 +489,7 @@ def test_sobolev_affine_in_log_at_order_kplus1():
     # the log-growth of the squared seminorm lives at derivative order k+1
     eps = np.logspace(-3, -1, 5)
     grid = GridSpec(1.0, 192, 64, 3.0)
-    reports, fit = sobolev_lognorm_experiment(2, 1.0, eps, grid, order=3)
+    reports, fit = sobolev_lognorm_experiment(2, eps, grid, order=3)
     assert fit.r_squared >= 0.99
     assert fit.slope > 0.0
     # constant increments per decade of eps
@@ -505,7 +503,7 @@ def test_sobolev_order_kplus2_grows_like_inverse_eps_squared():
     # not |log eps| (see the decisions ledger); verify the actual power law
     eps = np.logspace(-3, -1, 5)
     grid = GridSpec(1.0, 192, 64, 3.0)
-    reports, _ = sobolev_lognorm_experiment(2, 1.0, eps, grid)
+    reports, _ = sobolev_lognorm_experiment(2, eps, grid)
     es = np.array([r.knob for r in reports])
     vals = np.array([r.value for r in reports])
     from harmlab import fit_loglog
@@ -516,7 +514,7 @@ def test_sobolev_order_kplus2_grows_like_inverse_eps_squared():
 
 def test_sobolev_validation():
     with pytest.raises(ValidationError):
-        sobolev_lognorm_experiment(4, 1.0, [1e-3, 1e-2, 1e-1])
+        sobolev_lognorm_experiment(4, [1e-3, 1e-2, 1e-1], GRID)
 
 
 @pytest.mark.parametrize("k", [2, 3])
@@ -530,7 +528,7 @@ def test_sobolev_refuses_orders_beyond_exact_coefficients(monkeypatch, k):
     monkeypatch.setattr(experiments_module, "log_component_seminorm_sq", never)
     for order in (15, 16, 1000):
         with pytest.raises(ValidationError, match=r"order %d is too high .*2\*\*53" % order):
-            sobolev_lognorm_experiment(k, 1.0, [1e-3, 1e-2, 1e-1], order=order)
+            sobolev_lognorm_experiment(k, [1e-3, 1e-2, 1e-1], GRID, order=order)
 
 
 @pytest.mark.parametrize(
@@ -552,10 +550,8 @@ def test_library_refuses_inexact_orders(call):
 
 def test_sobolev_gate_rejects_coarse_grid():
     # on an 8 x 8 uniform grid the seminorm^2 moves ~19% under doubling at eps = 1e-3
-    with pytest.raises(GateFailed, match="seminorm"):
-        sobolev_lognorm_experiment(
-            2, 1.0, np.logspace(-3, -1, 4), GridSpec(1.0, 8, 8, 1.0), order=3
-        )
+    with pytest.raises(NumericalError, match=r"seminorm\^2 moved .* under grid doubling"):
+        sobolev_lognorm_experiment(2, np.logspace(-3, -1, 4), GridSpec(1.0, 8, 8, 1.0), order=3)
 
 
 # --- Monte-Carlo subsampling ----------------------------------------------------------
@@ -659,7 +655,7 @@ def test_random_target_size_limit(monkeypatch):
 
 def test_mc_admissibility():
     target = make_random_target(1.5, 1200, seed=81)
-    with pytest.raises(InadmissiblePair):
+    with pytest.raises(ValidationError, match=r"\(m=2, q=2\.0\) inadmissible for alpha=1\.5"):
         mc_rate_experiment(target, [32, 64, 128], 2, 2.0, seeds=2)
     with pytest.raises(ValidationError):
         mc_rate_experiment(target, [32, 64, 128], 0, 1.5, seeds=2)  # q < 2
@@ -720,10 +716,20 @@ def test_mc_two_dimensional_target():
     assert 0.0 <= rate <= 1.0
 
 
+def test_mc_reports_the_radius_of_its_domain():
+    # a 2D error is measured on the half-disk of grid.R; a 1D error on [-1, 1]
+    plane = make_random_target(2.0, 1000, seed=93, dim=2)
+    reports, _, _ = mc_rate_experiment(plane, [32, 64, 128], 0, 2.0, seeds=2, grid=GridSpec(2.0, 16, 16, 2.0))
+    assert [r.R for r in reports] == [2.0, 2.0, 2.0]
+    line = make_random_target(2.0, 1000, seed=93)
+    reports, _, _ = mc_rate_experiment(line, [32, 64, 128], 0, 2.0, seeds=2, grid=GridSpec(2.0, 16, 16, 2.0))
+    assert [r.R for r in reports] == [1.0, 1.0, 1.0]
+
+
 def test_sobolev_k3_order_kplus1_affine():
     eps = np.logspace(-3, -1, 4)
     grid = GridSpec(1.0, 192, 64, 3.0)
-    reports, fit = sobolev_lognorm_experiment(3, 1.0, eps, grid, order=4)
+    reports, fit = sobolev_lognorm_experiment(3, eps, grid, order=4)
     assert fit.r_squared >= 0.99
     assert fit.slope > 0.0
 

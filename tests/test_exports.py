@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import harmlab
+from harmlab import errors
 
 _LISTING = sorted(
     m.name for m in pkgutil.iter_modules(harmlab.__path__)
@@ -47,3 +48,16 @@ def test_readme_imports_listed_names():
     for node in imports:
         listed = importlib.import_module(node.module).__all__
         assert [a.name for a in node.names if a.name not in listed] == []
+
+
+def test_errors_are_two_families_and_the_two_subclasses_the_library_catches():
+    # the CLI exits 2 on ValidationError and 3 on NumericalError; the message
+    # names the failed check, so no further classes are needed to tell them apart
+    classes = {name: obj for name, obj in vars(errors).items() if isinstance(obj, type)}
+    assert sorted(classes) == [
+        "HarmlabError", "MaxSubdivisionsExceeded", "NonFiniteSample", "NumericalError", "ValidationError",
+    ]
+    assert issubclass(errors.ValidationError, errors.HarmlabError)
+    assert issubclass(errors.NumericalError, errors.HarmlabError)
+    assert issubclass(errors.MaxSubdivisionsExceeded, errors.NumericalError)
+    assert issubclass(errors.NonFiniteSample, errors.NumericalError)

@@ -6,14 +6,12 @@ import numpy as np
 import pytest
 
 from harmlab import (
-    DegenerateDesign,
     GridSpec,
     HalfPlanePoint,
     MaxSubdivisionsExceeded,
     NonFiniteSample,
     NumericalError,
     QuadratureRule,
-    StencilLeavesDomain,
     ValidationError,
     eval_u_half,
     fd_derivative,
@@ -165,7 +163,7 @@ def test_fd_laplacian_uhalf_order_two():
 
 
 def test_fd_laplacian_boundary_guard():
-    with pytest.raises(StencilLeavesDomain):
+    with pytest.raises(ValidationError, match="within 2h = 0.02 of the boundary"):
         fd_laplacian(lambda x, y: x, HalfPlanePoint(0.0, 0.01), 1e-2)
 
 
@@ -329,9 +327,9 @@ def test_fit_loglog_noisy_half_rate():
 
 
 def test_fit_degenerate_design():
-    with pytest.raises(DegenerateDesign):
+    with pytest.raises(ValidationError, match="all abscissae identical"):
         fit_loglog([2.0, 2.0, 2.0], [1.0, 2.0, 3.0])
-    with pytest.raises(DegenerateDesign):
+    with pytest.raises(ValidationError, match="all abscissae identical"):
         fit_linear([1.0, 1.0, 1.0], [1.0, 2.0, 3.0])
 
 

@@ -11,10 +11,9 @@ from hypothesis import strategies as st
 from harmlab import (
     BoundaryFunction,
     GridSpec,
-    GrowthViolation,
     HalfPlanePoint,
     MaxSubdivisionsExceeded,
-    QuadratureFailure,
+    NumericalError,
     ValidationError,
     eval_heaviside,
     eval_u_fractional,
@@ -85,12 +84,12 @@ def test_empty_grid_rejected():
 
 def test_growth_violation():
     g = BoundaryFunction.custom(lambda s: s, 1.0)
-    with pytest.raises(GrowthViolation):
+    with pytest.raises(ValidationError, match="kernel integral diverges"):
         solve_at(g, HalfPlanePoint(0.0, 1.0), tol=1e-9)
     with pytest.raises(ValidationError):
         BoundaryFunction.relu_power(1.0)
     # polynomial growth above degree 1 is rejected by the solver too
-    with pytest.raises(GrowthViolation):
+    with pytest.raises(ValidationError, match="kernel integral diverges"):
         solve_at(BoundaryFunction.custom(lambda s: 2.0 * s * s, 2.0), HalfPlanePoint(0.0, 1.0))
 
 
@@ -137,16 +136,17 @@ def test_tanh_is_harmonic_extension():
 
 
 def test_quadrature_failure_mapping(monkeypatch):
-    # budget exhaustion inside the kernel quadrature surfaces as QuadratureFailure
-    from harmlab import MaxSubdivisionsExceeded, QuadratureFailure
+    # budget exhaustion inside the kernel quadrature surfaces as a NumericalError
+    # that names the point, chained to the quadrature's own error
     from harmlab import poisson as poisson_mod
 
     def exhausted(*args, **kwargs):
         raise MaxSubdivisionsExceeded("budget", estimate=0.0, err_bound=1.0)
 
     monkeypatch.setattr(poisson_mod, "integrate_adaptive", exhausted)
-    with pytest.raises(QuadratureFailure):
+    with pytest.raises(NumericalError, match=re.escape("kernel quadrature failed at (1.0, 1.0): budget")) as exc:
         solve_at(BoundaryFunction.heaviside(), HalfPlanePoint(1.0, 1.0))
+    assert isinstance(exc.value.__cause__, MaxSubdivisionsExceeded)
 
 
 def test_relu_near_one_solves():
@@ -217,7 +217,7 @@ def test_solve_grid_equals_elementwise_solve_at(make):
 
 
 def test_solve_grid_failure_names_node(monkeypatch):
-    # a lane's exhausted budget surfaces as QuadratureFailure at that lane's node
+    # a lane's exhausted budget surfaces as a NumericalError naming that lane's node
     from harmlab import poisson as poisson_mod
 
     def last_lane_exhausted(f, a, b, tol, max_intervals):
@@ -229,5 +229,5 @@ def test_solve_grid_failure_names_node(monkeypatch):
     grid = GridSpec(1.0, 8, 8, 1.0)
     X, Y = grid.mesh()
     node = re.escape(f"({float(X[-1, -1])}, {float(Y[-1, -1])})")
-    with pytest.raises(QuadratureFailure, match=node):
+    with pytest.raises(NumericalError, match="kernel quadrature failed at " + node):
         solve_grid(BoundaryFunction.heaviside(), grid)

@@ -8,8 +8,6 @@ import pytest
 
 from harmlab import (
     HalfPlanePoint,
-    NearIntegerAlpha,
-    NonpositiveEpsilon,
     ValidationError,
     eval_heaviside,
     eval_u_fractional,
@@ -52,9 +50,9 @@ def test_fractional_spot_values():
 
 
 def test_near_integer_alpha_rejected():
-    with pytest.raises(NearIntegerAlpha):
+    with pytest.raises(ValidationError, match="within 1e-9 of an integer"):
         eval_u_fractional(HalfPlanePoint(1.0, 1.0), 2.0 + 1e-12)
-    with pytest.raises(NearIntegerAlpha):
+    with pytest.raises(ValidationError, match="within 1e-9 of an integer"):
         eval_u_fractional(HalfPlanePoint(1.0, 1.0), 1.0)
 
 
@@ -108,12 +106,12 @@ def test_u_reg_boundary_trace_is_relu_power(k, eps, y):
 
 
 def test_u_reg_validation():
-    with pytest.raises(NonpositiveEpsilon):
+    with pytest.raises(ValidationError, match="epsilon must be > 0"):
         eval_u_reg(1.0, 1.0, 0.0, 2)
-    with pytest.raises(NonpositiveEpsilon):
+    with pytest.raises(ValidationError, match="epsilon must be > 0"):
         eval_u_reg(1.0, 1.0, -1.0, 2)
     # parameters first, then the point: y < 0, then non-finite coordinates
-    with pytest.raises(NonpositiveEpsilon):
+    with pytest.raises(ValidationError, match="epsilon must be > 0"):
         eval_u_reg(1.0, -1.0, -1.0, 2)
     with pytest.raises(ValidationError, match="needs y >= 0"):
         eval_u_reg(math.nan, -1.0, 0.1, 2)
