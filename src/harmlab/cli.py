@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import errno
+import functools
 import math
 import os
 import sys
@@ -304,7 +305,9 @@ def _add_output_flags(sp) -> None:
     sp.add_argument("--gnuplot", action="store_true", help="emit a companion gnuplot script")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argparse tree, built once per process; run parses every argv with it."""
     fmt = argparse.ArgumentDefaultsHelpFormatter
     ap = argparse.ArgumentParser(
         prog="harmlab",

@@ -200,11 +200,12 @@ def log_field_terms(k: int, l: int, m: int) -> tuple[Poly2, dict[int, Poly2]]:
 
 
 def log_component_derivative_field(k: int, l: int, m: int, epsilon: float):
-    """(l, m)-derivative of log(x^2+y^2+eps^2) * P_k(x,y) / (2*pi) as a polar field f(r, phi).
+    """(l, m)-derivative of log(x^2+y^2+eps^2) * P_k(x,y) / (2*pi) as a polar product field f(r, phi).
 
-    Each term is a radial table times an angular one (see the module
-    docstring), so on broadcast r and phi the Poly2 factors see the angles
-    only.
+    One component (see numerics.norm_lp_halfdisk) whose terms are the module
+    docstring's: log(A) r^(k-n) / (2 pi) paired with L(cos phi, sin phi), and
+    r^(2j+k-n) / A^j / (2 pi) paired with q_j(cos phi, sin phi). So the Poly2
+    factors see the angles only.
     """
     L, qs = log_field_terms(k, l, m)
     e2 = epsilon * epsilon
@@ -213,10 +214,9 @@ def log_component_derivative_field(k: int, l: int, m: int, epsilon: float):
     def field(r, phi):
         c, s = np.cos(phi), np.sin(phi)
         A = r * r + e2
-        out = np.log(A) * r ** (k - n) * L(c, s) if L else 0.0
-        for j, q in qs.items():
-            out = out + r ** (2 * j + k - n) / A**j * q(c, s)
-        return out / (2.0 * math.pi)
+        terms = [(np.log(A) * r ** (k - n) / (2.0 * math.pi), L(c, s))] if L else []
+        terms += [(r ** (2 * j + k - n) / A**j / (2.0 * math.pi), q(c, s)) for j, q in qs.items()]
+        return [terms]
 
     return field
 
@@ -238,27 +238,28 @@ def log_component_seminorm_sq(k: int, epsilon: float, grid: GridSpec, order: int
 # --- regularization-error experiment ----------------------------------------------
 
 
-def _reg_sq(k: int, epsilon: float, order: int, r, phi: float):
-    """|d^order (u_{eps,k} - u_k)|^2 at radii r on the ray phi; Frobenius at order 2."""
+def _reg_radial(k: int, epsilon: float, order: int, r, phi: float):
+    """|d^order (u_{eps,k} - u_k)| at radii r on the ray phi; Frobenius at order 2."""
     X, Y = r * math.cos(phi), r * math.sin(phi)
     if order == 0:
-        v = reg_diff_value(X, Y, epsilon, k)
-        return v * v
+        return np.abs(reg_diff_value(X, Y, epsilon, k))
     if order == 1:
         vx, vy = reg_diff_gradient(X, Y, epsilon, k)
-        return vx * vx + vy * vy
+        return np.sqrt(vx * vx + vy * vy)
     vxx, vxy, vyy = reg_diff_hessian(X, Y, epsilon, k)
-    return vxx * vxx + 2.0 * vxy * vxy + vyy * vyy
+    return np.sqrt(vxx * vxx + 2.0 * vxy * vxy + vyy * vyy)
 
 
 def _reg_field(k: int, epsilon: float, order: int):
-    """|d^order (u_{eps,k} - u_k)| as a polar field f(r, phi), for order 0, 1 or 2.
+    """|d^order (u_{eps,k} - u_k)| as a polar product field f(r, phi), for order 0, 1 or 2.
 
     The error is v = f(r) sin(k phi), and the squared magnitude of its
     gradient or Hessian does not depend on the frame. In the polar frame it is
     a(r) sin^2(k phi) + b(r) cos^2(k phi), so a is its value on the ray
     phi = pi/(2k) and b its value on phi = 0 (b = 0 at order 0): two radial
-    tables from the closed form, each one reg_diff_* call.
+    tables from the closed form, each one reg_diff_* call. The field is the
+    component [(sqrt(a), sin k phi)], and at orders 1 and 2 also
+    [(sqrt(b), cos k phi)] (see numerics.norm_lp_halfdisk).
     """
     if order not in (0, 1, 2):
         raise ValidationError(f"derivative order must be 0, 1 or 2, got {order}")
@@ -267,10 +268,10 @@ def _reg_field(k: int, epsilon: float, order: int):
         # (cos + i sin)^k holds sin(k phi) and cos(k phi) to a few ulps, also near
         # phi = pi, where rounding k*phi would cost digits for odd k
         z = (np.cos(phi) + 1j * np.sin(phi)) ** k
-        sq = _reg_sq(k, epsilon, order, r, math.pi / (2 * k)) * z.imag**2
+        comps = [[(_reg_radial(k, epsilon, order, r, math.pi / (2 * k)), z.imag)]]
         if order:
-            sq += _reg_sq(k, epsilon, order, r, 0.0) * z.real**2
-        return np.sqrt(sq, out=sq)
+            comps.append([(_reg_radial(k, epsilon, order, r, 0.0), z.real)])
+        return comps
 
     return field
 
@@ -357,8 +358,7 @@ def interior_critical_radius(k: int, epsilon: float, R: float):
 
 def reg_linf_maximizer_radius(k: int, epsilon: float, grid: GridSpec) -> float:
     """Measured radius maximizing |u_{eps,k} - u_k| on the grid (refined in r)."""
-    field = _reg_field(k, epsilon, 0)
-    _, rstar, vstar, edge = ray_refined_max(field, grid, field(*grid.polar()))
+    _, rstar, vstar, edge = ray_refined_max(_reg_field(k, epsilon, 0), grid)
     return grid.R if edge >= vstar else rstar
 
 

@@ -802,3 +802,19 @@ def test_lift_nodes_with_samples_exits_2(tmp_path, capsys, nodes):
     assert code == 2 and out == ""
     assert err.count("\n") == 1 and err.startswith("harmlab: invalid input: ")
     assert not (tmp_path / "o.txt").exists()
+
+
+def test_parser_is_built_once_across_many_runs(tmp_path, capsys):
+    cli.build_parser.cache_clear()
+    line = tmp_path / "line.txt"
+    save_ensemble(NeuronEnsemble([1.0], [1.0], [[1.0]], [0.0], 0.5), line)
+    argvs = [
+        ["eval", "--kind", "heaviside", "--x", "1", "--y", "1"],
+        ["eval", "--kind", "int", "--k", "0", "--x", "1", "--y", "1"],  # exits 2
+        ["diag", "slice", "--k", "2", "--theta", "0.7"],
+        ["ensemble", "extend", "--in", str(line), "--out", str(tmp_path / "h.txt")],
+    ]
+    codes = [run(argv) for _ in range(10) for argv in argvs]
+    assert codes == [0, 2, 0, 0] * 10
+    assert cli.build_parser.cache_info().misses == 1
+    capsys.readouterr()

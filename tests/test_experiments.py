@@ -42,6 +42,8 @@ from harmlab.experiments import (
 )
 from harmlab.numerics import norm_lp_halfdisk
 from harmlab.solutions import reg_diff_gradient, reg_diff_hessian, reg_diff_value
+from polar_reference import component_values, norm_lp_2d
+from polar_reference import magnitude as product_magnitude
 
 GRID = GridSpec(1.0, 256, 128, 3.0)
 
@@ -188,9 +190,7 @@ def test_polar_reg_norms_match_cartesian_reference(k, grading):
             for p in (1.0, 1.5, 2.0, math.inf):
                 for eps in (1e-3, 0.05):
                     got = norm_lp_halfdisk(_reg_field(k, eps, order), grid, p)
-                    want = norm_lp_halfdisk(
-                        _on_cartesian_nodes(_cartesian_reg_field(k, eps, order)), grid, p
-                    )
+                    want = norm_lp_2d(_on_cartesian_nodes(_cartesian_reg_field(k, eps, order)), grid, p)
                     assert got == pytest.approx(want, rel=1e-13, abs=0.0), (grid, order, p, eps)
 
 
@@ -203,9 +203,7 @@ def test_polar_sobolev_seminorm_matches_cartesian_reference(k):
                 got = log_component_seminorm_sq(k, eps, grid, order)
                 want = sum(
                     math.comb(order, l)
-                    * norm_lp_halfdisk(
-                        _on_cartesian_nodes(_cartesian_log_field(k, l, order - l, eps)), grid, 2.0
-                    ) ** 2
+                    * norm_lp_2d(_on_cartesian_nodes(_cartesian_log_field(k, l, order - l, eps)), grid, 2.0) ** 2
                     for l in range(order + 1)
                 )
                 assert got == pytest.approx(want, rel=1e-13, abs=0.0), (grid, order, eps)
@@ -229,7 +227,7 @@ def test_reg_field_separates_in_polar_coordinates(k, order, r, delta, near_pi, e
     def magnitude(t):
         return abs(float(cartesian(np.array([r * math.cos(t)]), np.array([r * math.sin(t)]))[0]))
 
-    got = float(_reg_field(k, eps, order)(np.array([r]), np.array([phi]))[0])
+    got = float(product_magnitude(_reg_field(k, eps, order))(np.array([r]), np.array([phi]))[0])
     want = magnitude(phi)
     if order == 0:
         # a product of factors without cancellation: relative accuracy also near phi = pi
@@ -419,7 +417,7 @@ def test_log_field_matches_leibniz_reference(k):
     for n in range(6):
         for l in range(n + 1):
             for eps in (1e-3, 0.1, 1.0):
-                got = log_component_derivative_field(k, l, n - l, eps)(r, phi)
+                (got,) = component_values(log_component_derivative_field(k, l, n - l, eps), r, phi)
                 want = _ref_log_component_derivative_field(k, l, n - l, eps)(X, Y)
                 scale = np.max(np.abs(want))
                 assert np.max(np.abs(got - want)) <= 1e-13 * scale, (k, l, n - l, eps)
@@ -450,8 +448,8 @@ def test_log_field_scaling(k, l, m, j, r, phi, eps):
     n = l + m
     x, y = np.array([r * math.cos(phi)]), np.array([r * math.sin(phi)])
     r, phi = np.array([r]), np.array([phi])
-    got = log_component_derivative_field(k, l, m, lam * eps)(lam * r, phi)[0]
-    base = log_component_derivative_field(k, l, m, eps)(r, phi)[0]
+    got = component_values(log_component_derivative_field(k, l, m, lam * eps), lam * r, phi)[0][0]
+    base = component_values(log_component_derivative_field(k, l, m, eps), r, phi)[0][0]
     shift = math.log(lam * lam) / (2.0 * math.pi) * _poly_derivative(imag_power_poly(k), l, m)(x, y)[0]
     want = lam ** (k - n) * (base + shift)
     # relative to the terms' size, since base and shift may cancel
@@ -460,9 +458,10 @@ def test_log_field_scaling(k, l, m, j, r, phi, eps):
 
 def test_log_derivative_field_matches_fd():
     eps, k = 0.3, 2
-    f10 = log_component_derivative_field(k, 1, 0, eps)
-    f01 = log_component_derivative_field(k, 0, 1, eps)
-    f22 = log_component_derivative_field(k, 2, 2, eps)
+    f10, f01, f22 = (
+        lambda r, phi, lm=lm: component_values(log_component_derivative_field(k, *lm, eps), r, phi)[0]
+        for lm in ((1, 0), (0, 1), (2, 2))
+    )
 
     def u(x, y):
         return math.log(x * x + y * y + eps * eps) * ((x + 1j * y) ** k).imag / (2 * math.pi)
@@ -483,6 +482,33 @@ def test_log_derivative_field_matches_fd():
 
         fd22 = fd_derivative(dyy, x, 2, 5e-3)
         assert f22(*polar)[0] == pytest.approx(fd22, rel=1e-4, abs=1e-6)
+
+
+def _seminorm_sq_long_double(k, eps, grid, order):
+    """log_component_seminorm_sq summed node by node in long double from the same float tables."""
+    r, phi = grid.polar()
+    ld = np.longdouble
+    wr = grid.radial_weights().astype(ld) * grid.radial_nodes().astype(ld)
+    total = ld(0)
+    for l in range(order + 1):
+        (terms,) = log_component_derivative_field(k, l, order - l, eps)(r, phi)
+        V = np.zeros((grid.nr, grid.nphi), dtype=ld)
+        for R, Q in terms:
+            V += np.asarray(R, dtype=ld) * np.asarray(Q, dtype=ld)
+        total += math.comb(order, l) * np.sum((V * V).sum(axis=1) * wr)
+    return total * ld(grid.angular_weight)
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).precision < 18, reason="needs an extended-precision long double")
+def test_high_order_seminorm_matches_long_double_grid_sum():
+    # at order 7 the terms of one derivative cancel: a plain Gram sum
+    # sum_ii' (R_i . w r R_i') (Q_i . Q_i') of the same tables misses this
+    # value by about 4e-13, the QR reduction stays within about 1e-15
+    grid = GridSpec(1.0)
+    eps = 1e-5 * grid.R
+    want = _seminorm_sq_long_double(3, eps, grid, 7)
+    rel = float(abs(np.longdouble(log_component_seminorm_sq(3, eps, grid, 7)) - want) / want)
+    assert rel <= 1e-13, rel
 
 
 def test_sobolev_affine_in_log_at_order_kplus1():

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from harmlab import (
     GridSpec,
@@ -24,6 +26,7 @@ from harmlab import (
 )
 from harmlab import numerics
 from harmlab.solutions import reg_diff_value
+from polar_reference import magnitude, norm_lp_2d
 
 
 # --- integrate_adaptive --------------------------------------------------------
@@ -206,62 +209,113 @@ def test_gridspec_nodes_increasing_and_interior():
 
 def test_norm_constant_p2():
     g = GridSpec(1.0, 64, 64, 2.0)
-    val = norm_lp_halfdisk(lambda r, phi: np.ones_like(r * phi), g, 2.0)
+    val = norm_lp_halfdisk(lambda r, phi: [[(1.0, 1.0)]], g, 2.0)  # scalar tables broadcast
     assert val == pytest.approx(math.sqrt(math.pi / 2), abs=1e-6)
 
 
 def test_norm_constant_inf_exact():
     g = GridSpec(1.0, 32, 32, 2.0)
-    val = norm_lp_halfdisk(lambda r, phi: np.full_like(r * phi, -2.5), g, math.inf)
+    val = norm_lp_halfdisk(lambda r, phi: [[(np.full_like(r, -2.5), np.ones_like(phi))]], g, math.inf)
     assert val == 2.5
+
+
+# one field per way norm_lp_halfdisk sums or takes the max: a single product,
+# several terms in one component, and several components
+_CASE_FIELDS = {
+    "single product": lambda r, phi: [[(r, np.sin(phi))]],
+    "two terms": lambda r, phi: [[(r, np.sin(phi)), (r * r, np.cos(phi))]],
+    "two components": lambda r, phi: [[(r, np.sin(phi))], [(r * r, np.cos(phi))]],
+}
 
 
 def test_norm_calls_field_once_on_polar_tables():
     g = GridSpec(1.0, 16, 12, 2.0)
-    shapes = []
+    for field in _CASE_FIELDS.values():
+        for p in (1.0, 2.0, 3.0, math.inf):
+            shapes = []
 
-    def f(r, phi):
-        shapes.append((np.shape(r), np.shape(phi)))
-        return r * np.sin(phi)
+            def f(r, phi):
+                shapes.append((np.shape(r), np.shape(phi)))
+                return field(r, phi)
 
-    norm_lp_halfdisk(f, g, 2.0)
-    assert shapes == [((16, 1), (1, 12))]
-    with pytest.raises(ValidationError, match="elementwise"):
-        norm_lp_halfdisk(lambda r, phi: r, g, 2.0)  # no phi dependence, wrong shape
-    shapes.clear()
-    norm_lp_halfdisk(f, g, math.inf)
-    assert shapes[0] == ((16, 1), (1, 12))
-    assert len(shapes) > 1 and all(s == ((1,), (1,)) for s in shapes[1:])  # one-point ray calls
+            norm_lp_halfdisk(f, g, p)
+            assert shapes[0] == ((16, 1), (1, 12))
+            if math.isinf(p):
+                assert len(shapes) > 1 and all(s == ((1,), (1,)) for s in shapes[1:])  # one-point ray calls
+            else:
+                assert len(shapes) == 1
+
+
+@pytest.mark.parametrize("p", [1.0, 2.0, 3.0, math.inf])
+def test_norm_of_a_component_without_terms_is_zero(p):
+    g = GridSpec(1.0, 16, 12, 2.0)
+    want = norm_lp_halfdisk(lambda r, phi: [[(r, np.sin(phi))]], g, p)
+    assert norm_lp_halfdisk(lambda r, phi: [[], [(r, np.sin(phi))]], g, p) == pytest.approx(want, rel=1e-15)
+    assert norm_lp_halfdisk(lambda r, phi: [[]], g, p) == 0.0
+
+
+@pytest.mark.parametrize("field", [
+    lambda r, phi: r * np.sin(phi),  # a grid array, not components
+    lambda r, phi: [[(r * phi, 1.0)]],  # a grid-sized radial table
+    lambda r, phi: [[(r, phi.T)]],  # an angular table over nphi radii
+    lambda r, phi: [[(r,)]],  # a term without its angular table
+    lambda r, phi: [],  # no component
+])
+@pytest.mark.parametrize("p", [1.0, 2.0, math.inf])
+def test_norm_refuses_fields_that_are_not_polar_products(field, p):
+    with pytest.raises(ValidationError, match="component"):
+        norm_lp_halfdisk(field, GridSpec(1.0, 16, 12, 2.0), p)
 
 
 def test_norm_nonfinite_rejected():
     g = GridSpec(1.0, 16, 16, 1.0)
+    for field in _CASE_FIELDS.values():
 
-    def f(r, phi):
-        out = np.ones_like(r * phi)
-        out[0, 0] = np.inf
-        return out
+        def f(r, phi):
+            comps = field(r, phi)
+            R, Q = comps[-1][-1]
+            comps[-1][-1] = (R, np.where(phi == phi.max(), np.nan, Q))
+            return comps
 
-    with pytest.raises(NonFiniteSample):
-        norm_lp_halfdisk(f, g, 2.0)
+        for p in (1.0, 2.0, 1.5, math.inf):
+            with pytest.raises(NonFiniteSample, match="on the grid"):
+                norm_lp_halfdisk(f, g, p)
 
 
 def test_norm_overflowing_field_rejected_without_warnings():
-    # pytest turns RuntimeWarning into an error, so a warning fails this test
-    g = GridSpec(1e200, 16, 16, 1.0)
-    with pytest.raises(NonFiniteSample, match="on the grid"):
-        norm_lp_halfdisk(lambda r, phi: r * r * np.sin(phi), g, 2.0)
+    # pytest turns RuntimeWarning into an error, so a warning fails this test.
+    # "table": r * r overflows on a grid of radius 1e200, inside the field;
+    # "product": finite tables of size 1e200 whose products and sums overflow
+    cases = {
+        "table": (GridSpec(1e200, 16, 16, 1.0), lambda R, Q: (R * R, Q)),
+        "product": (GridSpec(1.0, 16, 16, 1.0), lambda R, Q: (1e200 * R, 1e200 * Q)),
+    }
+    for overflow, (g, scale) in cases.items():
+        for field in _CASE_FIELDS.values():
+
+            def f(r, phi):
+                return [[scale(R, Q) for R, Q in terms] for terms in field(r, phi)]
+
+            for p in (1.0, 2.0, 1.5, math.inf):
+                with pytest.raises(NonFiniteSample, match="on the grid"):
+                    norm_lp_halfdisk(f, g, p)
 
 
 def test_norm_nonfinite_ray_max_rejected():
     g = GridSpec(1.0, 16, 16, 1.0)
 
     def f(r, phi):  # finite on the grid, NaN on the one-point ray calls
-        return np.ones_like(r * phi) if np.size(r) > 1 else np.sqrt(-np.ones_like(r * phi))
+        return [[(np.ones_like(r) if np.size(r) > 1 else np.full_like(r, np.nan), np.sin(phi))]]
 
     assert norm_lp_halfdisk(f, g, 2.0) > 0.0
     with pytest.raises(NonFiniteSample, match="maximizing ray"):
         norm_lp_halfdisk(f, g, math.inf)
+
+
+def _reg_difference(eps, k):
+    """u_{eps,k} - u_k = f(r) sin(k phi) as a polar product, f read on the ray phi = pi/(2k)."""
+    ray = math.pi / (2 * k)
+    return lambda r, phi: [[(reg_diff_value(r * math.cos(ray), r * math.sin(ray), eps, k), np.sin(k * phi))]]
 
 
 def test_norm_linf_reg_difference_window():
@@ -269,9 +323,7 @@ def test_norm_linf_reg_difference_window():
     # for k = 2 the radial profile is increasing, so the max sits at r = R.
     eps, k = 1e-2, 2
     g = GridSpec(1.0, 256, 256, 2.0)
-    val = norm_lp_halfdisk(
-        lambda r, phi: reg_diff_value(r * np.cos(phi), r * np.sin(phi), eps, k), g, math.inf
-    )
+    val = norm_lp_halfdisk(_reg_difference(eps, k), g, math.inf)
     analytic = math.log1p(eps**2) / (2 * math.pi)
     assert 0.5 * eps**2 / (2 * math.pi) <= val <= 1.5 * eps**2 / (2 * math.pi)
     assert val == pytest.approx(analytic, rel=2e-4)
@@ -282,9 +334,10 @@ def test_norm_monotone_in_p_after_normalization():
     g = GridSpec(1.0, 64, 64, 2.0)
     area = math.pi / 2
     fields = [
-        lambda r, phi: r * np.cos(phi),
-        lambda r, phi: np.exp(-(r**2)) * np.ones_like(phi),
-        lambda r, phi: r * (np.abs(np.cos(phi)) + np.sin(phi)),
+        lambda r, phi: [[(r, np.cos(phi))]],
+        lambda r, phi: [[(np.exp(-(r**2)), np.ones_like(phi))]],
+        lambda r, phi: [[(r, np.abs(np.cos(phi)) + np.sin(phi))]],
+        *_CASE_FIELDS.values(),
     ]
     for f in fields:
         means = [
@@ -298,10 +351,42 @@ def test_norm_grid_refinement_gate():
     # reference integrand family: refinement changes the norm by well under 0.5%
     g = GridSpec(1.0, 256, 256, 2.0)
     for eps in (1e-1, 1e-3):
-        f = lambda r, phi: reg_diff_value(r * np.cos(phi), r * np.sin(phi), eps, 3)
+        f = _reg_difference(eps, 3)
         a = norm_lp_halfdisk(f, g, 1.0)
         b = norm_lp_halfdisk(f, g.refined(), 1.0)
         assert abs(a - b) / max(a, b) < 0.005
+
+
+# random polar product fields: term i of a component is c r^i cos(a r) paired
+# with cos(n phi + theta), so the terms of one component are independent
+_TERM = st.tuples(
+    st.floats(0.1, 10.0) | st.floats(-10.0, -0.1),  # c
+    st.floats(0.0, 4.0),  # a
+    st.integers(0, 6),  # n
+    st.floats(0.0, math.pi),  # theta
+)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(
+    comps=st.one_of(
+        _TERM.map(lambda term: [[term]]),  # a single product, which has its own p = inf grid max
+        st.lists(st.lists(_TERM, min_size=1, max_size=6), min_size=1, max_size=3),
+    ),
+    p=st.sampled_from([1.0, 1.5, 2.0, 4.0, math.inf]),
+    R=st.floats(0.1, 10.0),
+    nr=st.integers(8, 80),
+    nphi=st.integers(8, 80),
+    grading=st.sampled_from([1.0, 2.0, 3.0]),
+)
+def test_norm_matches_the_full_grid_quadrature(comps, p, R, nr, nphi, grading):
+    def f(r, phi):
+        return [[(c * r**i * np.cos(a * r), np.cos(n * phi + theta)) for i, (c, a, n, theta) in enumerate(terms)]
+                for terms in comps]
+
+    grid = GridSpec(R, nr, nphi, grading)
+    want = norm_lp_2d(magnitude(f), grid, p)
+    assert norm_lp_halfdisk(f, grid, p) == pytest.approx(want, rel=1e-13, abs=0.0)
 
 
 # --- fits ---------------------------------------------------------------------------
