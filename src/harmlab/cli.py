@@ -305,11 +305,22 @@ def _add_output_flags(sp) -> None:
     sp.add_argument("--gnuplot", action="store_true", help="emit a companion gnuplot script")
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argparse parser whose refusals raise ValidationError, so run prints them in one line.
+
+    Subparsers are built with the class of their parent, so every level of
+    the tree refuses this way; -h still prints help and exits 0.
+    """
+
+    def error(self, message):
+        raise ValidationError(message)
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The argparse tree, built once per process; run parses every argv with it."""
     fmt = argparse.ArgumentDefaultsHelpFormatter
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="harmlab",
         description="Harmonic extensions of ReLU^alpha boundary data and their rate experiments",
         formatter_class=fmt,

@@ -4,7 +4,13 @@ and straight-line fits for rate extraction.
 The adaptive integrator uses an embedded Fejer-2 pair (7 nodes nested inside
 15) with globally greedy bisection, so integrable endpoint singularities are
 resolved without ever sampling the endpoints. Integrands must accept numpy
-arrays of abscissae.
+arrays of abscissae. Callers split their integrals at kinks, so a singularity
+sits at an end and the greedy bisects the interval at that end round after
+round; the call of f that makes such a bisection also evaluates the next
+_AHEAD_DEPTH = 6 bisections towards that end, and the greedy later takes those
+values instead of calling f. They are the same intervals with the same
+arithmetic, so every value is bit-identical to a greedy without look-ahead
+(see _integrate_lanes).
 
 Half-disk norms take polar product fields: f(r, phi) returns components, each
 a list of (radial table, angular table) pairs, and the field's magnitude is
@@ -105,22 +111,91 @@ def _lane_failure(exc: Exception, lane: int) -> Exception:
     return exc
 
 
-def _pair_rows(f, lanes, edges) -> list[list[float]]:
-    """[fine, coarse] estimates of lane lanes[j] on the interval edges[j] = (lo, hi).
+def _nonfinite(lane: int, lo: float, hi: float) -> Exception:
+    return _lane_failure(NonFiniteSample(f"integrand non-finite inside ({lo}, {hi})"), lane)
+
+
+def _pair_rows(f, lanes, lo, hi) -> tuple[list, bool]:
+    """[fine, coarse] estimates of lane lanes[j] on the interval (lo[j], hi[j]), and whether all are finite.
 
     f(lanes, x) gets the abscissae as rows of x (shape (n, 15)). A row's sums
     do not depend on the other rows, so a lane's numbers are the same in
-    every batch.
+    every batch. A row with a non-finite sample gives None.
     """
-    half = np.array([0.5 * (hi - lo) for lo, hi in edges])[:, None]
-    x = np.array([0.5 * (lo + hi) for lo, hi in edges])[:, None] + half * _F2_FINE_NODES
+    if len(lo) > 16:  # the same IEEE operations, faster in numpy once there are many rows
+        lo, hi = np.array(lo), np.array(hi)
+        half = (0.5 * (hi - lo))[:, None]
+        x = (0.5 * (lo + hi))[:, None] + half * _F2_FINE_NODES
+    else:
+        half = np.array([0.5 * (h - l) for l, h in zip(lo, hi)])[:, None]
+        x = np.array([0.5 * (l + h) for l, h in zip(lo, hi)])[:, None] + half * _F2_FINE_NODES
     y = np.asarray(f(np.array(lanes), x), dtype=float)
-    finite = np.isfinite(y)
-    if not finite.all():
-        j = int(finite.all(axis=1).argmin())
-        lo, hi = edges[j]
-        raise _lane_failure(NonFiniteSample(f"integrand non-finite inside ({lo}, {hi})"), lanes[j])
-    return (np.add.reduce(y[:, None, :] * _F2_PAIR_W, axis=2) * half).tolist()
+    if np.isfinite(y).all():
+        return (np.add.reduce(y[:, None, :] * _F2_PAIR_W, axis=2) * half).tolist(), True
+    finite = np.isfinite(y).all(axis=1)
+    y = np.where(finite[:, None], y, 0.0)
+    pairs = (np.add.reduce(y[:, None, :] * _F2_PAIR_W, axis=2) * half).tolist()
+    return [pair if ok else None for pair, ok in zip(pairs, finite.tolist())], False
+
+
+# Endpoint look-ahead of the greedy (see _integrate_lanes): the bisections
+# evaluated ahead along an endpoint chain, and the most rows, those ahead
+# included, of a round that looks ahead. The deepest relu:0.9 solve of the
+# evaluation-budget test samples g at 1740 points with depth 6, 1950 with
+# depth 7 and 2250 with depth 8, against its limit of 2000.
+_AHEAD_DEPTH = 6
+_AHEAD_ROWS = 32
+
+
+def _chain(lo: float, hi: float, left: bool) -> tuple[list[float], list[float]]:
+    """Halves of the next _AHEAD_DEPTH bisections of (lo, hi) towards its lo (left) or hi end.
+
+    Returns the halves' lo and hi ends, the two halves of each bisection in
+    turn. The bisections are the greedy's own, mid = 0.5 * (lo + hi), and
+    the chain stops where the greedy would accept an interval at
+    floating-point resolution instead of bisecting it.
+    """
+    los, his = [], []
+    for _ in range(_AHEAD_DEPTH):
+        mid = 0.5 * (lo + hi)
+        if mid <= lo or mid >= hi:
+            break
+        los += [lo, mid]
+        his += [mid, hi]
+        if left:
+            hi = mid
+        else:
+            lo = mid
+    return los, his
+
+
+def _nest(pairs: list, left: bool):
+    """Kids of a chain's first interval, from the pairs of the chain's halves in turn.
+
+    The kids of an interval are (pair of its lo half, pair of its hi half,
+    kids of the lo half, kids of the hi half), None where not evaluated.
+    """
+    kids = None
+    for p1, p2 in zip(pairs[-2::-2], pairs[::-2]):
+        kids = (p1, p2, kids, None) if left else (p1, p2, None, kids)
+    return kids
+
+
+def _interleave(x, y) -> list:
+    """[x[0], y[0], x[1], y[1], ...]"""
+    out = [None] * (2 * len(x))
+    out[0::2] = x
+    out[1::2] = y
+    return out
+
+
+def _first_nonfinite(split, halves) -> Exception:
+    """NonFiniteSample of the first non-finite half in split order, the one a call of f per round raises."""
+    for (lane, lo, mid, hi, _, _, _), (p1, p2, _, _) in zip(split, halves):
+        if p1 is None:
+            return _nonfinite(lane, lo, mid)
+        if p2 is None:
+            return _nonfinite(lane, mid, hi)
 
 
 def _integrate_lanes(f, a, b, tol, max_intervals: int) -> list[float]:
@@ -129,21 +204,44 @@ def _integrate_lanes(f, a, b, tol, max_intervals: int) -> list[float]:
     f(lanes, x) returns the integrand of lane lanes[j] at the abscissae x[j],
     for every row j of x (shape (n, 15)); every a[i] < b[i]. Each lane keeps
     its own heap and bisects its own worst interval each round, so it takes
-    exactly the steps of a one-lane run, and one round evaluates both halves
-    of every active lane in one call of f. A failing lane raises
-    MaxSubdivisionsExceeded or NonFiniteSample with its index as `lane`.
+    exactly the steps of a one-lane run. One round evaluates the halves of
+    every bisected interval in one call of f, and skips f when every half is
+    already known. A failing lane raises MaxSubdivisionsExceeded or
+    NonFiniteSample with its index as `lane`.
+
+    Endpoint look-ahead: callers split their integrals at kinks, so the
+    singularities sit at the lanes' ends, and a lane refining towards an end
+    bisects the interval at that end round after round. The bisection of an
+    interval that touches a[i] or b[i] also evaluates, in the same call of f,
+    the halves of the next _AHEAD_DEPTH bisections of its half at that end,
+    as long as the round's rows, these included, stay within _AHEAD_ROWS.
+    That half's heap entry carries their pairs as `kids`, and a later
+    bisection of it takes them instead of new rows. A precomputed pair
+    belongs to the same interval and comes from the same arithmetic, so every
+    lane's pops, pushes, counters and sums, and so its value and its failure,
+    are those of a run without look-ahead, bit for bit. A non-finite sample
+    found ahead is stored and raises only when the greedy bisects into it.
+
+    A one-lane bisection at an end takes 2 + 2 * _AHEAD_DEPTH = 14 rows (26
+    for the first bisection, whose halves both touch an end), so a one-lane
+    run always looks ahead; the many-lane rounds of solve_grid do not, since
+    there the extra rows cost more than the calls of f they save.
     """
     n = len(a)
+    pairs, finite = _pair_rows(f, range(n), a, b)
+    if not finite:
+        lane = pairs.index(None)
+        raise _nonfinite(lane, a[lane], b[lane])
     total, total_err, heaps = [], [], []
-    for lo, hi, (fine, coarse) in zip(a, b, _pair_rows(f, range(n), list(zip(a, b)))):
+    for lo, hi, (fine, coarse) in zip(a, b, pairs):
         err = abs(fine - coarse)
         total.append(fine)
         total_err.append(err)
-        heaps.append([(-err, 0, lo, hi, fine)])
+        heaps.append([(-err, 0, lo, hi, fine, None)])
     counter = [1] * n
     active = range(n)
     while active:
-        split = []  # (lane, lo, mid, hi, estimate, -error) of each interval bisected this round
+        split = []  # (lane, lo, mid, hi, estimate, -error, kids) of each interval bisected this round
         for lane in active:
             heap = heaps[lane]
             while total_err[lane] > tol[lane] * (1.0 + abs(total[lane])):
@@ -154,36 +252,61 @@ def _integrate_lanes(f, a, b, tol, max_intervals: int) -> list[float]:
                         estimate=total[lane],
                         err_bound=total_err[lane],
                     ), lane)
-                neg_err, _, lo, hi, est = heapq.heappop(heap)
+                neg_err, _, lo, hi, est, kids = heapq.heappop(heap)
                 if neg_err >= 0.0:
                     # every remaining interval is at floating-point resolution; the
                     # accumulated budget cannot improve further
-                    heapq.heappush(heap, (neg_err, counter[lane], lo, hi, est))
+                    heapq.heappush(heap, (neg_err, counter[lane], lo, hi, est, kids))
                     break
                 mid = 0.5 * (lo + hi)
                 if mid <= lo or mid >= hi:
                     # interval at floating-point resolution; accept as-is
-                    heapq.heappush(heap, (0.0, counter[lane], lo, hi, est))
+                    heapq.heappush(heap, (0.0, counter[lane], lo, hi, est, None))
                     counter[lane] += 1
                     total_err[lane] += neg_err  # remove this interval's error from the budget
                     continue
-                split.append((lane, lo, mid, hi, est, neg_err))
+                split.append((lane, lo, mid, hi, est, neg_err, kids))
                 break
         if not split:
             break
-        pairs = _pair_rows(
-            f,
-            [s[0] for s in split for _ in (0, 1)],
-            [e for _, lo, mid, hi, _, _ in split for e in ((lo, mid), (mid, hi))],
-        )
-        for (lane, lo, mid, hi, est, neg_err), (f1, c1), (f2, c2) in zip(split, pairs[::2], pairs[1::2]):
+        # halves[j]: (pair of the lo half, pair of the hi half, kids of each) of split[j]
+        halves = iter(())
+        finite = True
+        fresh = [s for s in split if s[6] is None]
+        if fresh:
+            ls, los, mids, his = list(zip(*fresh))[:4]
+            lanes, lo, hi = _interleave(ls, ls), _interleave(los, mids), _interleave(mids, his)
+            m = len(lo)
+            kids_lo, kids_hi = [None] * len(fresh), [None] * len(fresh)
+            chains = []  # (kids list, index in fresh, first row, end row, towards lo)
+            if m + 2 * _AHEAD_DEPTH <= _AHEAD_ROWS:
+                for j, (lane, lo_j, mid, hi_j, _, _, _) in enumerate(fresh):
+                    for kids, left, at_end, half in ((kids_lo, True, lo_j == a[lane], (lo_j, mid)),
+                                                     (kids_hi, False, hi_j == b[lane], (mid, hi_j))):
+                        if at_end and len(lo) + 2 * _AHEAD_DEPTH <= _AHEAD_ROWS:
+                            chain_lo, chain_hi = _chain(*half, left)
+                            chains.append((kids, j, len(lo), len(lo) + len(chain_lo), left))
+                            lanes += [lane] * len(chain_lo)
+                            lo += chain_lo
+                            hi += chain_hi
+            pairs, finite = _pair_rows(f, lanes, lo, hi)
+            for kids, j, start, stop, left in chains:
+                kids[j] = _nest(pairs[start:stop], left)
+            finite = finite or None not in pairs[:m]  # a non-finite row ahead waits until it is needed
+            halves = zip(pairs[0:m:2], pairs[1:m:2], kids_lo, kids_hi)
+        if len(fresh) < len(split):
+            halves = [s[6] or next(halves) for s in split]
+            finite = finite and all(p1 is not None and p2 is not None for p1, p2, _, _ in halves)
+        if not finite:
+            raise _first_nonfinite(split, list(halves))
+        for (lane, lo, mid, hi, est, neg_err, _), ((f1, c1), (f2, c2), k1, k2) in zip(split, halves):
             e1 = abs(f1 - c1)
             e2 = abs(f2 - c2)
             total[lane] += (f1 + f2) - est
             total_err[lane] += (e1 + e2) + neg_err
             c = counter[lane]
-            heapq.heappush(heaps[lane], (-e1, c, lo, mid, f1))
-            heapq.heappush(heaps[lane], (-e2, c + 1, mid, hi, f2))
+            heapq.heappush(heaps[lane], (-e1, c, lo, mid, f1, k1))
+            heapq.heappush(heaps[lane], (-e2, c + 1, mid, hi, f2, k2))
             counter[lane] = c + 2
         active = [s[0] for s in split]
     return total

@@ -8,9 +8,14 @@ exponent, 0); its integrand g(x +- y s^-m) m s^(m-1) / (1 + s^2m) is then
 bounded near s = 0 (for ReLU^alpha data it tends to m y^alpha), where the
 plain z = 1/|t| map leaves a z^-alpha singularity. Activation kinks are split
 off exactly (a tail kink at t maps to s = |t|^(-1/m)) to keep full convergence
-order. solve_grid integrates every (node, piece) of a block of nodes as one
-lane of a batched adaptive rule: each lane takes the steps solve_at would,
-and one round of bisections costs one call of g.
+order. Every piece is one greedy adaptive integral with its singularity at an
+end. When the greedy bisects the interval at an end, the same call of g also
+evaluates the next six bisections towards that end (numerics._integrate_lanes),
+so solve_at calls g once per up to seven bisections along a kink instead of
+once per bisection, with the same values bit for bit. solve_grid integrates
+every (node, piece) of a block of nodes as one lane of a batched adaptive rule:
+each lane takes the steps solve_at would, and one round of bisections costs at
+most one call of g.
 """
 
 from __future__ import annotations

@@ -540,13 +540,28 @@ def test_ensemble_action_takes_only_its_own_flags(tmp_path, capsys, argv, error)
     save_ensemble(NeuronEnsemble([1.0], [1.0], [[1.0]], [0.0], 0.5), line)
     save_ensemble(NeuronEnsemble([1.0], [1.0], [[1.0, 1.0]], [0.0], 0.5), plane)
     out = tmp_path / "x.out"
-    with pytest.raises(SystemExit) as exc:
-        run(["ensemble", *[a.format(line=line, plane=plane) for a in argv], "--out", str(out)])
-    assert exc.value.code == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.endswith(f" error: {error}\n")
+    code, stdout, err = invoke(capsys, "ensemble", *[a.format(line=line, plane=plane) for a in argv], "--out", str(out))
+    assert code == 2
+    assert stdout == ""
+    assert err == f"harmlab: invalid input: {error}\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv,error",
+    [
+        (["rates", "reg", "--k", "2", "--out", "y.csv", "--bogus"], "unrecognized arguments: --bogus"),
+        (["rates", "reg", "--out", "y.csv"], "the following arguments are required: --k"),
+        (["eval", "--kind", "bogus", "--x", "1", "--y", "1"], "argument --kind: invalid choice: 'bogus'"),
+    ],
+    ids=["unknown flag", "missing required flag", "bad choice"],
+)
+def test_argparse_refusals_take_one_line(capsys, argv, error):
+    code, stdout, err = invoke(capsys, *argv)
+    assert code == 2
+    assert stdout == ""
+    assert err.startswith(f"harmlab: invalid input: {error}")
+    assert err.count("\n") == 1 and err.endswith("\n")
 
 
 @pytest.mark.parametrize(

@@ -26,6 +26,7 @@ from harmlab import (
 )
 from harmlab import numerics
 from harmlab.solutions import reg_diff_value
+from greedy_reference import integrate_greedy
 from polar_reference import magnitude, norm_lp_2d
 
 
@@ -108,6 +109,60 @@ def test_integrate_rejects_interior_nan():
 
     with pytest.raises(NonFiniteSample):
         integrate_adaptive(f, 0.0, 1.0, tol=1e-9)
+
+
+def _outcome(integrate, f, a, b, tol, max_intervals):
+    """repr of the value, or the failure with its message and carried state."""
+    try:
+        return repr(integrate(f, a, b, tol, max_intervals))
+    except (MaxSubdivisionsExceeded, NonFiniteSample) as exc:
+        return (type(exc).__name__, str(exc), repr(getattr(exc, "estimate", None)),
+                repr(getattr(exc, "err_bound", None)))
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(
+    beta=st.floats(-0.9, 0.99, exclude_min=True),
+    a=st.floats(-2.0, 2.0),
+    width=st.floats(0.1, 3.0),
+    where=st.sampled_from(["a", "b", "half", "quarter", "inside"]),
+    inside=st.floats(0.0, 1.0),
+    tol=st.sampled_from([1e-6, 1e-9, 1e-11]),
+    max_intervals=st.sampled_from([40, 300, 2000]),
+)
+def test_integrate_adaptive_is_the_greedy_bit_for_bit(beta, a, width, where, inside, tol, max_intervals):
+    # |x - c|^beta: a singularity (beta < 0) or a kink at an end, at a point the
+    # bisection reaches exactly (a node there samples 0^beta), or anywhere inside
+    b = a + width
+    c = {"a": a, "b": b, "half": 0.5 * (a + b), "quarter": 0.5 * (a + 0.5 * (a + b)),
+         "inside": a + inside * (b - a)}[where]
+
+    def f(x):
+        with np.errstate(divide="ignore"):
+            return np.abs(x - c) ** beta
+
+    got = _outcome(integrate_adaptive, f, a, b, tol, max_intervals)
+    assert got == _outcome(integrate_greedy, f, a, b, tol, max_intervals)
+
+
+def test_nan_seen_only_ahead_is_not_raised():
+    # the greedy never samples below its own smallest abscissa; NaN there is
+    # sampled by the look-ahead alone and must change nothing
+    seen = []
+
+    def rsqrt(x):
+        seen.append(x.min())
+        return x**-0.5
+
+    want = integrate_greedy(rsqrt, 0.0, 1.0, 1e-6)
+    floor = min(seen)
+    seen.clear()
+
+    def nan_below_floor(x):
+        return np.where(x < floor, np.nan, rsqrt(x))
+
+    assert integrate_adaptive(nan_below_floor, 0.0, 1.0, 1e-6) == want
+    assert min(seen) < floor  # the look-ahead did sample the NaN region
 
 
 def test_quadrature_rule_validation():
