@@ -32,6 +32,8 @@ from .ensembles import (
 from .errors import NumericalError, ValidationError
 from .experiments import (
     LOG_MODEL_MIN_R2,
+    MC_MODEL_MIN_R2,
+    REG_MODEL_MIN_R2,
     ErrorReport,
     make_random_target,
     mc_rate_experiment,
@@ -209,19 +211,27 @@ def _cmd_solve(args) -> int:
     return 0
 
 
-def _emit_rates(args, reports: list[ErrorReport], fit: RateFit, tail: str = "") -> int:
-    """CSV, optional gnuplot companion, and the one-line fit summary of a rates run."""
+def _emit_rates(args, reports: list[ErrorReport], fit: RateFit, min_r2: float, rejected: str,
+                tail: str = "") -> int:
+    """CSV, optional gnuplot companion, and the one-line fit summary of a rates run.
+
+    A fit with r^2 below min_r2 rejects its own model: one warning line on
+    stderr then says so (`rejected`); the CSV, stdout and exit code stay.
+    """
     _write_csv(args.out, reports)
     if args.gnuplot:
         _write_gnuplot(args.out)
     print(_summary(fit) + tail)
+    if fit.r_squared < min_r2:
+        print(f"harmlab: warning: r2={fit.r_squared:.3f} < {min_r2}: {rejected}", file=sys.stderr)
     return 0
 
 
 def _cmd_rates_reg(args) -> int:
     grid = _grid_from_args(args)
     reports, fit = reg_error_experiment(args.k, _parse_p(args.p), args.order, _eps_list(args), grid)
-    return _emit_rates(args, reports, fit)
+    return _emit_rates(args, reports, fit, REG_MODEL_MIN_R2,
+                       f"the order-{args.order} error is not a power of eps; the slope is not a rate")
 
 
 def _cmd_rates_mc(args) -> int:
@@ -235,20 +245,17 @@ def _cmd_rates_mc(args) -> int:
     )
     target = make_random_target(args.alpha, args.target_size, args.target_seed, dim=1)
     reports, fit, rate = mc_rate_experiment(target, ns, args.order, args.q, args.seeds)
-    return _emit_rates(args, reports, fit, f" bound_rate={rate:.3f}")
+    return _emit_rates(args, reports, fit, MC_MODEL_MIN_R2,
+                       "the subsampling error is not a power of n; the slope is not a rate",
+                       f" bound_rate={rate:.3f}")
 
 
 def _cmd_rates_sobolev(args) -> int:
     grid = _grid_from_args(args)
     reports, fit = sobolev_lognorm_experiment(args.k, _eps_list(args), grid, order=args.order)
-    _emit_rates(args, reports, fit)
-    if fit.r_squared < LOG_MODEL_MIN_R2:
-        print(
-            f"harmlab: warning: r2={fit.r_squared:.3f} < {LOG_MODEL_MIN_R2}: seminorm^2 at order"
-            f" {reports[0].derivative_order} is not affine in |log eps|; the slope is not a log rate",
-            file=sys.stderr,
-        )
-    return 0
+    return _emit_rates(args, reports, fit, LOG_MODEL_MIN_R2,
+                       f"seminorm^2 at order {reports[0].derivative_order} is not affine in |log eps|;"
+                       " the slope is not a log rate")
 
 
 def _cmd_diag_xklogx(args) -> int:
@@ -309,11 +316,22 @@ class _Parser(argparse.ArgumentParser):
     """An argparse parser whose refusals raise ValidationError, so run prints them in one line.
 
     Subparsers are built with the class of their parent, so every level of
-    the tree refuses this way; -h still prints help and exits 0.
+    the tree refuses this way, and a refusal names the command whose parser
+    made it ("ensemble extend: unrecognized arguments: --seed -1"). Each
+    parser refuses the arguments it does not take itself, instead of handing
+    them up to the top level, which would not know the command. -h still
+    prints help and exits 0.
     """
 
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, extras = super().parse_known_args(args, namespace)
+        if extras:
+            self.error("unrecognized arguments: " + " ".join(extras))
+        return namespace, extras
+
     def error(self, message):
-        raise ValidationError(message)
+        command = self.prog.removeprefix("harmlab").strip()
+        raise ValidationError(f"{command}: {message}" if command else message)
 
 
 @functools.cache

@@ -4,13 +4,11 @@ and straight-line fits for rate extraction.
 The adaptive integrator uses an embedded Fejer-2 pair (7 nodes nested inside
 15) with globally greedy bisection, so integrable endpoint singularities are
 resolved without ever sampling the endpoints. Integrands must accept numpy
-arrays of abscissae. Callers split their integrals at kinks, so a singularity
-sits at an end and the greedy bisects the interval at that end round after
-round; the call of f that makes such a bisection also evaluates the next
-_AHEAD_DEPTH = 6 bisections towards that end, and the greedy later takes those
-values instead of calling f. They are the same intervals with the same
-arithmetic, so every value is bit-identical to a greedy without look-ahead
-(see _integrate_lanes).
+arrays of abscissae. The greedy is written once, as a coroutine per integral
+(_greedy). integrate_adaptive drives one and looks ahead along endpoint
+chains, where callers that split their integrals at kinks put the
+singularities, with values bit-identical to a greedy without look-ahead;
+_integrate_lanes drives many lanes, one call of f per round, without it.
 
 Half-disk norms take polar product fields: f(r, phi) returns components, each
 a list of (radial table, angular table) pairs, and the field's magnitude is
@@ -25,6 +23,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
+from itertools import accumulate, chain
 from typing import Callable
 
 import numpy as np
@@ -106,21 +105,16 @@ _F2_PAIR_W[0] = _F2_FINE_W
 _F2_PAIR_W[1, 1::2] = _F2_COARSE_W
 
 
-def _lane_failure(exc: Exception, lane: int) -> Exception:
-    exc.lane = lane
-    return exc
+def _nonfinite(lo: float, hi: float) -> NonFiniteSample:
+    return NonFiniteSample(f"integrand non-finite inside ({lo}, {hi})")
 
 
-def _nonfinite(lane: int, lo: float, hi: float) -> Exception:
-    return _lane_failure(NonFiniteSample(f"integrand non-finite inside ({lo}, {hi})"), lane)
+def _pair_rows(f, lo, hi) -> tuple[list, bool]:
+    """[fine, coarse] estimates on the intervals (lo[j], hi[j]), and whether all are finite.
 
-
-def _pair_rows(f, lanes, lo, hi) -> tuple[list, bool]:
-    """[fine, coarse] estimates of lane lanes[j] on the interval (lo[j], hi[j]), and whether all are finite.
-
-    f(lanes, x) gets the abscissae as rows of x (shape (n, 15)). A row's sums
-    do not depend on the other rows, so a lane's numbers are the same in
-    every batch. A row with a non-finite sample gives None.
+    f gets the abscissae as rows of x (shape (n, 15)). A row's sums do not
+    depend on the other rows, so an interval's numbers are the same in every
+    batch. A row with a non-finite sample gives None.
     """
     if len(lo) > 16:  # the same IEEE operations, faster in numpy once there are many rows
         lo, hi = np.array(lo), np.array(hi)
@@ -129,7 +123,7 @@ def _pair_rows(f, lanes, lo, hi) -> tuple[list, bool]:
     else:
         half = np.array([0.5 * (h - l) for l, h in zip(lo, hi)])[:, None]
         x = np.array([0.5 * (l + h) for l, h in zip(lo, hi)])[:, None] + half * _F2_FINE_NODES
-    y = np.asarray(f(np.array(lanes), x), dtype=float)
+    y = np.asarray(f(x), dtype=float)
     if np.isfinite(y).all():
         return (np.add.reduce(y[:, None, :] * _F2_PAIR_W, axis=2) * half).tolist(), True
     finite = np.isfinite(y).all(axis=1)
@@ -138,13 +132,10 @@ def _pair_rows(f, lanes, lo, hi) -> tuple[list, bool]:
     return [pair if ok else None for pair, ok in zip(pairs, finite.tolist())], False
 
 
-# Endpoint look-ahead of the greedy (see _integrate_lanes): the bisections
-# evaluated ahead along an endpoint chain, and the most rows, those ahead
-# included, of a round that looks ahead. The deepest relu:0.9 solve of the
-# evaluation-budget test samples g at 1740 points with depth 6, 1950 with
-# depth 7 and 2250 with depth 8, against its limit of 2000.
+# Bisections evaluated ahead along an endpoint chain (see _greedy). The deepest
+# relu:0.9 solve of the evaluation-budget test samples g at 1740 points with
+# depth 6, 1950 with depth 7 and 2250 with depth 8, against its limit of 2000.
 _AHEAD_DEPTH = 6
-_AHEAD_ROWS = 32
 
 
 def _chain(lo: float, hi: float, left: bool) -> tuple[list[float], list[float]]:
@@ -181,134 +172,123 @@ def _nest(pairs: list, left: bool):
     return kids
 
 
-def _interleave(x, y) -> list:
-    """[x[0], y[0], x[1], y[1], ...]"""
-    out = [None] * (2 * len(x))
-    out[0::2] = x
-    out[1::2] = y
-    return out
+def _greedy(a: float, b: float, tol: float, max_intervals: int, ahead: bool):
+    """Greedy Fejer-2 integral over (a, b) to tol * (1 + |result|), as a coroutine; a < b.
 
+    It yields (los, his), the intervals (los[j], his[j]) whose [fine, coarse]
+    pairs it needs, is sent those pairs in the same order (None for a row with
+    a non-finite sample), and returns the integral. It keeps a heap of
+    intervals ranked by the embedded pair's error estimate and bisects the
+    worst one until the summed error bound meets the tolerance. It raises
+    MaxSubdivisionsExceeded when the interval budget runs out, and
+    NonFiniteSample when a half it bisects into has a non-finite sample.
 
-def _first_nonfinite(split, halves) -> Exception:
-    """NonFiniteSample of the first non-finite half in split order, the one a call of f per round raises."""
-    for (lane, lo, mid, hi, _, _, _), (p1, p2, _, _) in zip(split, halves):
+    Endpoint look-ahead (ahead=True): callers split their integrals at kinks,
+    so a singularity sits at a or b, and the greedy bisects the interval at
+    that end round after round. A request that bisects an interval touching a
+    or b also asks for the halves of the next _AHEAD_DEPTH bisections of its
+    half at that end (_chain). That half's heap entry carries their pairs as
+    `kids`, and a later bisection of it takes them without yielding, so such
+    a step costs a heap pop and two pushes. A stored pair belongs to the same
+    interval and comes from the same arithmetic, so the pops, pushes, counters
+    and sums, and so the value and the failure, are those of a greedy without
+    look-ahead, bit for bit. A non-finite row found ahead is stored and raises
+    only when the greedy bisects into it.
+    """
+    [root] = yield [a], [b]
+    if root is None:
+        raise _nonfinite(a, b)
+    total, coarse = root
+    total_err = abs(total - coarse)
+    heap = [(-total_err, 0, a, b, total, None)]
+    counter = 1
+    while total_err > tol * (1.0 + abs(total)):
+        if counter >= max_intervals:
+            raise MaxSubdivisionsExceeded(
+                f"subdivision budget {max_intervals} exhausted; "
+                f"estimate {total!r} with error bound {total_err!r}",
+                estimate=total,
+                err_bound=total_err,
+            )
+        neg_err, _, lo, hi, est, kids = heapq.heappop(heap)
+        if neg_err >= 0.0:
+            # every remaining interval is at floating-point resolution; the
+            # accumulated budget cannot improve further
+            break
+        mid = 0.5 * (lo + hi)
+        if mid <= lo or mid >= hi:
+            # interval at floating-point resolution; accept as-is
+            heapq.heappush(heap, (0.0, counter, lo, hi, est, None))
+            counter += 1
+            total_err += neg_err  # remove this interval's error from the budget
+            continue
+        if kids is not None:
+            p1, p2, k1, k2 = kids
+        elif ahead and (lo == a or hi == b):
+            chain_lo = _chain(lo, mid, True) if lo == a else ([], [])
+            chain_hi = _chain(mid, hi, False) if hi == b else ([], [])
+            pairs = yield [lo, mid, *chain_lo[0], *chain_hi[0]], [mid, hi, *chain_lo[1], *chain_hi[1]]
+            p1, p2 = pairs[:2]
+            split = 2 + len(chain_lo[0])
+            k1, k2 = _nest(pairs[2:split], True), _nest(pairs[split:], False)
+        else:
+            p1, p2 = yield [lo, mid], [mid, hi]
+            k1 = k2 = None
         if p1 is None:
-            return _nonfinite(lane, lo, mid)
+            raise _nonfinite(lo, mid)
         if p2 is None:
-            return _nonfinite(lane, mid, hi)
+            raise _nonfinite(mid, hi)
+        (f1, c1), (f2, c2) = p1, p2
+        e1 = abs(f1 - c1)
+        e2 = abs(f2 - c2)
+        total += (f1 + f2) - est
+        total_err += (e1 + e2) + neg_err
+        heapq.heappush(heap, (-e1, counter, lo, mid, f1, k1))
+        heapq.heappush(heap, (-e2, counter + 1, mid, hi, f2, k2))
+        counter += 2
+    return total
 
 
 def _integrate_lanes(f, a, b, tol, max_intervals: int) -> list[float]:
     """Greedy Fejer-2 integrals of independent lanes: lane i over (a[i], b[i]) to tol[i].
 
     f(lanes, x) returns the integrand of lane lanes[j] at the abscissae x[j],
-    for every row j of x (shape (n, 15)); every a[i] < b[i]. Each lane keeps
-    its own heap and bisects its own worst interval each round, so it takes
-    exactly the steps of a one-lane run. One round evaluates the halves of
-    every bisected interval in one call of f, and skips f when every half is
-    already known. A failing lane raises MaxSubdivisionsExceeded or
-    NonFiniteSample with its index as `lane`.
+    for every row j of x (shape (n, 15)); every a[i] < b[i]. Each lane is a
+    _greedy coroutine of its own, so it takes exactly the steps of a one-lane
+    run, and a round gathers the rows of every running lane into one call of
+    f. Batched lanes do not look ahead: a round of many lanes already shares
+    its call of f, and the extra rows would cost more than the calls they save.
 
-    Endpoint look-ahead: callers split their integrals at kinks, so the
-    singularities sit at the lanes' ends, and a lane refining towards an end
-    bisects the interval at that end round after round. The bisection of an
-    interval that touches a[i] or b[i] also evaluates, in the same call of f,
-    the halves of the next _AHEAD_DEPTH bisections of its half at that end,
-    as long as the round's rows, these included, stay within _AHEAD_ROWS.
-    That half's heap entry carries their pairs as `kids`, and a later
-    bisection of it takes them instead of new rows. A precomputed pair
-    belongs to the same interval and comes from the same arithmetic, so every
-    lane's pops, pushes, counters and sums, and so its value and its failure,
-    are those of a run without look-ahead, bit for bit. A non-finite sample
-    found ahead is stored and raises only when the greedy bisects into it.
-
-    A one-lane bisection at an end takes 2 + 2 * _AHEAD_DEPTH = 14 rows (26
-    for the first bisection, whose halves both touch an end), so a one-lane
-    run always looks ahead; the many-lane rounds of solve_grid do not, since
-    there the extra rows cost more than the calls of f they save.
+    A failing lane raises MaxSubdivisionsExceeded or NonFiniteSample with its
+    index as `lane`. A non-finite sample of round r raises before a budget
+    failure of round r + 1, and failures of one round raise in lane order.
     """
-    n = len(a)
-    pairs, finite = _pair_rows(f, range(n), a, b)
-    if not finite:
-        lane = pairs.index(None)
-        raise _nonfinite(lane, a[lane], b[lane])
-    total, total_err, heaps = [], [], []
-    for lo, hi, (fine, coarse) in zip(a, b, pairs):
-        err = abs(fine - coarse)
-        total.append(fine)
-        total_err.append(err)
-        heaps.append([(-err, 0, lo, hi, fine, None)])
-    counter = [1] * n
-    active = range(n)
-    while active:
-        split = []  # (lane, lo, mid, hi, estimate, -error, kids) of each interval bisected this round
-        for lane in active:
-            heap = heaps[lane]
-            while total_err[lane] > tol[lane] * (1.0 + abs(total[lane])):
-                if counter[lane] >= max_intervals:
-                    raise _lane_failure(MaxSubdivisionsExceeded(
-                        f"subdivision budget {max_intervals} exhausted; "
-                        f"estimate {total[lane]!r} with error bound {total_err[lane]!r}",
-                        estimate=total[lane],
-                        err_bound=total_err[lane],
-                    ), lane)
-                neg_err, _, lo, hi, est, kids = heapq.heappop(heap)
-                if neg_err >= 0.0:
-                    # every remaining interval is at floating-point resolution; the
-                    # accumulated budget cannot improve further
-                    heapq.heappush(heap, (neg_err, counter[lane], lo, hi, est, kids))
-                    break
-                mid = 0.5 * (lo + hi)
-                if mid <= lo or mid >= hi:
-                    # interval at floating-point resolution; accept as-is
-                    heapq.heappush(heap, (0.0, counter[lane], lo, hi, est, None))
-                    counter[lane] += 1
-                    total_err[lane] += neg_err  # remove this interval's error from the budget
-                    continue
-                split.append((lane, lo, mid, hi, est, neg_err, kids))
-                break
-        if not split:
-            break
-        # halves[j]: (pair of the lo half, pair of the hi half, kids of each) of split[j]
-        halves = iter(())
-        finite = True
-        fresh = [s for s in split if s[6] is None]
-        if fresh:
-            ls, los, mids, his = list(zip(*fresh))[:4]
-            lanes, lo, hi = _interleave(ls, ls), _interleave(los, mids), _interleave(mids, his)
-            m = len(lo)
-            kids_lo, kids_hi = [None] * len(fresh), [None] * len(fresh)
-            chains = []  # (kids list, index in fresh, first row, end row, towards lo)
-            if m + 2 * _AHEAD_DEPTH <= _AHEAD_ROWS:
-                for j, (lane, lo_j, mid, hi_j, _, _, _) in enumerate(fresh):
-                    for kids, left, at_end, half in ((kids_lo, True, lo_j == a[lane], (lo_j, mid)),
-                                                     (kids_hi, False, hi_j == b[lane], (mid, hi_j))):
-                        if at_end and len(lo) + 2 * _AHEAD_DEPTH <= _AHEAD_ROWS:
-                            chain_lo, chain_hi = _chain(*half, left)
-                            chains.append((kids, j, len(lo), len(lo) + len(chain_lo), left))
-                            lanes += [lane] * len(chain_lo)
-                            lo += chain_lo
-                            hi += chain_hi
-            pairs, finite = _pair_rows(f, lanes, lo, hi)
-            for kids, j, start, stop, left in chains:
-                kids[j] = _nest(pairs[start:stop], left)
-            finite = finite or None not in pairs[:m]  # a non-finite row ahead waits until it is needed
-            halves = zip(pairs[0:m:2], pairs[1:m:2], kids_lo, kids_hi)
-        if len(fresh) < len(split):
-            halves = [s[6] or next(halves) for s in split]
-            finite = finite and all(p1 is not None and p2 is not None for p1, p2, _, _ in halves)
+    greedy = [_greedy(*lane, max_intervals, False) for lane in zip(a, b, tol)]
+    total = [0.0] * len(greedy)
+    lanes = list(range(len(greedy)))  # the running lanes, in lane order
+    asks = [next(g) for g in greedy]
+    while lanes:
+        los, his = zip(*asks)
+        sizes = list(map(len, los))
+        lane_of_row = np.repeat(lanes, sizes)
+        pairs, finite = _pair_rows(lambda x: f(lane_of_row, x), [*chain(*los)], [*chain(*his)])
+        rows = [pairs[end - n:end] for n, end in zip(sizes, accumulate(sizes))]
         if not finite:
-            raise _first_nonfinite(split, list(halves))
-        for (lane, lo, mid, hi, est, neg_err, _), ((f1, c1), (f2, c2), k1, k2) in zip(split, halves):
-            e1 = abs(f1 - c1)
-            e2 = abs(f2 - c2)
-            total[lane] += (f1 + f2) - est
-            total_err[lane] += (e1 + e2) + neg_err
-            c = counter[lane]
-            heapq.heappush(heaps[lane], (-e1, c, lo, mid, f1, k1))
-            heapq.heappush(heaps[lane], (-e2, c + 1, mid, hi, f2, k2))
-            counter[lane] = c + 2
-        active = [s[0] for s in split]
+            # without look-ahead a lane needs every row it asked for, so the
+            # first lane with a non-finite row raises before any lane goes on
+            j = next(j for j, r in enumerate(rows) if None in r)
+            lanes, rows = lanes[j:j + 1], rows[j:j + 1]
+        running, asks = [], []
+        for lane, r in zip(lanes, rows):
+            try:
+                asks.append(greedy[lane].send(r))
+                running.append(lane)
+            except StopIteration as done:
+                total[lane] = done.value
+            except NumericalError as exc:
+                exc.lane = lane
+                raise
+        lanes = running
     return total
 
 
@@ -321,9 +301,10 @@ def integrate_adaptive(
 ) -> float:
     """Adaptive integral of f over (a, b) with absolute error <= tol*(1+|result|).
 
-    Greedy global strategy: keep a heap of subintervals ranked by the embedded
-    pair's error estimate and bisect the worst one. Endpoint singularities are
-    admissible because the rule never samples a or b. f receives 1D arrays.
+    Greedy global strategy (_greedy, with endpoint look-ahead): keep a heap
+    of subintervals ranked by the embedded pair's error estimate and bisect
+    the worst one. Endpoint singularities are admissible because the rule
+    never samples a or b. f receives 1D arrays.
     """
     if not (tol > 0.0):
         raise ValidationError(f"tol must be > 0, got {tol}")
@@ -332,10 +313,16 @@ def integrate_adaptive(
             return 0.0
         raise ValidationError(f"need a < b, got ({a}, {b})")
 
-    def rows(_lanes, x):
+    def rows(x):
         return np.asarray(f(x.ravel()), dtype=float).reshape(x.shape)
 
-    return _integrate_lanes(rows, [a], [b], [tol], max_intervals)[0]
+    greedy = _greedy(a, b, tol, max_intervals, True)
+    ask = next(greedy)
+    try:
+        while True:
+            ask = greedy.send(_pair_rows(rows, *ask)[0])
+    except StopIteration as done:
+        return done.value
 
 
 # --- finite differences ---------------------------------------------------------

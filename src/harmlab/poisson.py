@@ -8,15 +8,16 @@ exponent, 0); its integrand g(x +- y s^-m) m s^(m-1) / (1 + s^2m) is then
 bounded near s = 0 (for ReLU^alpha data it tends to m y^alpha), where the
 plain z = 1/|t| map leaves a z^-alpha singularity. Activation kinks are split
 off exactly (a tail kink at t maps to s = |t|^(-1/m)) to keep full convergence
-order. Every piece is one greedy adaptive integral with its singularity at an
-end. When the greedy bisects the interval at an end, the same call of g also
-evaluates the next six bisections towards that end (numerics._integrate_lanes),
-so solve_at calls g once per up to seven bisections along a kink instead of
-once per bisection, with the same values bit for bit. solve_grid integrates
-every (node, piece) of a block of nodes as one lane of a batched adaptive rule:
-each lane takes the steps solve_at would, and one round of bisections costs at
-most one call of g.
-"""
+order. Every piece is one greedy adaptive integral (numerics._greedy) with its
+singularity at an end. solve_at integrates the pieces one by one with
+integrate_adaptive, which looks ahead: when the greedy bisects the interval at
+an end, the same call of g also evaluates the next six bisections towards that
+end, so solve_at calls g once per up to seven bisections along a kink instead
+of once per bisection, with the same values bit for bit. solve_grid integrates
+every (node, piece) of a block of nodes as one lane of a batched greedy
+(numerics._integrate_lanes): each lane takes the steps solve_at would, one
+round of bisections costs one call of g, and the lanes do not look ahead.
+Both name the point in a quadrature failure."""
 
 from __future__ import annotations
 
@@ -27,7 +28,7 @@ from typing import Callable
 import numpy as np
 
 from .ensembles import activation
-from .errors import MaxSubdivisionsExceeded, NumericalError, ValidationError
+from .errors import MaxSubdivisionsExceeded, NonFiniteSample, NumericalError, ValidationError
 from .halfplane import HalfPlanePoint
 from .numerics import GridSpec, _integrate_lanes, integrate_adaptive
 
@@ -91,6 +92,12 @@ _GRID_BLOCK = 256
 _QUAD_ERRSTATE = dict(divide="ignore", over="ignore", invalid="ignore")
 
 
+def _failed_at(exc: NumericalError, x: float, y: float) -> NumericalError:
+    """The quadrature failure exc, named at the point (x, y); a non-finite sample keeps its type."""
+    kind = NonFiniteSample if isinstance(exc, NonFiniteSample) else NumericalError
+    return kind(f"kernel quadrature failed at ({x}, {y}): {exc}")
+
+
 def _tail_power(g: BoundaryFunction, tol: float) -> float:
     """Validate (g, tol) and return the tail exponent m = 1/(1 - max(alpha, 0))."""
     if g.growth_alpha >= 1.0:
@@ -139,8 +146,9 @@ def solve_at(g: BoundaryFunction, p: HalfPlanePoint, tol: float = 1e-9) -> float
     """Poisson-kernel value of the harmonic extension of g at p.
 
     Raises ValidationError when the declared growth exponent is >= 1 (the
-    representation integral diverges) and NumericalError when the adaptive
-    rule cannot reach the tolerance.
+    representation integral diverges), NumericalError when the adaptive rule
+    cannot reach the tolerance and NonFiniteSample when the integrand is not
+    finite at a quadrature node; both messages name p.
     """
     m = _tail_power(g, tol)
     x, y = p.x, p.y
@@ -153,8 +161,8 @@ def solve_at(g: BoundaryFunction, p: HalfPlanePoint, tol: float = 1e-9) -> float
                 total += integrate_adaptive(
                     _integrand(g, m, x, y, sign), lo, hi, tol=piece_tol, max_intervals=20000
                 )
-    except MaxSubdivisionsExceeded as exc:
-        raise NumericalError(f"kernel quadrature failed at ({x}, {y}): {exc}") from exc
+    except (MaxSubdivisionsExceeded, NonFiniteSample) as exc:
+        raise _failed_at(exc, x, y) from exc
     return total / math.pi
 
 
@@ -195,10 +203,8 @@ def solve_grid(g: BoundaryFunction, grid: GridSpec, tol: float = 1e-9) -> np.nda
         try:
             with np.errstate(**_QUAD_ERRSTATE):
                 vals = _integrate_lanes(f, lo, hi, lane_tol, 20000)
-        except MaxSubdivisionsExceeded as exc:
+        except (MaxSubdivisionsExceeded, NonFiniteSample) as exc:
             n = int(node[exc.lane])
-            raise NumericalError(
-                f"kernel quadrature failed at ({xs[n]}, {ys[n]}): {exc}"
-            ) from exc
+            raise _failed_at(exc, xs[n], ys[n]) from exc
         np.add.at(out, node, vals)
     return out.reshape(X.shape) / math.pi

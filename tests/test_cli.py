@@ -89,7 +89,8 @@ def test_solve_alpha_near_one_fails_with_one_line_reason():
     proc = python_m_harmlab("solve", "--boundary", "relu:0.995", "--x", "0.3", "--y", "0.5")
     assert proc.returncode == 3 and proc.stdout == ""
     lines = proc.stderr.splitlines()
-    assert len(lines) == 1 and lines[0].startswith("harmlab: numerical failure:")
+    assert len(lines) == 1
+    assert lines[0].startswith("harmlab: numerical failure: kernel quadrature failed at (0.3, 0.5): integrand non-finite")
 
 
 def test_eval_validation_exit_code(capsys):
@@ -350,6 +351,28 @@ def test_rates_sobolev_warns_on_rejected_log_model(tmp_path, capsys):
     assert "r2=1.000" in stdout
 
 
+def test_rates_mc_warns_on_a_weak_fit(tmp_path, capsys):
+    # one seed of four tiny sizes: the error is mostly noise; the CSV and stdout stay
+    out = tmp_path / "m.csv"
+    code, stdout, err = invoke(capsys, "rates", "mc", "--alpha", "0.5", "--seeds", "1", "--steps", "4",
+                               "--n-min", "2", "--n-max", "16", "--out", str(out))
+    assert code == 0 and stdout == "slope=-0.544 r2=0.530 bound_rate=0.500\n"
+    assert err == ("harmlab: warning: r2=0.530 < 0.9: the subsampling error is not a power of n;"
+                   " the slope is not a rate\n")
+    assert len(out.read_text().splitlines()) == 5
+
+
+@pytest.mark.parametrize("r2,warns", [(0.98, True), (0.99, False)])
+def test_rates_reg_warns_below_its_threshold(tmp_path, capsys, monkeypatch, r2, warns):
+    report = experiments.ErrorReport("reg", 2, 1.0, math.inf, 1, 1e-3, 1e-6)
+    fit = numerics.RateFit(2.0, 0.0, r2)
+    monkeypatch.setattr(cli, "reg_error_experiment", lambda *args: ([report], fit))
+    code, stdout, err = invoke(capsys, "rates", "reg", "--k", "2", "--order", "1", "--out", str(tmp_path / "r.csv"))
+    assert code == 0 and stdout == f"slope=2.000 r2={r2:.3f}\n"
+    want = f"harmlab: warning: r2={r2:.3f} < 0.99: the order-1 error is not a power of eps; the slope is not a rate\n"
+    assert err == (want if warns else "")
+
+
 def test_rates_sobolev_gate_failure_exit_code(tmp_path, capsys):
     code, _, err = invoke(
         capsys, "rates", "sobolev", "--k", "2", "--eps-min", "1e-3", "--eps-max", "1e-1",
@@ -543,20 +566,26 @@ def test_ensemble_action_takes_only_its_own_flags(tmp_path, capsys, argv, error)
     code, stdout, err = invoke(capsys, "ensemble", *[a.format(line=line, plane=plane) for a in argv], "--out", str(out))
     assert code == 2
     assert stdout == ""
-    assert err == f"harmlab: invalid input: {error}\n"
+    assert err == f"harmlab: invalid input: ensemble {argv[0]}: {error}\n"
     assert not out.exists()
 
 
 @pytest.mark.parametrize(
     "argv,error",
     [
-        (["rates", "reg", "--k", "2", "--out", "y.csv", "--bogus"], "unrecognized arguments: --bogus"),
-        (["rates", "reg", "--out", "y.csv"], "the following arguments are required: --k"),
-        (["eval", "--kind", "bogus", "--x", "1", "--y", "1"], "argument --kind: invalid choice: 'bogus'"),
+        (["rates", "reg", "--k", "2", "--out", "y.csv", "--bogus"], "rates reg: unrecognized arguments: --bogus"),
+        (["rates", "reg", "--out", "y.csv"], "rates reg: the following arguments are required: --k"),
+        (["eval", "--kind", "bogus", "--x", "1", "--y", "1"], "eval: argument --kind: invalid choice: 'bogus'"),
+        (["ensemble", "extend", "--in", "x", "--out", "y", "--seed", "-1"],
+         "ensemble extend: unrecognized arguments: --seed -1"),
+        (["rates", "--bogus", "reg", "--k", "2", "--out", "y.csv"], "rates: unrecognized arguments: --bogus"),
+        (["bogus"], "argument command: invalid choice: 'bogus'"),
     ],
-    ids=["unknown flag", "missing required flag", "bad choice"],
+    ids=["unknown flag", "missing required flag", "bad choice", "unknown action flag", "unknown group flag",
+         "unknown command"],
 )
 def test_argparse_refusals_take_one_line(capsys, argv, error):
+    # the line names the command whose parser refused, or none at the top level
     code, stdout, err = invoke(capsys, *argv)
     assert code == 2
     assert stdout == ""

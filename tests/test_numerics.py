@@ -103,6 +103,65 @@ def test_lane_failure_carries_lane_and_estimate():
     assert info.value.estimate > 0.0 and info.value.err_bound > 1e-9
 
 
+def _rsqrt_nan_from_call(r):
+    """x**-0.5 on (0, 1) at tol 1e-10, NaN exactly where the greedy's call r first samples."""
+    lows = []
+
+    def rsqrt(x):
+        lows.append(x.min())
+        return x**-0.5
+
+    integrate_greedy(rsqrt, 0.0, 1.0, 1e-10)
+    floor = min(lows[:r])
+    assert lows[r] < floor  # call r samples below every earlier call
+    return lambda x: np.where(x < floor, np.nan, x**-0.5)
+
+
+def _lane_outcome(fns, max_intervals):
+    """(type, lane, message, estimate) of the failure of the lanes fns[i] on (0, 1) at tol 1e-10."""
+    def rows(lanes, x):
+        return np.array([fns[lane](xi) for lane, xi in zip(lanes, x)])
+
+    n = len(fns)
+    with pytest.raises((MaxSubdivisionsExceeded, NonFiniteSample)) as info:
+        numerics._integrate_lanes(rows, [0.0] * n, [1.0] * n, [1e-10] * n, max_intervals)
+    exc = info.value
+    return type(exc), exc.lane, str(exc), getattr(exc, "estimate", None)
+
+
+def _one_lane_outcome(f, max_intervals):
+    """(type, message, estimate) of the failure of integrate_adaptive on (0, 1) at tol 1e-10."""
+    with pytest.raises((MaxSubdivisionsExceeded, NonFiniteSample)) as info:
+        integrate_adaptive(f, 0.0, 1.0, 1e-10, max_intervals)
+    exc = info.value
+    return type(exc), str(exc), getattr(exc, "estimate", None)
+
+
+def test_lane_failures_raise_in_round_order_then_lane_order():
+    # Round r of a lane evaluates its r-th bisection (round 0: the whole
+    # interval). A lane that never converges runs out of 2r + 1 intervals as
+    # it would start bisection r + 1, just after round r is evaluated. A NaN
+    # that a later lane meets in round r raises first; one it would meet in
+    # round r + 1 never does.
+    r = 8
+    budget = 2 * r + 1
+
+    def divergent(x):
+        return 1.0 / x
+
+    exhausted = _one_lane_outcome(divergent, budget)
+    assert exhausted[0] is MaxSubdivisionsExceeded
+    nan_now = _rsqrt_nan_from_call(r)
+    nonfinite = _one_lane_outcome(nan_now, budget)
+    assert nonfinite[0] is NonFiniteSample
+    assert _lane_outcome([divergent, nan_now], budget) == (NonFiniteSample, 1, *nonfinite[1:])
+    assert _lane_outcome([divergent, _rsqrt_nan_from_call(r + 1)], budget) == (
+        MaxSubdivisionsExceeded, 0, *exhausted[1:])
+    # budget failures of one round raise in lane order
+    assert _lane_outcome([lambda x: x * x, divergent, lambda x: 1.0 / (1.0 - x)], budget) == (
+        MaxSubdivisionsExceeded, 1, *exhausted[1:])
+
+
 def test_integrate_rejects_interior_nan():
     def f(x):
         return np.where(np.abs(x - 0.5) < 0.01, np.nan, 1.0)
@@ -163,6 +222,19 @@ def test_nan_seen_only_ahead_is_not_raised():
 
     assert integrate_adaptive(nan_below_floor, 0.0, 1.0, 1e-6) == want
     assert min(seen) < floor  # the look-ahead did sample the NaN region
+
+
+def test_look_ahead_call_counts():
+    # recorded when the endpoint look-ahead was introduced; the greedy without
+    # it calls f 87 times on 2595 abscissae here
+    sizes = []
+
+    def rsqrt(x):
+        sizes.append(x.size)
+        return x**-0.5
+
+    integrate_adaptive(rsqrt, 0.0, 1.0, 1e-10)
+    assert (len(sizes), sum(sizes)) == (33, 2775)
 
 
 def test_quadrature_rule_validation():

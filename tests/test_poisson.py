@@ -13,6 +13,7 @@ from harmlab import (
     GridSpec,
     HalfPlanePoint,
     MaxSubdivisionsExceeded,
+    NonFiniteSample,
     NumericalError,
     ValidationError,
     eval_heaviside,
@@ -186,6 +187,20 @@ def test_relu09_evaluation_budget():
         assert sum(evals) <= 2000, (x, y, sum(evals))
 
 
+def test_relu09_look_ahead_call_counts():
+    # recorded when the endpoint look-ahead was introduced: one call of g per
+    # up to seven bisections along a kink
+    g0 = BoundaryFunction.relu_power(0.9)
+    sizes = []
+
+    def counted(s):
+        sizes.append(s.size)
+        return g0.fn(s)
+
+    solve_at(BoundaryFunction.custom(counted, g0.growth_alpha, g0.kinks), HalfPlanePoint(0.3, 0.5), tol=1e-10)
+    assert (len(sizes), sum(sizes)) == (14, 1260)
+
+
 def _two_kink():
     return BoundaryFunction.custom(
         lambda s: np.sqrt(np.abs(s - 0.4)) + np.maximum(-0.6 - s, 0.0) ** 0.5,
@@ -231,3 +246,16 @@ def test_solve_grid_failure_names_node(monkeypatch):
     node = re.escape(f"({float(X[-1, -1])}, {float(Y[-1, -1])})")
     with pytest.raises(NumericalError, match="kernel quadrature failed at " + node):
         solve_grid(BoundaryFunction.heaviside(), grid)
+
+
+def test_nonfinite_sample_names_the_point():
+    # a non-finite integrand keeps its type and, like a budget failure, names the point
+    g = BoundaryFunction.custom(lambda s: np.where(s > 0.5, np.nan, 1.0), 0.0)
+    with pytest.raises(NonFiniteSample, match=re.escape("kernel quadrature failed at (0.25, 1.0): integrand")):
+        solve_at(g, HalfPlanePoint(0.25, 1.0))
+    grid = GridSpec(1.0, 8, 8, 1.0)
+    with pytest.raises(NonFiniteSample, match="kernel quadrature failed at ") as exc:
+        solve_grid(g, grid)
+    x, y = map(float, re.match(r"kernel quadrature failed at \((.*), (.*)\):", str(exc.value)).groups())
+    with pytest.raises(NonFiniteSample, match=re.escape(str(exc.value))):
+        solve_at(g, HalfPlanePoint(x, y))
