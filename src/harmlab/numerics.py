@@ -43,7 +43,6 @@ __all__ = [
     "fit_linear",
     "fit_loglog",
     "bisect_root",
-    "golden_max",
     "ray_refined_max",
 ]
 
@@ -306,8 +305,8 @@ def integrate_adaptive(
     the worst one. Endpoint singularities are admissible because the rule
     never samples a or b. f receives 1D arrays.
     """
-    if not (tol > 0.0):
-        raise ValidationError(f"tol must be > 0, got {tol}")
+    if not (0.0 < tol < math.inf):
+        raise ValidationError(f"tol must be finite and > 0, got {tol}")
     if not (b > a):
         if b == a:
             return 0.0
@@ -452,26 +451,6 @@ class GridSpec:
         return GridSpec(self.R, 2 * self.nr, 2 * self.nphi, self.grading)
 
 
-def golden_max(f, lo: float, hi: float) -> tuple[float, float]:
-    """Golden-section maximizer of f on [lo, hi] in 80 steps; returns (argmax, max)."""
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = f(c), f(d)
-    for _ in range(80):  # shrinks [lo, hi] by 0.618^80, about 2e-17
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = f(d)
-    xm = 0.5 * (a + b)
-    return xm, f(xm)
-
-
 def _product_tables(f, r, phi, where: str) -> list[tuple[np.ndarray, np.ndarray]]:
     """The components of the polar product field f at (r, phi), as [(Rs, Qs)].
 
@@ -516,14 +495,23 @@ def _magnitude(tables) -> np.ndarray:
     return np.sqrt(sq, out=sq)
 
 
-def ray_refined_max(f, grid: GridSpec) -> tuple[float, float, float, float]:
-    """Sharpen the grid maximum of the polar product field |f| by a golden-section search in r.
+# ray_refined_max's search: RAY_ROUNDS calls of f on RAY_POINTS radii each
+RAY_POINTS = 65
+RAY_ROUNDS = 5
 
-    f is called once on grid.polar() and then with one-point arrays r and phi
-    along the maximizing node's ray. A single product R(r) Q(phi) peaks at the
-    node of max |R| and max |Q|; another field is assembled on the grid. The
-    search runs between the radial neighbours of the maximizing node. Returns
-    (grid max, maximizing r on the ray, |f| there, |f| at r = R on the ray).
+
+def ray_refined_max(f, grid: GridSpec) -> tuple[float, float, float, float]:
+    """Sharpen the grid maximum of the polar product field |f| by a search in r along its ray.
+
+    f is called once on grid.polar(). A single product R(r) Q(phi) peaks at
+    the node of max |R| and max |Q|; another field is assembled on the grid.
+    The search starts between the radial neighbours of the maximizing node;
+    each of its RAY_ROUNDS rounds calls f on RAY_POINTS radii of that ray (r
+    of shape (RAY_POINTS, 1), phi of shape (1, 1)) and narrows the bracket to
+    the neighbours of the best radius, a (RAY_POINTS - 1) / 2 = 32-fold cut.
+    A last call reads the single point r = R. Every call is read like the
+    grid's (_product_tables, _magnitude). Returns (grid max, maximizing r on
+    the ray, |f| there, |f| at r = R on the ray).
     """
     tables = _product_tables(f, *grid.polar(), "on the grid")
     with np.errstate(all="ignore"):  # an overflowing product is refused below, not warned about
@@ -538,24 +526,24 @@ def ray_refined_max(f, grid: GridSpec) -> tuple[float, float, float, float]:
     if not math.isfinite(grid_max):
         raise NonFiniteSample("field evaluated to a non-finite value on the grid")
     r_nodes = grid.radial_nodes()
-    phi = np.asarray([grid.angular_nodes()[lmax]])
+    phi = grid.angular_nodes()[lmax:lmax + 1, None]
 
-    def along_ray(r):
-        # the tables' structure was checked on the grid; Python floats overflow
-        # to inf without warnings
-        with np.errstate(all="ignore"):
-            comps = f(np.asarray([r]), phi)
-        values = [sum(np.asarray(R, dtype=float).item() * np.asarray(Q, dtype=float).item() for R, Q in terms)
-                  for terms in comps]
-        value = abs(values[0]) if len(values) == 1 else math.sqrt(sum(v * v for v in values))
-        if not math.isfinite(value):
-            raise NonFiniteSample("field evaluated to a non-finite value along the maximizing ray")
-        return value
+    def ray_magnitude(r):
+        where = "along the maximizing ray"
+        with np.errstate(all="ignore"):  # an overflowing product is refused below, not warned about
+            values = _magnitude(_product_tables(f, r[:, None], phi, where))[:, 0]
+        if not np.isfinite(values).all():
+            raise NonFiniteSample(f"field evaluated to a non-finite value {where}")
+        return values
 
     lo = r_nodes[jmax - 1] if jmax > 0 else 0.25 * r_nodes[0]
     hi = r_nodes[jmax + 1] if jmax + 1 < grid.nr else grid.R
-    rstar, vstar = golden_max(along_ray, lo, hi)
-    return grid_max, rstar, vstar, along_ray(grid.R)
+    for _ in range(RAY_ROUNDS):
+        r = np.linspace(lo, hi, RAY_POINTS)
+        values = ray_magnitude(r)
+        i = int(np.argmax(values))
+        lo, hi = r[max(i - 1, 0)], r[min(i + 1, RAY_POINTS - 1)]
+    return grid_max, float(r[i]), float(values[i]), float(ray_magnitude(np.array([grid.R]))[0])
 
 
 def norm_lp_halfdisk(f, grid: GridSpec, p: float) -> float:
@@ -576,8 +564,9 @@ def norm_lp_halfdisk(f, grid: GridSpec, p: float) -> float:
     2. Otherwise: the field is assembled on the grid and summed there.
 
     For p = inf the grid max (max|R| max|Q| for a single product) is sharpened
-    by a golden-section search in r along the maximizing ray
-    (ray_refined_max), with one-point calls of f.
+    along the maximizing ray (ray_refined_max): f is called again on a few
+    vectors of radii along that ray and once at its end r = R, and each call
+    is read like the grid's.
     NonFiniteSample for a non-finite table and for a sum that overflows.
     """
     if not (p >= 1.0):

@@ -104,8 +104,8 @@ def _tail_power(g: BoundaryFunction, tol: float) -> float:
         raise ValidationError(
             f"boundary growth exponent {g.growth_alpha} >= 1: kernel integral diverges"
         )
-    if not (tol > 0.0):
-        raise ValidationError(f"tol must be > 0, got {tol}")
+    if not (0.0 < tol < math.inf):
+        raise ValidationError(f"tol must be finite and > 0, got {tol}")
     return 1.0 / (1.0 - max(g.growth_alpha, 0.0))
 
 

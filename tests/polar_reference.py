@@ -2,9 +2,10 @@
 
 `norm_lp_2d` is the tensor quadrature that `numerics.norm_lp_halfdisk` used
 before it took polar product fields: it sums |V|^p over the full nr x nphi
-grid, and for p = inf sharpens the grid maximum along its ray. It takes a
-plain field g(r, phi) that returns the (nr, nphi) array; `magnitude(f)` turns
-a polar product field into one.
+grid, and for p = inf sharpens the grid maximum along its ray by a
+golden-section search of its own, independent of the library's ray search. It
+takes a plain field g(r, phi) that returns the (nr, nphi) array;
+`magnitude(f)` turns a polar product field into one.
 """
 
 import math
@@ -12,7 +13,6 @@ import math
 import numpy as np
 
 from harmlab.errors import NonFiniteSample
-from harmlab.numerics import golden_max
 
 
 def component_values(f, r, phi) -> list[np.ndarray]:
@@ -35,6 +35,26 @@ def magnitude(f):
         return np.abs(values[0]) if len(values) == 1 else np.sqrt(sum(V * V for V in values))
 
     return g
+
+
+def golden_max(f, lo: float, hi: float) -> tuple[float, float]:
+    """Golden-section maximizer of f on [lo, hi] in 80 steps; returns (argmax, max)."""
+    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+    a, b = lo, hi
+    c = b - invphi * (b - a)
+    d = a + invphi * (b - a)
+    fc, fd = f(c), f(d)
+    for _ in range(80):  # shrinks [lo, hi] by 0.618^80, about 2e-17
+        if fc > fd:
+            b, d, fd = d, c, fc
+            c = b - invphi * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + invphi * (b - a)
+            fd = f(d)
+    xm = 0.5 * (a + b)
+    return xm, f(xm)
 
 
 def _ray_refined_max(f, grid, absV):

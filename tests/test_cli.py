@@ -164,6 +164,13 @@ def test_solve_bad_spec(capsys):
     assert code == 2 and "invalid input" in err
 
 
+def test_solve_infinite_tol_exits_2_with_one_line(capsys):
+    # tol = inf used to print 0.70712888496821, where the closed form is 0.707106781186548
+    code, out, err = invoke(capsys, "solve", "--boundary", "relu:0.5", "--x", "0", "--y", "1", "--tol", "inf")
+    assert (code, out) == (2, "")
+    assert err == "harmlab: invalid input: tol must be finite and > 0, got inf\n"
+
+
 def test_rates_reg_csv_and_determinism(tmp_path, capsys):
     out1 = tmp_path / "a.csv"
     out2 = tmp_path / "b.csv"

@@ -1,10 +1,11 @@
 """Output contract of the `rates reg|sobolev` commands, checked through cli.run.
 
 contract.json holds, per argv, the stdout line the command printed and the CSV
-lines it wrote when the file was recorded (at the commit named there). The
-last CSV field, the measured value, must agree to `rtol` relative; every other
-field, the header and stdout must match exactly. The file is edited by hand
-only, with each moved value named in CHANGES.md: there is no re-record switch.
+lines it wrote when the file was recorded: at the commit named there, or at
+the one a case names as its own `recorded_at`. The last CSV field, the
+measured value, must agree to `rtol` relative; every other field, the header
+and stdout must match exactly. The file is edited by hand only, with each
+moved value named in CHANGES.md: there is no re-record switch.
 """
 
 import json

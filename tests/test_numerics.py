@@ -67,6 +67,13 @@ def test_integrate_budget_exhaustion():
         integrate_adaptive(lambda x: 1.0 / x, 0.0, 1.0, tol=1e-9, max_intervals=200)
 
 
+@pytest.mark.parametrize("tol", [math.inf, math.nan, 0.0, -1e-9])
+def test_integrate_refuses_a_tolerance_that_is_not_finite_and_positive(tol):
+    # tol = inf used to stop after the first rule: 1.9254 for an integral of 2
+    with pytest.raises(ValidationError, match="tol must be finite and > 0"):
+        integrate_adaptive(lambda x: x**-0.5, 0.0, 1.0, tol=tol)
+
+
 def test_integrate_accepts_intervals_at_floating_point_resolution():
     # near 1e6 the spacing of doubles (~1e-10) stops the bisection of the jump
     # long before the jump's error falls under tol; such intervals are accepted
@@ -367,8 +374,9 @@ def test_norm_calls_field_once_on_polar_tables():
 
             norm_lp_halfdisk(f, g, p)
             assert shapes[0] == ((16, 1), (1, 12))
-            if math.isinf(p):
-                assert len(shapes) > 1 and all(s == ((1,), (1,)) for s in shapes[1:])  # one-point ray calls
+            if math.isinf(p):  # the ray search's rounds, then the one-point read at r = R
+                ray = ((numerics.RAY_POINTS, 1), (1, 1))
+                assert shapes[1:] == [ray] * numerics.RAY_ROUNDS + [((1, 1), (1, 1))]
             else:
                 assert len(shapes) == 1
 
@@ -428,15 +436,54 @@ def test_norm_overflowing_field_rejected_without_warnings():
                     norm_lp_halfdisk(f, g, p)
 
 
+def test_norm_refuses_a_field_malformed_only_on_ray_calls():
+    g = GridSpec(1.0, 16, 12, 2.0)
+
+    def f(r, phi):  # polar tables on the grid, a term without its angular table on the ray
+        return [[(r, np.sin(phi))]] if np.size(phi) > 1 else [[(r,)]]
+
+    assert norm_lp_halfdisk(f, g, 2.0) > 0.0
+    with pytest.raises(ValidationError, match="list of \\(radial table, angular table\\) pairs"):
+        norm_lp_halfdisk(f, g, math.inf)
+
+
 def test_norm_nonfinite_ray_max_rejected():
     g = GridSpec(1.0, 16, 16, 1.0)
 
-    def f(r, phi):  # finite on the grid, NaN on the one-point ray calls
+    def f(r, phi):  # finite on the grid, NaN on the ray calls
         return [[(np.ones_like(r) if np.size(r) > 1 else np.full_like(r, np.nan), np.sin(phi))]]
 
     assert norm_lp_halfdisk(f, g, 2.0) > 0.0
     with pytest.raises(NonFiniteSample, match="maximizing ray"):
         norm_lp_halfdisk(f, g, math.inf)
+
+
+# r exp(-r / r0) peaks at r0 with the value r0 / e. r0 lies strictly between
+# radial nodes of GRID_OFF (nr = 16, grading 2, R = 1), and the ray at the
+# middle angular node of the odd nphi is phi = pi/2, where sin(phi) = 1.
+GRID_OFF = GridSpec(1.0, 16, 13, 2.0)
+R0 = 0.3
+
+
+def _peak(r):
+    return r * np.exp(-r / R0)
+
+
+@pytest.mark.parametrize("field", [
+    lambda r, phi: [[(_peak(r), np.sin(phi))]],  # a single product
+    lambda r, phi: [[(_peak(r), np.sin(phi))], [(_peak(r), np.cos(phi))]],  # |V| is _peak(r) on every ray
+])
+def test_norm_linf_finds_a_maximum_between_radial_nodes(field):
+    nodes = GRID_OFF.radial_nodes()
+    j = int(np.searchsorted(nodes, R0))
+    assert nodes[j - 1] < R0 < nodes[j] and min(R0 - nodes[j - 1], nodes[j] - R0) > 0.01
+    want = R0 / math.e
+    grid_max, rstar, vstar, edge = numerics.ray_refined_max(field, GRID_OFF)
+    assert grid_max < want * (1 - 1e-4)  # the grid alone misses the peak
+    assert rstar == pytest.approx(R0, rel=1e-7)
+    assert vstar == pytest.approx(want, rel=1e-15)
+    assert edge == pytest.approx(float(_peak(1.0)), rel=1e-15)
+    assert norm_lp_halfdisk(field, GRID_OFF, math.inf) == pytest.approx(want, rel=1e-15)
 
 
 def _reg_difference(eps, k):

@@ -94,6 +94,16 @@ def test_growth_violation():
         solve_at(BoundaryFunction.custom(lambda s: 2.0 * s * s, 2.0), HalfPlanePoint(0.0, 1.0))
 
 
+@pytest.mark.parametrize("tol", [math.inf, math.nan, 0.0])
+def test_solvers_refuse_a_tolerance_that_is_not_finite_and_positive(tol):
+    # solve_grid does not go through integrate_adaptive, so both check tol up front
+    g = BoundaryFunction.relu_power(0.5)
+    with pytest.raises(ValidationError, match="tol must be finite and > 0"):
+        solve_at(g, HalfPlanePoint(0.0, 1.0), tol=tol)
+    with pytest.raises(ValidationError, match="tol must be finite and > 0"):
+        solve_grid(g, GridSpec(1.0, 8, 8, 1.0), tol=tol)
+
+
 def test_constant_polynomial_admitted():
     g = BoundaryFunction.custom(lambda s: np.full_like(s, 4.0), 0.0)
     assert solve_at(g, HalfPlanePoint(0.2, 0.7), tol=1e-9) == pytest.approx(4.0, abs=1e-8)
