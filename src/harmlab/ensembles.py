@@ -41,7 +41,9 @@ __all__ = [
     "load_ensemble",
 ]
 
-_EVAL_CHUNK = 2_000_000  # max atoms*points per evaluation block
+# Atom-points per evaluation block of `ensemble_derivatives`: a block is one
+# buffer of at most this many doubles (16 MB), activated in place.
+_EVAL_CHUNK = 2_000_000
 # Largest ensemble one call may build. A dim-2 neuron holds five doubles and a
 # lift makes several temporaries of that size, so 10^7 neurons take about 1 GB;
 # larger requests are refused up front instead of failing in the allocator.
@@ -56,22 +58,31 @@ def check_neuron_count(n: int, what: str) -> None:
         raise ValidationError(f"{what} = {n} exceeds the limit of {MAX_NEURONS} neurons")
 
 
-def activation(z, alpha: float):
+def activation(z, alpha: float, out=None):
     """sigma_alpha(z) = max(z, 0)^alpha elementwise; indicator 1_{z>0} for alpha = 0.
 
     NaN and -inf map to 0. A negative alpha (a derivative of order above the
     activation power) gives z^alpha on z > 0 and 0 elsewhere.
+
+    `out`, as for a numpy ufunc, is a float array of z's shape that receives
+    the result and is returned; it may be z itself, which then holds
+    sigma_alpha(z) with the bits of the call without `out`.
     """
     z = np.asarray(z, dtype=float)
     if alpha > 0.0:
-        out = np.fmax(z, 0.0)
+        out = np.fmax(z, 0.0, out=out)
         out **= alpha  # in place: one temporary fewer on large blocks
         return out
     if alpha == 0.0:
-        return (z > 0.0).astype(float)
-    out = np.zeros_like(z)
+        return (z > 0.0).astype(float) if out is None else np.greater(z, 0.0, out=out)
     pos = z > 0.0
-    out[pos] = z[pos] ** alpha
+    vals = z[pos]
+    vals **= alpha  # read before `out`, which may be z, is overwritten
+    if out is None:
+        out = np.zeros_like(z)
+    else:
+        out.fill(0.0)
+    out[pos] = vals
     return out
 
 
@@ -169,6 +180,11 @@ def ensemble_derivatives(e: NeuronEnsemble, xs, order: int, weights=None) -> lis
     component then has shape (m, k), its column j belonging to
     sum_i weights[i, j] a_i sigma_alpha(w_i . x + b_i). The activation block
     is evaluated once for all k columns.
+
+    Atoms go in blocks of at most _EVAL_CHUNK atom-points. A block's
+    activations live in one buffer, and its coefficients p_i a_i (or
+    weights[i] a_i) are formed for the block alone; each block is released
+    before the next is allocated.
     """
     if order not in (0, 1, 2):
         raise ValidationError(f"order must be 0, 1 or 2, got {order}")
@@ -177,26 +193,29 @@ def ensemble_derivatives(e: NeuronEnsemble, xs, order: int, weights=None) -> lis
     if e.dim == 2 and (pts.ndim != 2 or pts.shape[1] != 2):
         raise ValidationError(f"points of shape {xs.shape} fed to a dim-2 ensemble")
     if weights is None:
-        pa = e.probs * e.a
+        weights = e.probs
     else:
         weights = np.asarray(weights, dtype=float)
         if weights.ndim != 2 or weights.shape[0] != len(e):
             raise ValidationError(f"weights must have shape ({len(e)}, k), got {weights.shape}")
-        pa = weights * e.a[:, None]
-    atom = (slice(None),) + (None,) * (pa.ndim - 1)  # broadcasts a per-atom factor over columns
+    atom = (slice(None),) + (None,) * (weights.ndim - 1)  # broadcasts a per-atom factor over columns
     m = pts.shape[0]
     coef = math.prod(e.alpha - i for i in range(order))
     comps = list(itertools.combinations_with_replacement(range(e.dim), order))
-    outs = [np.zeros((m,) + pa.shape[1:]) for _ in comps]
+    outs = [np.zeros((m,) + weights.shape[1:]) for _ in comps]
     step = max(1, _EVAL_CHUNK // max(1, m))
     for lo in range(0, len(e), step):
         hi = min(lo + step, len(e))
         wj = e.w[lo:hi]
-        S = activation(pts @ wj.T + e.b[lo:hi], e.alpha - order)
+        S = pts @ wj.T
+        S += e.b[lo:hi]
+        activation(S, e.alpha - order, out=S)
         if order:
             S *= coef
+        pa = weights[lo:hi] * e.a[lo:hi][atom]
         for out, comp in zip(outs, comps):
-            out += S @ (pa[lo:hi] * np.prod(wj[:, comp], axis=1)[atom])
+            out += S @ (pa * np.prod(wj[:, comp], axis=1)[atom])
+        del S, pa  # free before the next block is allocated
     return outs
 
 
@@ -298,7 +317,7 @@ def lift_ensemble(
     if n_samples is not None:
         check_neuron_count(n_samples, "n_samples")
         rng = np.random.default_rng(seed)
-        idx = rng.choice(len(e), size=int(n_samples), p=e.probs)
+        idx = _draw_atoms(_atom_cdf(e), n_samples, rng)
         t = rng.standard_cauchy(int(n_samples))
         probs = np.full(int(n_samples), 1.0 / int(n_samples))
         w2d = np.column_stack([w1[idx], t * w1[idx]])
@@ -342,10 +361,23 @@ def homogeneous_extend(e: NeuronEnsemble) -> NeuronEnsemble:
     return NeuronEnsemble(e.probs, e.a, w2d, np.zeros(len(e)), e.alpha)
 
 
-def _draw_atoms(e: NeuronEnsemble, n: int, seed) -> np.ndarray:
-    """Atom indices of n iid draws from the ensemble's categorical distribution."""
+def _atom_cdf(e: NeuronEnsemble) -> np.ndarray:
+    """The CDF of the ensemble's categorical distribution, built once for any number of draws."""
+    cdf = e.probs.cumsum()
+    cdf /= cdf[-1]
+    return cdf
+
+
+def _draw_atoms(cdf: np.ndarray, n: int, seed) -> np.ndarray:
+    """Atom indices of n iid draws from the categorical distribution of `_atom_cdf`.
+
+    This is numpy's `Generator.choice(len(e), n, p=e.probs)` algorithm (one
+    uniform per draw, looked up in the CDF) without its per-call validation
+    and cumsum, so it takes the same stream and the same atoms. `seed` may be
+    a Generator, which the draws advance.
+    """
     check_neuron_count(n, "n")
-    return np.random.default_rng(seed).choice(len(e), size=int(n), p=e.probs)
+    return cdf.searchsorted(np.random.default_rng(seed).random(int(n)), side="right")
 
 
 def sample_subnetwork(e: NeuronEnsemble, n: int, seed: int | None = None) -> NeuronEnsemble:
@@ -354,7 +386,7 @@ def sample_subnetwork(e: NeuronEnsemble, n: int, seed: int | None = None) -> Neu
     The returned network is unbiased for f; its barron_cost matches the target
     cost in expectation (the per-draw coefficient bound).
     """
-    idx = _draw_atoms(e, n, seed)
+    idx = _draw_atoms(_atom_cdf(e), n, seed)
     probs = np.full(int(n), 1.0 / int(n))
     return NeuronEnsemble(probs, e.a[idx], e.w[idx], e.b[idx], e.alpha)
 

@@ -29,9 +29,13 @@ drawn, the draw is sum_i (c_i/n) a_i sigma(w_i . x + b_i). Its error field of
 any order is therefore sum_i (p_i - c_i/n) a_i D sigma(w_i . x + b_i), and
 `mc_rate_experiment` gets the error fields of a block of draws from one
 weighted `ensemble_derivatives` call per order, with weights p - C/n for the
-block's count matrix C. No subnetwork is built. Blocks hold at most
-_EVAL_CHUNK // max(atoms, points) draws, so the weight matrix and the fields
-stay bounded however many sizes and seeds are asked for.
+block's count matrix C. No subnetwork is built. A block takes at most
+_EVAL_CHUNK // max(atoms, points) draws, and its working set stays bounded
+however many atoms, points, sizes and seeds are asked for: the draw-weight
+block, one array of draws x atoms (at most _EVAL_CHUNK doubles) that holds
+C/n and then p - C/n in place, reused by every block; one evaluation block of
+`ensemble_derivatives` (at most _EVAL_CHUNK atom-points) with the
+coefficients of its atoms; and the error fields, points x draws.
 """
 
 from __future__ import annotations
@@ -46,6 +50,7 @@ import numpy as np
 from . import ensembles
 from .ensembles import (
     NeuronEnsemble,
+    _atom_cdf,
     _atom_cost,
     _draw_atoms,
     barron_cost,
@@ -438,7 +443,8 @@ def mc_rate_experiment(
     the weights p - c/n on the target's atoms and its coefficient bound is
     (c/n) . cost (see the module docstring). Draws run n-major, seed-minor, in
     blocks of at most _EVAL_CHUNK // max(atoms, points), one weighted
-    `ensemble_derivatives` call per order and block.
+    `ensemble_derivatives` call per order and block; the atoms' CDF is built
+    once for all draws.
     """
     if not (2.0 <= q < math.inf):
         raise ValidationError(f"q must be finite and >= 2, got {q}")
@@ -477,21 +483,25 @@ def mc_rate_experiment(
 
     cost = _atom_cost(target)
     bound = barron_cost(target) * 1.05
+    cdf = _atom_cdf(target)
     draws = [(n, s) for n in ns for s in seeds]
     per_block = max(1, ensembles._EVAL_CHUNK // max(len(target), len(pts)))
+    draw_weights = np.empty((min(per_block, len(draws)), len(target)))  # reused by every block
     errs = np.empty(len(draws))
     bound_hits = 0
     for lo in range(0, len(draws), per_block):
         block = draws[lo : lo + per_block]
-        frac = np.array(
-            [np.bincount(_draw_atoms(target, n, (s, n)), minlength=len(target)) / n for n, s in block]
-        )
+        frac = draw_weights[: len(block)]
+        for row, (n, s) in zip(frac, block):
+            np.divide(np.bincount(_draw_atoms(cdf, n, (s, n)), minlength=len(target)), n, out=row)
         bound_hits += int(np.count_nonzero(frac @ cost <= bound))
-        diff = (target.probs - frac).T  # atoms x draws: target minus draw weights
+        diff = np.subtract(target.probs, frac, out=frac)  # target minus draw weights
         acc = np.zeros((len(pts), len(block)))
         for order in range(m + 1):
-            for comp in ensemble_derivatives(target, pts, order, weights=diff):
-                acc += np.abs(comp) ** q
+            for comp in ensemble_derivatives(target, pts, order, weights=diff.T):
+                np.abs(comp, out=comp)
+                comp **= q
+                acc += comp
         errs[lo : lo + len(block)] = (w_quad @ acc) ** (1.0 / q)
     values = [float(np.mean(row)) for row in errs.reshape(len(ns), len(seeds))]
     reports = [ErrorReport("mc", 0, R, q, m, float(n), float(v)) for n, v in zip(ns, values)]

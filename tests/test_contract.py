@@ -1,4 +1,4 @@
-"""Output contract of the `rates reg|sobolev` commands, checked through cli.run.
+"""Output contract of the `rates` commands, checked through cli.run.
 
 contract.json holds, per argv, the stdout line the command printed and the CSV
 lines it wrote when the file was recorded: at the commit named there, or at

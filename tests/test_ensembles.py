@@ -2,8 +2,10 @@
 serialization, and the regularity bounds their costs control."""
 
 import collections
+import itertools
 import math
 import tempfile
+import tracemalloc
 import warnings
 from decimal import Decimal
 from pathlib import Path
@@ -34,7 +36,8 @@ from harmlab import (
 )
 from harmlab import ensembles as ensembles_module
 from harmlab.cli import run as cli_run
-from harmlab.ensembles import activation, cauchy_graded_rule, ensemble_derivatives
+from harmlab.ensembles import _atom_cdf, _draw_atoms, activation, cauchy_graded_rule, ensemble_derivatives
+import ensemble_reference
 
 
 def single(a, w, b, alpha, dim=1):
@@ -324,6 +327,48 @@ def test_sample_determinism():
     a = sample_subnetwork(e, 5, seed=9)
     b = sample_subnetwork(e, 5, seed=9)
     assert np.array_equal(a.w, b.w) and np.array_equal(a.a, b.a)
+
+
+def _probability_vectors():
+    """A few categorical distributions, zero weights first, inside and last among them."""
+    rng = np.random.default_rng(23)
+    ragged = rng.uniform(0.5, 1.5, 2000)
+    zeros = rng.uniform(0.0, 1.0, 9)
+    zeros[[0, 3, 4, 8]] = 0.0
+    return [np.array([1.0]), np.array([0.0, 1.0, 0.0]), zeros / zeros.sum(), ragged / ragged.sum()]
+
+
+@pytest.mark.parametrize("p", _probability_vectors(), ids=["one", "one-of-three", "zeros", "ragged"])
+def test_draws_are_numpys_choice(p):
+    """One CDF for all draws takes the atoms and the stream of Generator.choice(p=...)."""
+    e = NeuronEnsemble(p, np.ones(p.size), np.linspace(-1.0, 1.0, p.size), np.zeros(p.size), 1.0)
+    cdf = _atom_cdf(e)
+    for s, n in itertools.product(range(15), (1, 2, 3, 7, 32, 100, 257, 1000, 4096, 5000)):
+        rng = np.random.default_rng((s, n))
+        want = rng.choice(p.size, size=n, p=p)
+        mine = np.random.default_rng((s, n))
+        got = _draw_atoms(cdf, n, mine)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), (s, n)
+        assert mine.random() == rng.random(), (s, n)  # the stream goes on alike
+    assert set(np.flatnonzero(p == 0.0)).isdisjoint(_draw_atoms(cdf, 20_000, 1).tolist())
+
+
+def test_sampled_lift_and_subnetwork_take_numpys_draws():
+    rng = np.random.default_rng(29)
+    n = 40
+    probs = rng.uniform(0.0, 1.0, n)
+    probs[::7] = 0.0
+    e = NeuronEnsemble(probs / probs.sum(), rng.normal(size=n), rng.normal(size=n), rng.normal(size=n), 0.5)
+    for seed in range(5):
+        draws = np.random.default_rng(seed)
+        idx = draws.choice(n, size=300, p=e.probs)
+        t = draws.standard_cauchy(300)
+        lifted = lift_ensemble(e, n_samples=300, seed=seed)
+        w1 = e.w[idx, 0]
+        assert lifted.w.tobytes() == np.column_stack([w1, t * w1]).tobytes()
+        assert lifted.b.tobytes() == e.b[idx].tobytes()
+        sub = sample_subnetwork(e, 300, seed=seed)
+        assert sub.w.tobytes() == e.w[np.random.default_rng(seed).choice(n, size=300, p=e.probs)].tobytes()
 
 
 # --- serialization -----------------------------------------------------------------
@@ -753,6 +798,80 @@ def test_weighted_derivatives_reject_bad_shapes():
         with pytest.raises(ValidationError, match="weights must have shape"):
             ensemble_derivatives(e, np.linspace(-1.0, 1.0, 4), 1, weights=bad)
     assert ensemble_derivatives(e, np.linspace(-1.0, 1.0, 4), 1, weights=np.ones((3, 2)))[0].shape == (4, 2)
+
+
+# --- one buffer per evaluation block --------------------------------------------------
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0, 1.8, 2.0, 2.5, 3.0, -0.2, -0.5, -1.0, -1.5])
+def test_activation_in_place_matches_a_new_array(alpha):
+    special = [np.nan, -np.nan, np.inf, -np.inf, 0.0, -0.0, 5e-324, -5e-324, 1.5, -1.5, 1e300, 0.3]
+    z = np.concatenate([special, np.random.default_rng(5).normal(size=40)]).reshape(4, 13)
+    with np.errstate(over="ignore"):  # 5e-324 ** -1 and 1e300 ** 2.5 overflow to inf on every path
+        want = ensemble_reference.activation(z, alpha)
+        fresh = activation(z.copy(), alpha)
+        buf = z.copy()
+        in_place = activation(buf, alpha, out=buf)
+        other = np.full_like(z, 7.0)
+        into_other = activation(z, alpha, out=other)
+    assert in_place is buf and into_other is other
+    assert in_place.tobytes() == fresh.tobytes() == into_other.tobytes() == want.tobytes()
+
+
+def _layout(weights, kind):
+    """None, the (n, k) weights row-major, or column-major as a transposed draw block."""
+    if kind is None:
+        return None
+    return weights if kind == "C" else np.asfortranarray(weights)
+
+
+@pytest.mark.parametrize("chunk", [None, 40], ids=["one-block", "blocks-of-3"])
+@pytest.mark.parametrize("weights", [None, "C", "F"])
+@pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0, 1.8, 2.5])
+@pytest.mark.parametrize("dim", [1, 2])
+def test_derivatives_match_the_reference_bit_for_bit(monkeypatch, dim, alpha, weights, chunk):
+    rng = np.random.default_rng(31)
+    n, m = 23, 11
+    # dyadic atoms and points put some points on kinks exactly; the rest are generic
+    w = np.where(rng.random((n, dim)) < 0.5, rng.integers(-8, 9, (n, dim)) / 4.0, rng.normal(size=(n, dim)))
+    b = np.where(rng.random(n) < 0.5, rng.integers(-8, 9, n) / 4.0, rng.normal(size=n))
+    pts = np.concatenate([rng.integers(-4, 5, (m // 2, dim)) / 4.0, rng.uniform(-1.0, 1.0, (m - m // 2, dim))])
+    pts = pts[:, 0] if dim == 1 else pts
+    probs = rng.uniform(0.5, 1.5, n)
+    e = NeuronEnsemble(probs / probs.sum(), rng.normal(size=n), w, b, alpha)
+    cols = _layout(rng.normal(size=(n, 3)), weights)
+    if chunk is not None:
+        monkeypatch.setattr(ensembles_module, "_EVAL_CHUNK", chunk)  # 40 // 11: blocks of 3 atoms
+    for order in range(3):
+        got = ensemble_derivatives(e, pts, order, weights=cols)
+        want = ensemble_reference.ensemble_derivatives(e, pts, order, weights=cols)
+        assert [g.tobytes() for g in got] == [v.tobytes() for v in want], order
+
+
+@pytest.mark.parametrize("order", [0, 2])
+def test_derivatives_hold_one_block_at_a_time(order):
+    """20k atoms at 257 points and 40 weight columns: the peak is one evaluation
+    block with its coefficients, not the whole target's coefficients besides."""
+    rng = np.random.default_rng(37)
+    n, m, k = 20_000, 257, 40
+    probs = rng.uniform(0.5, 1.5, n)
+    e = NeuronEnsemble(probs / probs.sum(), rng.normal(size=n), rng.uniform(-2.0, 2.0, n),
+                       rng.uniform(-1.0, 1.0, n), 2.5)
+    pts = np.linspace(-1.0, 1.0, m)
+    weights = rng.normal(size=(n, k))
+    step = ensembles_module._EVAL_CHUNK // m
+    block, coefs = step * m * 8, step * k * 8
+    tracing = tracemalloc.is_tracing()  # under `python -X tracemalloc` it already is
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        held = tracemalloc.get_traced_memory()[0]
+        ensemble_derivatives(e, pts, order, weights=weights)
+        peak = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert peak < 1.5 * (block + coefs), (peak, block, coefs)
 
 
 @pytest.mark.parametrize("rule", [cauchy_tangent_rule, cauchy_midpoint_rule, cauchy_graded_rule])

@@ -42,6 +42,7 @@ from harmlab.experiments import (
 )
 from harmlab.numerics import norm_lp_halfdisk
 from harmlab.solutions import reg_diff_gradient, reg_diff_hessian, reg_diff_value
+import ensemble_reference
 from polar_reference import component_values, norm_lp_2d
 from polar_reference import magnitude as product_magnitude
 
@@ -670,6 +671,32 @@ def test_mc_draw_blocks_match_one_block(monkeypatch, dim, m):
                                rtol=1e-12, atol=0.0)
     assert rate == one_block[2]
     assert fit.slope == pytest.approx(one_block[1].slope, rel=1e-12)
+
+
+@pytest.mark.parametrize("chunk", [None, 5 * 1000], ids=["one-block", "blocks-of-5"])
+@pytest.mark.parametrize("dim,alpha,m,q", [(1, 2.0, 0, 2.0), (1, 1.8, 2, 3.0), (1, 1.0, 1, 2.0),
+                                           (2, 2.5, 2, 2.0), (2, 0.5, 0, 4.0)])
+def test_mc_matches_the_reference_bit_for_bit(monkeypatch, dim, alpha, m, q, chunk):
+    """The draw-weight block filled in place, the CDF built once and the one-buffer
+    evaluation blocks give the bits of fresh arrays and Generator.choice draws."""
+    target = make_random_target(alpha, 1000, seed=101, dim=dim)
+    ns, seeds = [16, 32, 64, 128], [0, 1, 2]
+    if dim == 1:
+        grid = None
+        rule = gauss_legendre_rule(257, -1.0, 1.0)
+        pts, weights = rule.nodes, rule.weights
+    else:
+        grid = GridSpec(1.0, 16, 16, 2.0)
+        X, Y = grid.mesh()
+        wr = grid.radial_weights() * grid.radial_nodes() * grid.angular_weight
+        pts = np.column_stack([X.ravel(), Y.ravel()])
+        weights = np.broadcast_to(wr[:, None], X.shape).ravel()
+    if chunk is not None:
+        monkeypatch.setattr(ensembles_module, "_EVAL_CHUNK", chunk)  # 12 draws in blocks of 5, 5 and 2
+    reports, _, rate = mc_rate_experiment(target, ns, m, q, seeds, grid=grid)
+    values, want_rate = ensemble_reference.mc_errors(target, pts, weights, ns, seeds, m, q)
+    assert [r.value for r in reports] == values
+    assert rate == want_rate
 
 
 def test_random_target_size_limit(monkeypatch):
