@@ -23,8 +23,6 @@ from .numerics import (
     GridSpec,
     QuadratureRule,
     RateFit,
-    fd_derivative,
-    fd_laplacian,
     fit_linear,
     fit_loglog,
     gauss_legendre_rule,
@@ -55,7 +53,6 @@ from .line_barron import (
 from .diagnostics import (
     SliceCriterionReport,
     SliceLogFit,
-    closed_form_dk1,
     dk1_angle_factor,
     slice_log_fit,
     ur_slice_barron_check,

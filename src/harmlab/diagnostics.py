@@ -22,14 +22,11 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import NumericalError, ValidationError
-from .halfplane import HalfPlanePoint
 from .line_barron import DifferentiableFunction1D, barron_norm_upper
 from .solutions import _integer_parts
 
 __all__ = [
     "dk1_angle_factor",
-    "closed_form_dk1",
-    "arctan_component",
     "SliceLogFit",
     "slice_log_fit",
     "SliceCriterionReport",
@@ -50,18 +47,6 @@ def _dk1_field(x, y, k: int):
     r = np.hypot(x, y)
     phi = np.arctan2(y, x)
     return math.factorial(k) / (2.0 * r) * dk1_angle_factor(phi, k).imag
-
-
-def closed_form_dk1(p: HalfPlanePoint, k: int) -> float:
-    """_dk1_field at one point."""
-    return float(_dk1_field(p.x, p.y, k))
-
-
-def arctan_component(x, y, k: int):
-    """f_k(x) = arctan(x/y) Re((x+iy)^k), vectorized; the finite-difference target."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    return np.arctan2(x, y) * ((x + 1j * y) ** k).real
 
 
 @dataclass(frozen=True)

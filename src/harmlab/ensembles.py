@@ -214,7 +214,7 @@ def ensemble_derivatives(e: NeuronEnsemble, xs, order: int, weights=None) -> lis
             S *= coef
         pa = weights[lo:hi] * e.a[lo:hi][atom]
         for out, comp in zip(outs, comps):
-            out += S @ (pa * np.prod(wj[:, comp], axis=1)[atom])
+            out += S @ (pa * np.prod(wj[:, comp], axis=1)[atom] if comp else pa)  # order 0: the product is 1
         del S, pa  # free before the next block is allocated
     return outs
 

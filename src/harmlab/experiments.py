@@ -62,12 +62,10 @@ from .numerics import (
     GridSpec,
     QuadratureRule,
     RateFit,
-    bisect_root,
     fit_linear,
     fit_loglog,
     gauss_legendre_rule,
     norm_lp_halfdisk,
-    ray_refined_max,
 )
 from .solutions import reg_diff_gradient, reg_diff_hessian, reg_diff_value
 
@@ -152,12 +150,6 @@ class Poly2:
 
     def diff_y(self) -> "Poly2":
         return Poly2({(i, j - 1): j * c for (i, j), c in self.terms.items() if j > 0})
-
-    def degrees(self) -> set[int]:
-        return {i + j for (i, j) in self.terms}
-
-    def is_homogeneous(self, degree: int) -> bool:
-        return self.degrees() in (set(), {degree})
 
     def __call__(self, X, Y):
         X = np.asarray(X, dtype=float)
@@ -353,26 +345,6 @@ def _fit_rate(knob: str, knobs, values) -> RateFit:
                 f"the measured norm underflowed to 0 at {knob} = {at:g}; no power law can be fitted"
             )
     return fit_loglog(knobs, values)
-
-
-def interior_critical_radius(k: int, epsilon: float, R: float):
-    """Root of k*log(1+eps^2/r^2) = 2 eps^2/(r^2+eps^2) in (0, R), or None.
-
-    This is the interior stationarity condition of r^k log(1+eps^2/r^2); for
-    k >= 2 the left side dominates, so the sup-norm maximizer sits at r = R.
-    """
-    e2 = epsilon * epsilon
-
-    def g(r):
-        return k * math.log1p(e2 / (r * r)) - 2.0 * e2 / (r * r + e2)
-
-    return bisect_root(g, 1e-6 * epsilon + 1e-300, R)
-
-
-def reg_linf_maximizer_radius(k: int, epsilon: float, grid: GridSpec) -> float:
-    """Measured radius maximizing |u_{eps,k} - u_k| on the grid (refined in r)."""
-    _, rstar, vstar, edge = ray_refined_max(_reg_field(k, epsilon, 0), grid)
-    return grid.R if edge >= vstar else rstar
 
 
 # --- Sobolev log-growth experiment -------------------------------------------------

@@ -27,7 +27,3 @@ class HalfPlanePoint:
             raise ValidationError(f"non-finite point ({self.x}, {self.y})")
         if self.y <= 0.0:
             raise ValidationError(f"point must satisfy y > 0, got y = {self.y}")
-
-    @property
-    def r(self) -> float:
-        return math.hypot(self.x, self.y)

@@ -1,5 +1,5 @@
-"""Shared numerics: adaptive quadrature, finite differences, half-disk norms,
-and straight-line fits for rate extraction.
+"""Shared numerics: adaptive quadrature, half-disk norms and straight-line
+fits for rate extraction.
 
 The adaptive integrator uses an embedded Fejer-2 pair (7 nodes nested inside
 15) with globally greedy bisection, so integrable endpoint singularities are
@@ -29,7 +29,6 @@ from typing import Callable
 import numpy as np
 
 from .errors import MaxSubdivisionsExceeded, NonFiniteSample, NumericalError, ValidationError
-from .halfplane import HalfPlanePoint
 
 __all__ = [
     "QuadratureRule",
@@ -37,12 +36,9 @@ __all__ = [
     "RateFit",
     "gauss_legendre_rule",
     "integrate_adaptive",
-    "fd_laplacian",
-    "fd_derivative",
     "norm_lp_halfdisk",
     "fit_linear",
     "fit_loglog",
-    "bisect_root",
     "ray_refined_max",
 ]
 
@@ -322,45 +318,6 @@ def integrate_adaptive(
             ask = greedy.send(_pair_rows(rows, *ask)[0])
     except StopIteration as done:
         return done.value
-
-
-# --- finite differences ---------------------------------------------------------
-
-_CENTRAL_STENCILS = {
-    1: ([-1, 1], [-0.5, 0.5]),
-    2: ([-1, 0, 1], [1.0, -2.0, 1.0]),
-    3: ([-2, -1, 1, 2], [-0.5, 1.0, -1.0, 0.5]),
-    4: ([-2, -1, 0, 1, 2], [1.0, -4.0, 6.0, -4.0, 1.0]),
-    5: ([-3, -2, -1, 1, 2, 3], [-0.5, 2.0, -2.5, 2.5, -2.0, 0.5]),
-}
-
-
-def _central(f, x: float, order: int, h: float) -> float:
-    offs, coefs = _CENTRAL_STENCILS[order]
-    return sum(c * f(x + o * h) for o, c in zip(offs, coefs)) / h**order
-
-
-def fd_derivative(f, x: float, order: int, h: float) -> float:
-    """Central-difference derivative with one Richardson step: O(h^4) for smooth f."""
-    if order not in _CENTRAL_STENCILS:
-        raise ValidationError(f"order must be in 1..5, got {order}")
-    if not (h > 0.0):
-        raise ValidationError(f"h must be > 0, got {h}")
-    d_h = _central(f, x, order, h)
-    d_h2 = _central(f, x, order, 0.5 * h)
-    return (4.0 * d_h2 - d_h) / 3.0
-
-
-def fd_laplacian(f, p: HalfPlanePoint, h: float) -> float:
-    """Five-point Laplacian of a field f(x, y) at p; error O(h^2) for C^4 fields."""
-    if not (h > 0.0):
-        raise ValidationError(f"h must be > 0, got {h}")
-    if p.y <= 2.0 * h:
-        raise ValidationError(
-            f"point at y = {p.y} is within 2h = {2 * h} of the boundary"
-        )
-    x, y = p.x, p.y
-    return (f(x + h, y) + f(x - h, y) + f(x, y + h) + f(x, y - h) - 4.0 * f(x, y)) / (h * h)
 
 
 # --- half-disk grid and L^p norms -----------------------------------------------
@@ -651,24 +608,3 @@ def fit_loglog(xs, ys) -> RateFit:
     if np.any(x <= 0.0) or np.any(y <= 0.0):
         raise ValidationError("fit_loglog needs strictly positive data")
     return fit_linear(np.log(x), np.log(y))
-
-
-def bisect_root(f, lo: float, hi: float):
-    """Root of f on [lo, hi] by bisection to 1e-13 relative; None if f does not change sign."""
-    flo, fhi = f(lo), f(hi)
-    if flo == 0.0:
-        return lo
-    if fhi == 0.0:
-        return hi
-    if flo * fhi > 0.0:
-        return None
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        fm = f(mid)
-        if fm == 0.0 or (hi - lo) < 1e-13 * max(1.0, abs(mid)):
-            return mid
-        if flo * fm < 0.0:
-            hi = mid
-        else:
-            lo, flo = mid, fm
-    return 0.5 * (lo + hi)

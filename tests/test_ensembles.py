@@ -848,30 +848,53 @@ def test_derivatives_match_the_reference_bit_for_bit(monkeypatch, dim, alpha, we
         assert [g.tobytes() for g in got] == [v.tobytes() for v in want], order
 
 
-@pytest.mark.parametrize("order", [0, 2])
-def test_derivatives_hold_one_block_at_a_time(order):
-    """20k atoms at 257 points and 40 weight columns: the peak is one evaluation
-    block with its coefficients, not the whole target's coefficients besides."""
+def _large_target():
+    """20k atoms, 257 points and 40 weight columns, with the bytes of one
+    evaluation block and of its coefficients."""
     rng = np.random.default_rng(37)
     n, m, k = 20_000, 257, 40
     probs = rng.uniform(0.5, 1.5, n)
     e = NeuronEnsemble(probs / probs.sum(), rng.normal(size=n), rng.uniform(-2.0, 2.0, n),
                        rng.uniform(-1.0, 1.0, n), 2.5)
-    pts = np.linspace(-1.0, 1.0, m)
-    weights = rng.normal(size=(n, k))
     step = ensembles_module._EVAL_CHUNK // m
-    block, coefs = step * m * 8, step * k * 8
+    return e, np.linspace(-1.0, 1.0, m), rng.normal(size=(n, k)), step * m * 8, step * k * 8
+
+
+def _traced_peak(call):
+    """call() and its tracemalloc peak above what was held before it."""
     tracing = tracemalloc.is_tracing()  # under `python -X tracemalloc` it already is
     tracemalloc.start()
     try:
         tracemalloc.reset_peak()
         held = tracemalloc.get_traced_memory()[0]
-        ensemble_derivatives(e, pts, order, weights=weights)
-        peak = tracemalloc.get_traced_memory()[1] - held
+        result = call()
+        return result, tracemalloc.get_traced_memory()[1] - held
     finally:
         if not tracing:
             tracemalloc.stop()
+
+
+@pytest.mark.parametrize("order", [0, 2])
+def test_derivatives_hold_one_block_at_a_time(order):
+    """The peak is one evaluation block with its coefficients, not the whole
+    target's coefficients besides."""
+    e, pts, weights, block, coefs = _large_target()
+    _, peak = _traced_peak(lambda: ensemble_derivatives(e, pts, order, weights=weights))
     assert peak < 1.5 * (block + coefs), (peak, block, coefs)
+
+
+@pytest.mark.parametrize("weighted", [True, False])
+def test_order_zero_holds_one_coefficient_array_per_block(weighted):
+    """At order 0 the coefficients p_i a_i (or weights[i] a_i) are the product
+    itself: no second coefficient-sized array besides them and the block, and
+    the same bytes as the reference, which multiplies by the empty product 1."""
+    e, pts, weights, block, coefs = _large_target()
+    weights = weights if weighted else None
+    got, peak = _traced_peak(lambda: ensemble_derivatives(e, pts, 0, weights=weights))
+    if weighted:  # two coefficient arrays would be block + 2 coefs
+        assert peak < block + 1.5 * coefs, (peak, block, coefs)
+    want = ensemble_reference.ensemble_derivatives(e, pts, 0, weights=weights)
+    assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
 
 
 @pytest.mark.parametrize("rule", [cauchy_tangent_rule, cauchy_midpoint_rule, cauchy_graded_rule])

@@ -3,6 +3,7 @@
 import ast
 import importlib
 import pkgutil
+import re
 from pathlib import Path
 
 import pytest
@@ -10,6 +11,8 @@ import pytest
 import harmlab
 from harmlab import errors
 
+SRC = Path(harmlab.__file__).resolve().parent
+README = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
 _LISTING = sorted(
     m.name for m in pkgutil.iter_modules(harmlab.__path__)
     if hasattr(importlib.import_module(f"harmlab.{m.name}"), "__all__")
@@ -36,18 +39,60 @@ def test_package_imports_only_listed_names():
                 assert hasattr(module, alias.name), f"{node.module}.{alias.name}"
                 assert listed is None or alias.name in listed, f"{node.module}.{alias.name}"
                 checked += 1
-    assert checked > 50
+    assert checked > 45
 
 
 def test_readme_imports_listed_names():
     # the README's library example imports only names its modules list in __all__
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
-    code = readme.split("```python\n", 1)[1].split("```", 1)[0]
+    code = README.split("```python\n", 1)[1].split("```", 1)[0]
     imports = [n for n in ast.parse(code).body if isinstance(n, ast.ImportFrom) and n.module.startswith("harmlab.")]
     assert imports
     for node in imports:
         listed = importlib.import_module(node.module).__all__
         assert [a.name for a in node.names if a.name not in listed] == []
+
+
+def _uses(tree: ast.Module):
+    """(top-level def or class around it, or None; name) for each name read or bound outside imports."""
+    for top in tree.body:
+        owner = top.name if isinstance(top, (ast.FunctionDef, ast.ClassDef)) else None
+        for node in ast.walk(top):
+            if isinstance(node, ast.Name):
+                yield owner, node.id
+            elif isinstance(node, ast.Attribute):
+                yield owner, node.attr
+
+
+@pytest.mark.parametrize("name", _LISTING)
+def test_every_public_name_has_a_reader(name):
+    # a name in __all__ is read somewhere in the package outside its own def or
+    # class (the export lists hold it as a string or an import, not a read), or
+    # the README names it for library users
+    uses = {
+        (path.stem, owner, ident)
+        for path in SRC.glob("*.py")
+        for owner, ident in _uses(ast.parse(path.read_text(encoding="utf-8")))
+    }
+    unread = [
+        n for n in importlib.import_module(f"harmlab.{name}").__all__
+        if not any(ident == n and (stem, owner) != (name, n) for stem, owner, ident in uses)
+        and not re.search(rf"\b{re.escape(n)}\b", README)
+    ]
+    assert unread == []
+
+
+@pytest.mark.parametrize("path", sorted(p.name for p in SRC.glob("*.py") if p.name != "__init__.py"))
+def test_modules_use_every_name_they_import(path):
+    # no linter runs here, so this stands in for its unused-import check
+    tree = ast.parse((SRC / path).read_text(encoding="utf-8"))
+    imported = {
+        (alias.asname or alias.name).split(".")[0]
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__"
+        for alias in node.names
+    }
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    assert sorted(imported - used) == []
 
 
 def test_errors_are_two_families_and_the_two_subclasses_the_library_catches():

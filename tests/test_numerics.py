@@ -1,4 +1,4 @@
-"""Quadrature, finite differences, half-disk norms, and line fits."""
+"""Quadrature, half-disk norms, line fits, and the finite-difference oracles."""
 
 import math
 
@@ -16,8 +16,6 @@ from harmlab import (
     QuadratureRule,
     ValidationError,
     eval_u_half,
-    fd_derivative,
-    fd_laplacian,
     fit_linear,
     fit_loglog,
     gauss_legendre_rule,
@@ -27,6 +25,7 @@ from harmlab import (
 from harmlab import numerics
 from harmlab.solutions import reg_diff_value
 from greedy_reference import integrate_greedy
+from oracles import fd_derivative, fd_laplacian
 from polar_reference import magnitude, norm_lp_2d
 
 
