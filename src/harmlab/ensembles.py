@@ -343,6 +343,8 @@ def slice_ensemble(e: NeuronEnsemble, x0, v) -> NeuronEnsemble:
     v = np.asarray(v, dtype=float)
     if x0.shape != (2,) or v.shape != (2,):
         raise ValidationError("x0 and v must be 2-vectors")
+    if not np.isfinite(np.concatenate([x0, v])).all():
+        raise ValidationError("x0 and v must be finite")
     with np.errstate(over="ignore"):  # an overflow is refused as a non-finite w or b
         if not np.any(v):
             raise ValidationError("slice direction must be nonzero")
@@ -605,29 +607,137 @@ def _encode_17g(block: np.ndarray) -> bytes:
     return out.tobytes().translate(None, b"\0")
 
 
+def _parse_header(line: str) -> tuple[float, int]:
+    """alpha and dim of a header line without its newline."""
+    m = _HEADER_RE.match(line)
+    if not m:
+        raise ValidationError(f"bad ensemble header: {line!r}")
+    return float(m.group("alpha")), int(m.group("dim"))
+
+
+def _columns(rows: np.ndarray, dim: int) -> tuple:
+    """Views probs, a, w, b of rows `prob a w_1 [w_2] b`."""
+    return rows[:, 0], rows[:, 1], rows[:, 2 : 2 + dim], rows[:, 2 + dim]
+
+
+# --- strict reader of the writer's layout -------------------------------------------
+#
+# A body in save_ensemble's layout has tokens of the bytes 0-9 + - . e only, one
+# space between tokens, "\n" after each line and 3 + dim tokens on every line. It is
+# read in blocks of whole lines. Deleting the number bytes from a block must leave
+# (" " * (ncols - 1) + "\n") * nlines, which rules out every other byte, blank lines
+# and stray whitespace; with " \n" turned into ",", np.fromstring(sep=",") then
+# refuses an empty or glued token ("1-2", "1e5e5") instead of splitting it.
+#
+# np.fromstring parses a long double with libc's strtold, which rounds correctly.
+# Rounding to the long double and then to the double equals one correct rounding
+# unless the long double lies exactly halfway between two doubles, where the
+# second rounding may break the tie the wrong way. At such a tie 2 (ld - out) is
+# the gap from out to its neighbour on ld's side: spacing(out), or half of it
+# below a power of two. Python's float() rounds again from the text every value
+# that passes this test (all ties, and a few non-ties with them), overflows the
+# double range or lies within one ulp of it.
+#
+# A first pass counts the lines, so the columns are allocated once at their
+# size. The common path makes no array below 1 KB: numpy caches such arrays when
+# they are freed, and a few of them left between the large temporaries keep the
+# heap from reusing its free space (about 2 MB more peak RSS in a benchmark run).
+
+_READ_BYTES = 1 << 18  # body bytes per read, then the rest of the last line
+_NUMBER_BYTES = b"0123456789+-.e"
+_TO_COMMAS = bytes.maketrans(b" \n", b",,")
+_DBL_MAX = float(np.finfo(float).max)
+
+
+def _decode_block(block: bytes, ncols: int) -> np.ndarray | None:
+    """The doubles of whole lines in the writer's layout, shape (lines, ncols), bit for
+    bit what float() gives for each token; None if the block is not in that layout."""
+    seps = block.translate(None, _NUMBER_BYTES)
+    nlines, extra = divmod(len(seps), ncols)
+    if extra or seps != (b" " * (ncols - 1) + b"\n") * nlines:
+        return None
+    text = block.translate(_TO_COMMAS)
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", DeprecationWarning)  # numpy < 2 only warns on unmatched data
+            ld = np.fromstring(text, dtype=np.longdouble, sep=",")
+    except (ValueError, DeprecationWarning):
+        return None
+    if ld.size != nlines * ncols:
+        return None
+    # a value past the double range casts to inf, and r to inf or nan: float() redoes it
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = ld.astype(float)
+        r = ld - out  # exact
+        r *= 2  # a tie's 2r is a power of two >= 2^-1074, so its cast below is exact
+        twice = np.abs(r.astype(float))
+        gap = np.abs(np.spacing(out))  # to the neighbour away from zero
+        redo = (twice == gap) | ((twice + twice == gap) & (np.abs(np.frexp(out)[0]) == 0.5))
+        redo |= ~(np.abs(out) < _DBL_MAX)
+    if redo.any():
+        redo = np.flatnonzero(redo)
+        tokens = text.split(b",")
+        out[redo] = [float(tokens[i]) for i in redo.tolist()]
+    return out.reshape(nlines, ncols)
+
+
+def _read_layout(path) -> tuple | None:
+    """alpha and the columns (probs, a, w, b) of a file in save_ensemble's layout;
+    None where the file or the platform's long double falls outside it."""
+    if np.finfo(np.longdouble).nmant not in (52, 63, 112):
+        return None  # not an IEEE binary format: strtold's rounding is not known
+    with open(path, "rb") as fh:
+        header = fh.readline()
+        if not (header.isascii() and header.endswith(b"\n")) or b"\r" in header:
+            return None
+        alpha, dim = _parse_header(header[:-1].decode())
+        body = fh.tell()
+        n = sum(block.count(b"\n") for block in iter(functools.partial(fh.read, _READ_BYTES), b""))
+        if n == 0:
+            return None
+        fh.seek(body)
+        columns = np.empty(n), np.empty(n), np.empty((n, dim)), np.empty(n)
+        done = 0
+        while block := fh.read(_READ_BYTES):
+            if not block.endswith(b"\n"):
+                block += fh.readline()
+            rows = _decode_block(block, 3 + dim)
+            if rows is None:
+                return None
+            for column, part in zip(columns, _columns(rows, dim)):
+                column[done : done + len(rows)] = part
+            done += len(rows)
+    return alpha, columns
+
+
+def _read_any(path) -> tuple:
+    """alpha and the columns (probs, a, w, b) of any file numpy's loadtxt reads."""
+    with open(path, "r", encoding="utf-8") as fh:
+        alpha, dim = _parse_header(fh.readline().rstrip("\n"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # "input contained no data"
+            arr = np.loadtxt(fh, dtype=float, comments=None, ndmin=2)
+    if arr.size == 0:
+        raise ValidationError("ensemble file has no neurons")
+    if arr.shape[1] != 3 + dim:
+        raise ValidationError(f"expected {3 + dim} columns, got {arr.shape[1]}")
+    return alpha, _columns(arr, dim)
+
+
 def load_ensemble(path) -> NeuronEnsemble:
     """Read a `save_ensemble` file; any malformed content is a ValidationError naming the file.
 
-    The body goes through numpy's C parser, which rounds correctly, so a saved
-    ensemble loads back bit for bit. Blank lines and surrounding whitespace are
-    skipped; `#` is only allowed in the header.
+    A file in the writer's exact layout is read block by block with libc's
+    strtold and an exact check of the one rounding case where that can differ
+    from a correctly rounded double. Any other file (blank lines, surrounding
+    whitespace, CRLF, tabs, other float spellings, a malformed body) goes
+    through numpy's loadtxt, which also names what is wrong. Both round
+    correctly, so a saved ensemble loads back bit for bit. `#` is only allowed
+    in the header.
     """
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            header = fh.readline().rstrip("\n")
-            m = _HEADER_RE.match(header)
-            if not m:
-                raise ValidationError(f"bad ensemble header: {header!r}")
-            alpha = float(m.group("alpha"))
-            dim = int(m.group("dim"))
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", UserWarning)  # "input contained no data"
-                arr = np.loadtxt(fh, dtype=float, comments=None, ndmin=2)
-        if arr.size == 0:
-            raise ValidationError("ensemble file has no neurons")
-        if arr.shape[1] != 3 + dim:
-            raise ValidationError(f"expected {3 + dim} columns, got {arr.shape[1]}")
-        return NeuronEnsemble(arr[:, 0], arr[:, 1], arr[:, 2 : 2 + dim], arr[:, 2 + dim], alpha)
+        alpha, (probs, a, w, b) = _read_layout(path) or _read_any(path)
+        return NeuronEnsemble(probs, a, w, b, alpha)
     except ValueError as exc:  # ours, numpy's parse errors, undecodable bytes
         reason = str(exc).split("; use `usecols`")[0]  # numpy's hint is no use here
         raise ValidationError(f"{path}: {reason}") from None

@@ -638,6 +638,23 @@ def test_overflowing_slice_exits_2_with_one_line(tmp_path, capsys, x0, v, reason
 
 
 @pytest.mark.parametrize(
+    "x0,v",
+    [("nan,0", "1,1"), ("0,inf", "1,1"), ("0,0", "nan,1"), ("0,0", "1,-inf")],
+    ids=["x0-nan", "x0-inf", "v-nan", "v-inf"],
+)
+def test_non_finite_slice_line_exits_2_naming_x0_and_v(tmp_path, capsys, x0, v):
+    plane = tmp_path / "plane.txt"
+    save_ensemble(NeuronEnsemble([1.0], [1.0], [[1.0, 1.0]], [0.0], 0.5), plane)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # refused before any arithmetic: no numpy warning
+        code, stdout, err = invoke(capsys, "ensemble", "slice", "--in", str(plane), f"--x0={x0}", f"--v={v}",
+                                   "--out", str(tmp_path / "o.txt"))
+    assert code == 2 and stdout == ""
+    assert err == "harmlab: invalid input: x0 and v must be finite\n"
+    assert not (tmp_path / "o.txt").exists()
+
+
+@pytest.mark.parametrize(
     "argv,reason",
     [
         (["rates", "reg", "--k", "2", "--p", "abc", "--out", "{tmp}/r.csv"], "p must be a number, got 'abc'"),

@@ -7,7 +7,7 @@ import math
 import tempfile
 import tracemalloc
 import warnings
-from decimal import Decimal
+from decimal import Decimal, localcontext
 from pathlib import Path
 
 import numpy as np
@@ -527,13 +527,16 @@ def test_encoder_matches_printf_when_log10_is_one_ulp_off(monkeypatch, ulps):
     assert ensembles_module._encode_17g(_FIXED_ROWS) == _printf_17g(_FIXED_ROWS)
 
 
-def test_lift_file_through_cli_matches_per_row_writer(tmp_path):
-    # the benchmark's biggest file: a seeded 400-atom line lifted on 201 nodes
+def _benchmark_line():
+    """A seeded 400-atom line shaped like the benchmark's; lifted on 201 nodes it is its biggest file."""
     rng = np.random.default_rng(400)
     probs = rng.uniform(0.5, 1.5, 400)
-    line = NeuronEnsemble(probs / probs.sum(), rng.uniform(0.5, 1.5, 400) * rng.choice([-1.0, 1.0], 400),
+    return NeuronEnsemble(probs / probs.sum(), rng.uniform(0.5, 1.5, 400) * rng.choice([-1.0, 1.0], 400),
                           rng.uniform(-2.0, 2.0, 400), rng.uniform(-1.0, 1.0, 400), 0.5)
-    save_ensemble(line, tmp_path / "line.txt")
+
+
+def test_lift_file_through_cli_matches_per_row_writer(tmp_path):
+    save_ensemble(_benchmark_line(), tmp_path / "line.txt")
     argv = ["ensemble", "lift", "--in", str(tmp_path / "line.txt"), "--out", str(tmp_path / "plane.txt")]
     assert cli_run([*argv, "--nodes", "201"]) == 0
     plane = load_ensemble(tmp_path / "plane.txt")
@@ -562,6 +565,13 @@ def test_load_skips_blank_lines_whitespace_and_crlf(tmp_path):
         ("", "has no neurons"),
         ("\n  \n\t\n", "has no neurons"),
         ("nan 1 1 0\n", "non-finite"),
+        ("1 1 1-2 0\n", "'1-2'"),
+        ("1 1 0x1p3 0\n", "'0x1p3'"),
+        ("1 1 1e5e5 0\n", "'1e5e5'"),
+        ("1 1 --1 0\n", "'--1'"),
+        ("1 1 inf 0\n", "non-finite"),
+        ("1 1 1e999 0\n", "non-finite"),  # strict layout: the long double overflows the cast
+        ("0.5 1 1 0\n0.5 1 1e5e5\n", "number of columns changed"),
     ],
 )
 def test_load_malformed_body_names_the_file(tmp_path, body, reason):
@@ -588,6 +598,180 @@ def test_load_malformed_header_or_bytes_names_the_file(tmp_path, content, reason
     with pytest.raises(ValidationError, match=reason) as info:
         load_ensemble(p)
     assert str(info.value).startswith(f"{p}: ")
+
+
+# --- the strict reader of the writer's layout ------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "body,strict",
+    [
+        (b"0.25 1 2 3\n0.75 -1 -2 -3\n", True),
+        (b"0.25 1 2 3\n0.75  -1 -2 -3\n", False),  # a double space
+        (b"0.25 1 2 3 \n0.75 -1 -2 -3\n", False),  # a trailing space
+        (b" 0.25 1 2 3\n0.75 -1 -2 -3\n", False),  # a leading space
+        (b"0.25\t1 2 3\n0.75 -1 -2 -3\n", False),
+        (b"0.25 1 2 3\n0.75 -1 -2 -3", False),  # no final newline
+        (b"0.25 1 2 3\r\n0.75 -1 -2 -3\r\n", False),
+        (b"0.25 1 2 3\n\n0.75 -1 -2 -3\n", False),
+        (b"0.25 1 2 3\n0.75 -1 -2 -3E0\n", False),
+    ],
+    ids=["canonical", "double-space", "trailing-space", "leading-space", "tab", "no-final-newline", "crlf",
+         "blank-line", "capital-e"],
+)
+def test_load_takes_the_strict_path_only_in_the_writer_layout(tmp_path, body, strict):
+    p = tmp_path / "e.txt"
+    p.write_bytes(b"#barron-ensemble v1 alpha=0.5 dim=1\n" + body)
+    assert (ensembles_module._read_layout(p) is not None) == strict
+    e = load_ensemble(p)
+    assert e.probs.tolist() == [0.25, 0.75] and e.a.tolist() == [1.0, -1.0]
+    assert e.w[:, 0].tolist() == [2.0, -2.0] and e.b.tolist() == [3.0, -3.0]
+
+
+def _same_columns(got, want):
+    return all(
+        x.shape == y.shape and x.tobytes() == y.tobytes()
+        for x, y in ((got.probs, want.probs), (got.a, want.a), (got.w, want.w), (got.b, want.b))
+    )
+
+
+def test_fixed_rows_save_and_load_through_the_strict_path(tmp_path):
+    flat = _FIXED_ROWS.ravel()
+    rows = np.resize(flat, (flat.size + 3) // 4 * 4).reshape(-1, 4)  # a, w_1, w_2, b
+    n = rows.shape[0]
+    e = NeuronEnsemble(np.full(n, 1.0 / n), rows[:, 0], rows[:, 1:3], rows[:, 3], 0.5)
+    save_ensemble(e, tmp_path / "e.txt")
+    assert ensembles_module._read_layout(tmp_path / "e.txt") is not None
+    assert _same_columns(load_ensemble(tmp_path / "e.txt"), e)
+
+
+_ROW_BYTES = b"0.0001220703125 1.000000000 1 0\n"  # 2^-13, so 2^13 rows sum to 1
+
+
+@pytest.mark.parametrize("extra", [-1, 0, 1])
+def test_strict_path_straddles_the_read_block(tmp_path, extra):
+    # 2^13 rows of 32 bytes fill one read exactly; `extra` moves the end of the last
+    # line to just before, onto or just past the block's end
+    assert 2**13 * len(_ROW_BYTES) == ensembles_module._READ_BYTES
+    last = _ROW_BYTES.replace(b"1.000000000", b"1." + b"0" * (9 + extra))
+    p = tmp_path / "e.txt"
+    p.write_bytes(b"#barron-ensemble v1 alpha=0.5 dim=1\n" + _ROW_BYTES * (2**13 - 1) + last)
+    assert ensembles_module._read_layout(p) is not None
+    e = load_ensemble(p)
+    assert len(e) == 2**13 and e.probs.sum() == 1.0 and not np.any(e.a - 1.0)
+
+
+@pytest.mark.parametrize("block", [1, 7, 100, 101, 4096])
+def test_strict_path_reads_any_block_size(tmp_path, monkeypatch, block):
+    # a block boundary anywhere in a line, on a line end, or a line longer than a block
+    rng = np.random.default_rng(block)
+    probs = rng.uniform(0.1, 1.0, 300)
+    e = NeuronEnsemble(probs / probs.sum(), rng.normal(size=300), rng.normal(size=(300, 2)),
+                       rng.normal(size=300), 0.5)
+    save_ensemble(e, tmp_path / "e.txt")
+    monkeypatch.setattr(ensembles_module, "_READ_BYTES", block)
+    assert ensembles_module._read_layout(tmp_path / "e.txt") is not None
+    assert _same_columns(load_ensemble(tmp_path / "e.txt"), e)
+
+
+def test_canonical_overflowing_token_exits_2_without_a_warning(tmp_path, capsys):
+    p = tmp_path / "e.txt"
+    p.write_bytes(b"#barron-ensemble v1 alpha=0.5 dim=1\n1 1 1e999 0\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the long double's cast to inf must not warn
+        code = cli_run(["ensemble", "extend", "--in", str(p), "--out", str(tmp_path / "o.txt")])
+    assert code == 2
+    assert capsys.readouterr().err == f"harmlab: invalid input: {p}: w contains non-finite entries\n"
+    assert not (tmp_path / "o.txt").exists()
+
+
+def _decode_tokens(tokens, ncols=4):
+    """What the strict reader gives for `tokens` laid out ncols a line, padded with 0."""
+    padded = list(tokens) + ["0"] * (-len(tokens) % ncols)
+    text = "".join(" ".join(padded[i : i + ncols]) + "\n" for i in range(0, len(padded), ncols))
+    out = ensembles_module._decode_block(text.encode(), ncols)
+    assert out is not None, "a block in the writer's layout was refused"
+    return out.ravel()[: len(tokens)]
+
+
+@st.composite
+def _decimal_tokens(draw):
+    """A sign, 1-25 digits with the point anywhere or nowhere, an optional e[+-]NNN."""
+    digits = draw(st.text("0123456789", min_size=1, max_size=25))
+    point = draw(st.none() | st.integers(0, len(digits)))
+    mantissa = digits if point is None else digits[:point] + "." + digits[point:]
+    exponent = draw(st.none() | st.tuples(st.sampled_from(["", "+", "-"]), st.integers(0, 400)))
+    tail = "" if exponent is None else f"e{exponent[0]}{exponent[1]:0{draw(st.integers(1, 3))}d}"
+    return draw(st.sampled_from(["", "+", "-"])) + mantissa + tail
+
+
+def _exact(x):
+    return Decimal(float(x))
+
+
+@st.composite
+def _midpoint_tokens(draw):
+    """The exact decimal midway between a finite double and its upper neighbour, or a
+    tiny step (10^-25 of their gap) to either side of it: where two roundings can
+    differ from one. Half of them lie just below a power of two, where the gap halves."""
+    below_power = st.integers(-1073, 1023).map(lambda k: np.nextafter(2.0**k, 0.0))
+    x = draw(st.integers(0, 0x7FEFFFFFFFFFFFFE).map(lambda bits: np.uint64(bits).view(np.float64)) | below_power)
+    lo, hi = _exact(x), _exact(np.nextafter(x, np.inf))
+    with localcontext() as ctx:
+        ctx.prec = 1200  # exact: a double has at most 767 significant digits
+        mid = (lo + hi) / 2 + (hi - lo) * draw(st.sampled_from([0, 1, -1])) * Decimal("1e-25")
+    return draw(st.sampled_from(["", "-"])) + format(mid, "e")
+
+
+def _edge_tokens():
+    """Zeros, subnormals and their ties, and the overflow threshold, with tiny steps either side."""
+    with localcontext() as ctx:
+        ctx.prec = 1200
+        half_least = Decimal(2) ** -1075  # halfway from 0 to the least subnormal: rounds to 0
+        threshold = _exact(np.finfo(float).max) + Decimal(2) ** 970  # rounds to inf
+        exact = [half_least, half_least * Decimal("1.000000000000000000001"), 3 * half_least,
+                 threshold, threshold - 1, threshold + 1]
+        return [format(x, "e") for x in exact] + [
+            "-0", "0", "+0.0e-5", "5e-324", "4.9406564584124654e-324", "2.2250738585072011e-308",
+            "2.2250738585072014e-308", "2.4703282292062327e-324", "2.4703282292062328e-324", "1e-400",
+            "1.7976931348623157e308", "-1.7976931348623157e308", "1.7976931348623159e308", "1e309", "-1e999",
+            "1e4933",
+        ]
+
+
+_EDGE_TOKENS = _edge_tokens()
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(
+    st.lists(_decimal_tokens() | _midpoint_tokens() | st.sampled_from(_EDGE_TOKENS), min_size=1, max_size=40)
+)
+def test_strict_reader_rounds_like_float(tokens):
+    want = np.array([float(t) for t in tokens])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # an overflow is float()'s to decide, silently
+        got = _decode_tokens(tokens)
+    assert got.tobytes() == want.tobytes()
+
+
+def test_strict_reader_takes_every_edge_token():
+    want = np.array([float(t) for t in _EDGE_TOKENS])
+    assert _decode_tokens(_EDGE_TOKENS).tobytes() == want.tobytes()
+
+
+def test_load_peak_memory_of_the_benchmark_lift(tmp_path):
+    # joined column by column: no whole-file 2D array on top of the columns
+    plane = lift_ensemble(_benchmark_line(), t_rule=cauchy_tangent_rule(201))
+    save_ensemble(plane, tmp_path / "plane.txt")
+    tracemalloc.start()
+    try:
+        e = load_ensemble(tmp_path / "plane.txt")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert _same_columns(e, plane)
+    columns = sum(x.nbytes for x in (e.probs, e.a, e.w, e.b))
+    assert peak < 2 * columns + ensembles_module._READ_BYTES
 
 
 # --- regularity bounds controlled by the cost --------------------------------------
