@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import NumericalError, ValidationError
 from .line_barron import DifferentiableFunction1D, barron_norm_upper
-from .solutions import _integer_parts
+from .solutions import _check_k, _integer_parts
 
 __all__ = [
     "dk1_angle_factor",
@@ -36,8 +36,7 @@ __all__ = [
 
 def dk1_angle_factor(phi, k: int):
     """Complex angle factor e^{i phi} (1 - e^{-2i phi})^{k+1}, vectorized."""
-    if k < 1:
-        raise ValidationError(f"k must be a positive integer, got {k}")
+    _check_k(k)
     phi = np.asarray(phi, dtype=float)
     return np.exp(1j * phi) * (1.0 - np.exp(-2j * phi)) ** (k + 1)
 
@@ -68,8 +67,7 @@ def slice_log_fit(k: int, theta: float) -> SliceLogFit:
     the design is ill-conditioned, so it is solved by lstsq, and NumericalError
     is raised when the samples are not finite or the design has rank < 2.
     """
-    if k < 1:
-        raise ValidationError(f"k must be a positive integer, got {k}")
+    _check_k(k)
     if not (0.0 < theta < math.pi):
         raise ValidationError(f"theta must lie in (0, pi), got {theta}")
     if abs(math.cos(theta)) < 1e-12:
@@ -116,8 +114,7 @@ def ur_slice_barron_check(k: int, tol: float = 1e-10) -> SliceCriterionReport:
     weight, so the full-line value is finite and cutoff truncations approach
     it at rate 1/T.
     """
-    if k < 1:
-        raise ValidationError(f"k must be a positive integer, got {k}")
+    _check_k(k)
     # the (k+1)-th derivative of the arctan part
     df = DifferentiableFunction1D(lambda xi: _dk1_field(xi, 1.0, k) / math.pi, k, (-math.inf, math.inf))
     cutoffs = (1e2, 1e3, 1e4)

@@ -65,23 +65,23 @@ def activation(z, alpha: float, out=None):
     activation power) gives z^alpha on z > 0 and 0 elsewhere.
 
     `out`, as for a numpy ufunc, is a float array of z's shape that receives
-    the result and is returned; it may be z itself, which then holds
-    sigma_alpha(z) with the bits of the call without `out`.
+    the result and is returned (a new one when not given); it may be z
+    itself, which then holds sigma_alpha(z) with the bits of the call
+    without `out`.
     """
     z = np.asarray(z, dtype=float)
+    if out is None:
+        out = np.empty_like(z)
     if alpha > 0.0:
-        out = np.fmax(z, 0.0, out=out)
+        np.fmax(z, 0.0, out=out)
         out **= alpha  # in place: one temporary fewer on large blocks
         return out
     if alpha == 0.0:
-        return (z > 0.0).astype(float) if out is None else np.greater(z, 0.0, out=out)
+        return np.greater(z, 0.0, out=out)
     pos = z > 0.0
     vals = z[pos]
     vals **= alpha  # read before `out`, which may be z, is overwritten
-    if out is None:
-        out = np.zeros_like(z)
-    else:
-        out.fill(0.0)
+    out.fill(0.0)
     out[pos] = vals
     return out
 
@@ -320,18 +320,18 @@ def lift_ensemble(
         idx = _draw_atoms(_atom_cdf(e), n_samples, rng)
         t = rng.standard_cauchy(int(n_samples))
         probs = np.full(int(n_samples), 1.0 / int(n_samples))
-        w2d = np.column_stack([w1[idx], t * w1[idx]])
-        return NeuronEnsemble(probs, e.a[idx], w2d, e.b[idx], e.alpha)
-    rule = t_rule if t_rule is not None else cauchy_tangent_rule(201)
-    t = rule.nodes
-    check_neuron_count(len(e) * t.size, "atoms x nodes")
-    q = rule.weights / rule.weights.sum()
-    probs = np.repeat(e.probs, t.size) * np.tile(q, len(e))
-    probs = probs / probs.sum()
-    a = np.repeat(e.a, t.size)
-    b = np.repeat(e.b, t.size)
-    wrep = np.repeat(w1, t.size)
-    w2d = np.column_stack([wrep, np.tile(t, len(e)) * wrep])
+        a, w, b = e.a[idx], w1[idx], e.b[idx]
+    else:
+        rule = t_rule if t_rule is not None else cauchy_tangent_rule(201)
+        n = rule.nodes.size
+        check_neuron_count(len(e) * n, "atoms x nodes")
+        q = rule.weights / rule.weights.sum()
+        probs = np.repeat(e.probs, n) * np.tile(q, len(e))
+        probs = probs / probs.sum()
+        t = np.tile(rule.nodes, len(e))
+        a, w, b = np.repeat(e.a, n), np.repeat(w1, n), np.repeat(e.b, n)
+    with np.errstate(over="ignore"):  # an overflow is refused as a non-finite w
+        w2d = np.column_stack([w, t * w])
     return NeuronEnsemble(probs, a, w2d, b, e.alpha)
 
 

@@ -453,29 +453,33 @@ def mc_rate_experiment(
         pts = np.column_stack([X.ravel(), Y.ravel()])
         w_quad = np.broadcast_to(wr[:, None], X.shape).ravel()
 
-    cost = _atom_cost(target)
-    bound = barron_cost(target) * 1.05
     cdf = _atom_cdf(target)
     draws = [(n, s) for n in ns for s in seeds]
     per_block = max(1, ensembles._EVAL_CHUNK // max(len(target), len(pts)))
     draw_weights = np.empty((min(per_block, len(draws)), len(target)))  # reused by every block
     errs = np.empty(len(draws))
     bound_hits = 0
-    for lo in range(0, len(draws), per_block):
-        block = draws[lo : lo + per_block]
-        frac = draw_weights[: len(block)]
-        for row, (n, s) in zip(frac, block):
-            np.divide(np.bincount(_draw_atoms(cdf, n, (s, n)), minlength=len(target)), n, out=row)
-        bound_hits += int(np.count_nonzero(frac @ cost <= bound))
-        diff = np.subtract(target.probs, frac, out=frac)  # target minus draw weights
-        acc = np.zeros((len(pts), len(block)))
-        for order in range(m + 1):
-            for comp in ensemble_derivatives(target, pts, order, weights=diff.T):
-                np.abs(comp, out=comp)
-                comp **= q
-                acc += comp
-        errs[lo : lo + len(block)] = (w_quad @ acc) ** (1.0 / q)
+    with np.errstate(all="ignore"):  # a non-finite error is refused below, not warned about
+        cost = _atom_cost(target)
+        bound = barron_cost(target) * 1.05
+        for lo in range(0, len(draws), per_block):
+            block = draws[lo : lo + per_block]
+            frac = draw_weights[: len(block)]
+            for row, (n, s) in zip(frac, block):
+                np.divide(np.bincount(_draw_atoms(cdf, n, (s, n)), minlength=len(target)), n, out=row)
+            bound_hits += int(np.count_nonzero(frac @ cost <= bound))
+            diff = np.subtract(target.probs, frac, out=frac)  # target minus draw weights
+            acc = np.zeros((len(pts), len(block)))
+            for order in range(m + 1):
+                for comp in ensemble_derivatives(target, pts, order, weights=diff.T):
+                    np.abs(comp, out=comp)
+                    comp **= q
+                    acc += comp
+            errs[lo : lo + len(block)] = (w_quad @ acc) ** (1.0 / q)
     values = [float(np.mean(row)) for row in errs.reshape(len(ns), len(seeds))]
+    for n, v in zip(ns, values):
+        if not math.isfinite(v):
+            raise NumericalError(f"the subsampling error at n = {n} is not finite: {v}")
     reports = [ErrorReport("mc", 0, R, q, m, float(n), float(v)) for n, v in zip(ns, values)]
     fit = _fit_rate("n", np.asarray(ns, dtype=float), values)
     return reports, fit, bound_hits / len(draws)

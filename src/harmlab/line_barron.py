@@ -26,6 +26,7 @@ import numpy as np
 from .ensembles import NeuronEnsemble
 from .errors import MaxSubdivisionsExceeded, NonFiniteSample, NumericalError, ValidationError
 from .numerics import RateFit, fit_linear, integrate_adaptive
+from .solutions import _check_k
 
 __all__ = [
     "DifferentiableFunction1D",
@@ -51,8 +52,7 @@ class DifferentiableFunction1D:
     singular_points: tuple[float, ...] = ()
 
     def __post_init__(self):
-        if self.k < 1:
-            raise ValidationError(f"k must be a positive integer, got {self.k}")
+        _check_k(self.k)
         a, b = self.support
         if not (b > a):
             raise ValidationError(f"support must be a nonempty interval, got {self.support}")
@@ -197,8 +197,7 @@ def xklogx_derivative(k: int):
     summing to (2^(k+1) - 1) k! and cancel to k!/x, so they are not summed
     here. k > 170 is refused: k! is not a double there.
     """
-    if k < 1:
-        raise ValidationError(f"k must be a positive integer, got {k}")
+    _check_k(k)
     if k > 170:
         raise ValidationError(f"k! is not a double for k > 170, got k = {k}")
     fact = float(math.factorial(k))

@@ -7,8 +7,10 @@ resolved without ever sampling the endpoints. Integrands must accept numpy
 arrays of abscissae. The greedy is written once, as a coroutine per integral
 (_greedy). integrate_adaptive drives one and looks ahead along endpoint
 chains, where callers that split their integrals at kinks put the
-singularities, with values bit-identical to a greedy without look-ahead;
-_integrate_lanes drives many lanes, one call of f per round, without it.
+singularities: an interval at a or b keeps the pairs of its next bisections
+towards that end as a chain and a position in it, with values bit-identical
+to a greedy without look-ahead. _integrate_lanes drives many lanes, one call
+of f per round, without it.
 
 Half-disk norms take polar product fields: f(r, phi) returns components, each
 a list of (radial table, angular table) pairs, and the field's magnitude is
@@ -111,13 +113,9 @@ def _pair_rows(f, lo, hi) -> tuple[list, bool]:
     depend on the other rows, so an interval's numbers are the same in every
     batch. A row with a non-finite sample gives None.
     """
-    if len(lo) > 16:  # the same IEEE operations, faster in numpy once there are many rows
-        lo, hi = np.array(lo), np.array(hi)
-        half = (0.5 * (hi - lo))[:, None]
-        x = (0.5 * (lo + hi))[:, None] + half * _F2_FINE_NODES
-    else:
-        half = np.array([0.5 * (h - l) for l, h in zip(lo, hi)])[:, None]
-        x = np.array([0.5 * (l + h) for l, h in zip(lo, hi)])[:, None] + half * _F2_FINE_NODES
+    lo, hi = np.array(lo), np.array(hi)
+    half = (0.5 * (hi - lo))[:, None]
+    x = (0.5 * (lo + hi))[:, None] + half * _F2_FINE_NODES
     y = np.asarray(f(x), dtype=float)
     if np.isfinite(y).all():
         return (np.add.reduce(y[:, None, :] * _F2_PAIR_W, axis=2) * half).tolist(), True
@@ -155,18 +153,6 @@ def _chain(lo: float, hi: float, left: bool) -> tuple[list[float], list[float]]:
     return los, his
 
 
-def _nest(pairs: list, left: bool):
-    """Kids of a chain's first interval, from the pairs of the chain's halves in turn.
-
-    The kids of an interval are (pair of its lo half, pair of its hi half,
-    kids of the lo half, kids of the hi half), None where not evaluated.
-    """
-    kids = None
-    for p1, p2 in zip(pairs[-2::-2], pairs[::-2]):
-        kids = (p1, p2, kids, None) if left else (p1, p2, None, kids)
-    return kids
-
-
 def _greedy(a: float, b: float, tol: float, max_intervals: int, ahead: bool):
     """Greedy Fejer-2 integral over (a, b) to tol * (1 + |result|), as a coroutine; a < b.
 
@@ -182,13 +168,16 @@ def _greedy(a: float, b: float, tol: float, max_intervals: int, ahead: bool):
     so a singularity sits at a or b, and the greedy bisects the interval at
     that end round after round. A request that bisects an interval touching a
     or b also asks for the halves of the next _AHEAD_DEPTH bisections of its
-    half at that end (_chain). That half's heap entry carries their pairs as
-    `kids`, and a later bisection of it takes them without yielding, so such
-    a step costs a heap pop and two pushes. A stored pair belongs to the same
-    interval and comes from the same arithmetic, so the pops, pushes, counters
-    and sums, and so the value and the failure, are those of a greedy without
-    look-ahead, bit for bit. A non-finite row found ahead is stored and raises
-    only when the greedy bisects into it.
+    half at that end (_chain). That half's heap entry carries the look-ahead
+    as a chain and a position, (pairs, j): the chain's evaluated pairs, two
+    halves per bisection in turn, and the index of its next bisection's
+    halves. A later bisection of it takes pairs[j] and pairs[j + 1] without
+    yielding and hands (pairs, j + 2) to the half that still touches a (or
+    b), so such a step costs a heap pop and two pushes. A stored pair belongs
+    to the same interval and comes from the same arithmetic, so the pops,
+    pushes, counters and sums, and so the value and the failure, are those
+    of a greedy without look-ahead, bit for bit. A non-finite row found ahead
+    is stored and raises only when the greedy bisects into it.
     """
     [root] = yield [a], [b]
     if root is None:
@@ -205,7 +194,7 @@ def _greedy(a: float, b: float, tol: float, max_intervals: int, ahead: bool):
                 estimate=total,
                 err_bound=total_err,
             )
-        neg_err, _, lo, hi, est, kids = heapq.heappop(heap)
+        neg_err, _, lo, hi, est, look = heapq.heappop(heap)
         if neg_err >= 0.0:
             # every remaining interval is at floating-point resolution; the
             # accumulated budget cannot improve further
@@ -217,15 +206,19 @@ def _greedy(a: float, b: float, tol: float, max_intervals: int, ahead: bool):
             counter += 1
             total_err += neg_err  # remove this interval's error from the budget
             continue
-        if kids is not None:
-            p1, p2, k1, k2 = kids
+        if look is not None and look[1] < len(look[0]):
+            # the chain's next bisection, evaluated ahead; the half still
+            # touching a (or b) carries the chain on
+            pairs, j = look
+            p1, p2 = pairs[j], pairs[j + 1]
+            k1, k2 = ((pairs, j + 2), None) if lo == a else (None, (pairs, j + 2))
         elif ahead and (lo == a or hi == b):
             chain_lo = _chain(lo, mid, True) if lo == a else ([], [])
             chain_hi = _chain(mid, hi, False) if hi == b else ([], [])
-            pairs = yield [lo, mid, *chain_lo[0], *chain_hi[0]], [mid, hi, *chain_lo[1], *chain_hi[1]]
-            p1, p2 = pairs[:2]
-            split = 2 + len(chain_lo[0])
-            k1, k2 = _nest(pairs[2:split], True), _nest(pairs[split:], False)
+            p1, p2, *pairs = yield [lo, mid, *chain_lo[0], *chain_hi[0]], [mid, hi, *chain_lo[1], *chain_hi[1]]
+            split = len(chain_lo[0])
+            k1 = (pairs[:split], 0) if lo == a else None
+            k2 = (pairs[split:], 0) if hi == b else None
         else:
             p1, p2 = yield [lo, mid], [mid, hi]
             k1 = k2 = None

@@ -240,6 +240,15 @@ def test_rates_mc_infinite_q_exits_2(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("alpha,value", [("800", "nan"), ("400", "inf")])
+def test_rates_mc_overflow_exits_3_with_one_line(tmp_path, capsys, alpha, value):
+    # the draws' errors overflow; numpy must not warn on the way to the refusal
+    code, out, err = invoke(capsys, "rates", "mc", "--alpha", alpha, "--out", str(tmp_path / "x.csv"))
+    assert code == 3 and out == ""
+    assert err == f"harmlab: numerical failure: the subsampling error at n = 32 is not finite: {value}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_rates_mc_too_many_steps_exits_2_before_any_work(tmp_path, capsys, monkeypatch):
     def never(*a, **kw):
         raise AssertionError("work started on an oversized --steps")
@@ -869,6 +878,17 @@ def test_lift_nodes_with_samples_exits_2(tmp_path, capsys, nodes):
                             "--out", str(tmp_path / "o.txt"))
     assert code == 2 and out == ""
     assert err.count("\n") == 1 and err.startswith("harmlab: invalid input: ")
+    assert not (tmp_path / "o.txt").exists()
+
+
+@pytest.mark.parametrize("rule", [["--nodes", "201"], ["--samples", "50", "--seed", "1"]], ids=["nodes", "samples"])
+def test_overflowing_lift_exits_2_with_one_line(tmp_path, capsys, rule):
+    # t * w overflows; the lifted w is refused without a numpy warning
+    line = tmp_path / "line.txt"
+    line.write_text("#barron-ensemble v1 alpha=0.5 dim=1\n1 1 1e308 1e308\n")
+    code, out, err = invoke(capsys, "ensemble", "lift", "--in", str(line), *rule, "--out", str(tmp_path / "o.txt"))
+    assert code == 2 and out == ""
+    assert err == "harmlab: invalid input: w contains non-finite entries\n"
     assert not (tmp_path / "o.txt").exists()
 
 

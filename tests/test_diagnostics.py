@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from harmlab import (
+    DifferentiableFunction1D,
     NumericalError,
     ValidationError,
     dk1_angle_factor,
@@ -14,6 +15,7 @@ from harmlab import (
     ur_slice_barron_check,
 )
 from harmlab.diagnostics import _dk1_field
+from harmlab.line_barron import xklogx_derivative
 from oracles import arctan_component, fd_derivative
 
 
@@ -81,6 +83,23 @@ def test_slice_degenerate_angles():
         slice_log_fit(2, math.pi / 2 + 1e-9)  # cos guard aside, sin(k theta) ~ 0
     with pytest.raises(ValidationError):
         slice_log_fit(2, -0.3)
+
+
+@pytest.mark.parametrize("k", [0, 2.5])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda k: dk1_angle_factor(0.5, k),
+        lambda k: slice_log_fit(k, 0.6),
+        lambda k: ur_slice_barron_check(k),
+        lambda k: DifferentiableFunction1D(lambda x: x, k, (0.0, 1.0)),
+        xklogx_derivative,
+    ],
+    ids=["dk1_angle_factor", "slice_log_fit", "ur_slice_barron_check", "DifferentiableFunction1D", "xklogx_derivative"],
+)
+def test_k_must_be_a_positive_integer(call, k):
+    with pytest.raises(ValidationError, match=rf"^k must be a positive integer, got {k}$"):
+        call(k)
 
 
 def test_slice_reflected_angle_antisymmetry():
