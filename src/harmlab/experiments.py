@@ -67,7 +67,7 @@ from .numerics import (
     gauss_legendre_rule,
     norm_lp_halfdisk,
 )
-from .solutions import reg_diff_gradient, reg_diff_hessian, reg_diff_value
+from .solutions import _check_k, reg_diff_gradient, reg_diff_hessian, reg_diff_value
 
 __all__ = [
     "ErrorReport",
@@ -165,16 +165,18 @@ class Poly2:
         return out
 
 
-@lru_cache(maxsize=None)
+# typed caches: a k of another type, such as 2.0, is checked, not served a cached result
+@lru_cache(maxsize=None, typed=True)
 def imag_power_poly(k: int) -> Poly2:
     """P_k(x, y) = Im((x+iy)^k) as an exact polynomial."""
+    _check_k(k)
     terms: dict[tuple[int, int], float] = {}
     for j in range(1, k + 1, 2):
         terms[(k - j, j)] = math.comb(k, j) * (-1.0) ** ((j - 1) // 2)
     return Poly2(terms)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def log_field_terms(k: int, l: int, m: int) -> tuple[Poly2, dict[int, Poly2]]:
     """(L, {s: q_s}) with d_x^l d_y^m [log(A) P_k] = L log A + sum_s q_s / A^s.
 
@@ -185,6 +187,7 @@ def log_field_terms(k: int, l: int, m: int) -> tuple[Poly2, dict[int, Poly2]]:
     Raises ValidationError at the first step whose coefficients reach
     EXACT_COEF_LIMIT, so no inexact terms are returned.
     """
+    _check_k(k)
     if l < 0 or m < 0:
         raise ValidationError(f"negative derivative order ({l}, {m})")
     L, qs = imag_power_poly(k), {}
@@ -212,6 +215,7 @@ def log_component_derivative_field(k: int, l: int, m: int, epsilon: float):
     r^(2j+k-n) / A^j / (2 pi) paired with q_j(cos phi, sin phi). So the Poly2
     factors see the angles only.
     """
+    _check_k(k)
     L, qs = log_field_terms(k, l, m)
     e2 = epsilon * epsilon
     n = l + m

@@ -9,8 +9,9 @@ arrays of abscissae. The greedy is written once, as a coroutine per integral
 chains, where callers that split their integrals at kinks put the
 singularities: an interval at a or b keeps the pairs of its next bisections
 towards that end as a chain and a position in it, with values bit-identical
-to a greedy without look-ahead. _integrate_lanes drives many lanes, one call
-of f per round, without it.
+to a greedy without look-ahead; with root_ahead its first call of f already
+evaluates the root's bisection and chains. _integrate_lanes drives many
+lanes, one call of f per round, without it.
 
 Half-disk norms take polar product fields: f(r, phi) returns components, each
 a list of (radial table, angular table) pairs, and the field's magnitude is
@@ -153,7 +154,18 @@ def _chain(lo: float, hi: float, left: bool) -> tuple[list[float], list[float]]:
     return los, his
 
 
-def _greedy(a: float, b: float, tol: float, max_intervals: int, ahead: bool):
+def _ahead_rows(lo: float, mid: float, hi: float, left: bool, right: bool):
+    """Rows of a bisection of (lo, hi) at an end: its halves, then the _chain of
+    the half at lo (left) and of the half at hi (right).
+
+    Returns the rows' lo and hi ends and the length of the lo half's chain.
+    """
+    chain_lo = _chain(lo, mid, True) if left else ([], [])
+    chain_hi = _chain(mid, hi, False) if right else ([], [])
+    return [lo, mid, *chain_lo[0], *chain_hi[0]], [mid, hi, *chain_lo[1], *chain_hi[1]], len(chain_lo[0])
+
+
+def _greedy(a: float, b: float, tol: float, max_intervals: int, ahead: bool, root_ahead: bool = False):
     """Greedy Fejer-2 integral over (a, b) to tol * (1 + |result|), as a coroutine; a < b.
 
     It yields (los, his), the intervals (los[j], his[j]) whose [fine, coarse]
@@ -178,8 +190,22 @@ def _greedy(a: float, b: float, tol: float, max_intervals: int, ahead: bool):
     pushes, counters and sums, and so the value and the failure, are those
     of a greedy without look-ahead, bit for bit. A non-finite row found ahead
     is stored and raises only when the greedy bisects into it.
+
+    Root look-ahead (root_ahead=True, with ahead): the first request carries
+    the root rule, its two halves and both end chains (1 + 2 + 12 + 12 rows,
+    the rows of the first two requests when the root is bisected), and the
+    root's bisection takes its pairs without yielding. That saves a request
+    when the root rule misses the tolerance, and costs 26 rows that nothing
+    reads when it meets it.
     """
-    [root] = yield [a], [b]
+    bisection = None  # the pairs of the root's bisection, asked for ahead
+    mid = 0.5 * (a + b)
+    if root_ahead and a < mid < b:
+        los, his, split = _ahead_rows(a, mid, b, True, True)
+        root, *pairs = yield [a, *los], [b, *his]
+        bisection = pairs, split
+    else:
+        [root] = yield [a], [b]
     if root is None:
         raise _nonfinite(a, b)
     total, coarse = root
@@ -213,10 +239,11 @@ def _greedy(a: float, b: float, tol: float, max_intervals: int, ahead: bool):
             p1, p2 = pairs[j], pairs[j + 1]
             k1, k2 = ((pairs, j + 2), None) if lo == a else (None, (pairs, j + 2))
         elif ahead and (lo == a or hi == b):
-            chain_lo = _chain(lo, mid, True) if lo == a else ([], [])
-            chain_hi = _chain(mid, hi, False) if hi == b else ([], [])
-            p1, p2, *pairs = yield [lo, mid, *chain_lo[0], *chain_hi[0]], [mid, hi, *chain_lo[1], *chain_hi[1]]
-            split = len(chain_lo[0])
+            if bisection is None:
+                los, his, split = _ahead_rows(lo, mid, hi, lo == a, hi == b)
+                bisection = (yield los, his), split
+            (p1, p2, *pairs), split = bisection
+            bisection = None
             k1 = (pairs[:split], 0) if lo == a else None
             k2 = (pairs[split:], 0) if hi == b else None
         else:
@@ -286,6 +313,8 @@ def integrate_adaptive(
     b: float,
     tol: float = 1e-9,
     max_intervals: int = 4000,
+    *,
+    root_ahead: bool = False,
 ) -> float:
     """Adaptive integral of f over (a, b) with absolute error <= tol*(1+|result|).
 
@@ -293,6 +322,11 @@ def integrate_adaptive(
     of subintervals ranked by the embedded pair's error estimate and bisect
     the worst one. Endpoint singularities are admissible because the rule
     never samples a or b. f receives 1D arrays.
+
+    root_ahead=True makes the first call of f also evaluate the root's
+    bisection and both end chains: one call fewer when the root rule misses
+    the tolerance, 26 rows (390 samples) more when it meets it. Values and
+    failures are the same either way.
     """
     if not (0.0 < tol < math.inf):
         raise ValidationError(f"tol must be finite and > 0, got {tol}")
@@ -304,7 +338,7 @@ def integrate_adaptive(
     def rows(x):
         return np.asarray(f(x.ravel()), dtype=float).reshape(x.shape)
 
-    greedy = _greedy(a, b, tol, max_intervals, True)
+    greedy = _greedy(a, b, tol, max_intervals, True, root_ahead)
     ask = next(greedy)
     try:
         while True:

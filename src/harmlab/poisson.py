@@ -17,11 +17,21 @@ of once per bisection, with the same values bit for bit. solve_grid integrates
 every (node, piece) of a block of nodes as one lane of a batched greedy
 (numerics._integrate_lanes): each lane takes the steps solve_at would, one
 round of bisections costs one call of g, and the lanes do not look ahead.
-Both name the point in a quadrature failure."""
+Both name the point in a quadrature failure.
+
+ReLU^alpha and Heaviside data vanish on a half-line, which their constructors
+record as the support. A piece whose root nodes all map outside it
+(_vanishes) has a root rule of exactly 0.0, so its integral is 0.0 and both
+solvers skip it, splitting the tolerance over all pieces as before. For such
+data solve_at also has each kept piece's first call of g look ahead
+(integrate_adaptive's root_ahead): it evaluates the root's bisection and
+both end chains with the root rule, since a kept piece's root rule rarely
+meets the tolerance."""
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -30,7 +40,7 @@ import numpy as np
 from .ensembles import activation
 from .errors import MaxSubdivisionsExceeded, NonFiniteSample, NumericalError, ValidationError
 from .halfplane import HalfPlanePoint
-from .numerics import GridSpec, _integrate_lanes, integrate_adaptive
+from .numerics import _F2_FINE_NODES, GridSpec, _integrate_lanes, integrate_adaptive
 
 __all__ = ["BoundaryFunction", "solve_at", "solve_grid"]
 
@@ -41,12 +51,15 @@ class BoundaryFunction:
 
     Use the constructors: relu_power, heaviside, tanh, custom. The solver
     needs alpha < 1 and maps the kernel tails by it. `kinks` lists boundary
-    abscissae where g is not smooth.
+    abscissae where g is not smooth. `support`, when the constructor knows
+    it, is the closed half-line (lo, hi) outside which g is exactly 0; the
+    solvers skip the pieces of the kernel integral that sample g only there.
     """
 
     fn: Callable[[np.ndarray], np.ndarray]
     growth_alpha: float
     kinks: tuple[float, ...] = field(default_factory=tuple)
+    support: tuple[float, float] | None = None
 
     def __call__(self, s):
         """g at the abscissae s, any shape; fn itself receives a 1D array."""
@@ -58,17 +71,21 @@ class BoundaryFunction:
         """g(s) = max(w*s + b, 0)^alpha with alpha in [0, 1)."""
         if not (0.0 <= alpha < 1.0):
             raise ValidationError(f"relu_power requires alpha in [0, 1), got {alpha}")
+        _check_finite("relu_power", w, b)
         if w == 0.0:
             raise ValidationError("relu_power requires w != 0")
-        return cls(lambda s: activation(w * s + b, alpha), alpha, kinks=(-b / w,))
+        c = -b / w
+        support = (c, math.inf) if w > 0.0 else (-math.inf, c)
+        return cls(lambda s: activation(w * s + b, alpha), alpha, kinks=(c,), support=support)
 
     @classmethod
     def heaviside(cls) -> "BoundaryFunction":
-        return cls(lambda s: activation(s, 0.0), 0.0, kinks=(0.0,))
+        return cls(lambda s: activation(s, 0.0), 0.0, kinks=(0.0,), support=(0.0, math.inf))
 
     @classmethod
     def tanh(cls, w: float = 1.0, b: float = 0.0) -> "BoundaryFunction":
         """g(s) = tanh(w*s + b); bounded, so growth_alpha = 0."""
+        _check_finite("tanh", w, b)
         return cls(lambda s: np.tanh(w * s + b), 0.0)
 
     @classmethod
@@ -79,6 +96,11 @@ class BoundaryFunction:
         kinks: tuple[float, ...] = (),
     ) -> "BoundaryFunction":
         return cls(fn, float(growth_alpha), tuple(kinks))
+
+
+def _check_finite(name: str, w: float, b: float) -> None:
+    if not (math.isfinite(w) and math.isfinite(b)):
+        raise ValidationError(f"{name} requires finite w and b, got w={w}, b={b}")
 
 
 def _segments(interior: list[float], lo: float, hi: float) -> list[tuple[float, float]]:
@@ -109,20 +131,58 @@ def _tail_power(g: BoundaryFunction, tol: float) -> float:
     return 1.0 / (1.0 - max(g.growth_alpha, 0.0))
 
 
-def _pieces(g: BoundaryFunction, x: float, y: float, m: float) -> list[tuple[int, float, float]]:
-    """(sign, lo, hi) of each kink-free piece of the kernel integral at (x, y).
+def _pieces(g: BoundaryFunction, x: float, y: float, m: float) -> list[tuple[int, float, float, bool]]:
+    """(sign, lo, hi, zero) of each kink-free piece of the kernel integral at (x, y).
 
     sign 0 is the middle |t| <= 1 in t; sign +1/-1 is the tail t >= 1 / t <= -1
-    in s on (0, 1], with t = sign * s^-m.
+    in s on (0, 1], with t = sign * s^-m. zero marks a piece whose integral
+    is exactly 0.0 (_vanishes); the solvers skip it.
     """
     t_kinks = [(s - x) / y for s in g.kinks]
     pos_ks = [(1.0 / t) ** (1.0 / m) for t in t_kinks if t > 1.0]
     neg_ks = [(-1.0 / t) ** (1.0 / m) for t in t_kinks if t < -1.0]
-    return (
+    pieces = (
         [(0, lo, hi) for lo, hi in _segments(t_kinks, -1.0, 1.0)]
         + [(1, lo, hi) for lo, hi in _segments(pos_ks, 0.0, 1.0)]
         + [(-1, lo, hi) for lo, hi in _segments(neg_ks, 0.0, 1.0)]
     )
+    return [(*piece, g.support is not None and _vanishes(g.support, x, y, m, *piece)) for piece in pieces]
+
+
+# How far outside the support, relative to the summands of an abscissa, a
+# piece's extreme root nodes must map before the piece is skipped: far above
+# the few ulps by which pow (scalar here, vectorized in the integrand) and the
+# support's end -b/w may be off.
+_SUPPORT_MARGIN = 2.0**-40
+# the smallest and largest root nodes on [-1, 1], -+cos(pi/16) up to rounding
+_ROOT_EDGES = (float(_F2_FINE_NODES[-1]), float(_F2_FINE_NODES[0]))
+
+
+def _vanishes(support: tuple[float, float], x: float, y: float, m: float, sign: int, lo: float, hi: float) -> bool:
+    """Whether every root node of the piece (sign, lo, hi) maps where g is 0.
+
+    The root rule's 15 nodes lie between mid + half * _ROOT_EDGES, and the maps
+    t -> x + t y, s -> x + sign y s^-m and the data's own w s + b are
+    monotone. So when both extreme nodes map outside the support by a margin
+    relative to the summands x and t y (or sign y s^-m), not to the abscissa,
+    which cancellation may shrink, g is exactly 0 at every node, the root
+    rule returns exactly 0.0 and meets any tolerance. A NaN abscissa, an
+    underflowing s^m and a piece at floating-point resolution give no proof.
+    """
+    mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    s_lo, s_hi = support
+    for t in (mid + half * edge for edge in _ROOT_EDGES):
+        if sign == 0:
+            shift = t * y
+        else:
+            z = t**m
+            if not z >= sys.float_info.min:
+                return False
+            shift = sign * y / z
+        at, margin = x + shift, _SUPPORT_MARGIN * (abs(x) + abs(shift))
+        if not (at < s_lo - margin or at > s_hi + margin):
+            return False
+    return True
 
 
 def _middle(g: BoundaryFunction, x, y, t):
@@ -154,13 +214,18 @@ def solve_at(g: BoundaryFunction, p: HalfPlanePoint, tol: float = 1e-9) -> float
     x, y = p.x, p.y
     pieces = _pieces(g, x, y, m)
     piece_tol = tol / len(pieces)
-    total = 0.0
+    # data that declare where they vanish rarely meet the tolerance with a
+    # kept piece's root rule, so its first call evaluates the bisection too
+    root_ahead = g.support is not None
+    total = 0.0  # never -0.0, so a skipped piece's exact 0.0 leaves it as it is
     try:
         with np.errstate(**_QUAD_ERRSTATE):
-            for sign, lo, hi in pieces:
-                total += integrate_adaptive(
-                    _integrand(g, m, x, y, sign), lo, hi, tol=piece_tol, max_intervals=20000
-                )
+            for sign, lo, hi, zero in pieces:
+                if not zero:
+                    total += integrate_adaptive(
+                        _integrand(g, m, x, y, sign), lo, hi, tol=piece_tol, max_intervals=20000,
+                        root_ahead=root_ahead,
+                    )
     except (MaxSubdivisionsExceeded, NonFiniteSample) as exc:
         raise _failed_at(exc, x, y) from exc
     return total / math.pi
@@ -178,10 +243,10 @@ def solve_grid(g: BoundaryFunction, grid: GridSpec, tol: float = 1e-9) -> np.nda
     xs, ys = X.ravel().tolist(), Y.ravel().tolist()
     out = np.zeros(len(xs))
     for start in range(0, len(xs), _GRID_BLOCK):
-        lanes = []  # (node, sign, lo, hi, tol) per piece of every node in the block
+        lanes = []  # (node, sign, lo, hi, tol) per kept piece of every node in the block
         for node in range(start, min(start + _GRID_BLOCK, len(xs))):
             pieces = _pieces(g, xs[node], ys[node], m)
-            lanes += [(node, sign, lo, hi, tol / len(pieces)) for sign, lo, hi in pieces]
+            lanes += [(node, sign, lo, hi, tol / len(pieces)) for sign, lo, hi, zero in pieces if not zero]
         node, sign, lo, hi, lane_tol = zip(*lanes)
         node, sign = np.array(node), np.array(sign)
         px = X.ravel()[node][:, None]

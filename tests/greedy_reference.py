@@ -1,16 +1,19 @@
-"""Reference implementation for the greedy quadrature tests.
+"""Reference implementations for the greedy quadrature tests.
 
 `integrate_greedy` is the one-lane greedy Fejer-2 loop that
 `numerics.integrate_adaptive` ran before it evaluated ahead along endpoint
 chains: it calls f once per bisection, on the two halves only. Values,
 budget failures and non-finite refusals of the look-ahead must match it bit
-for bit.
+for bit. `solve_greedy` is `poisson.solve_at` with every piece of the kernel
+integral, vanishing ones included, integrated by `integrate_greedy`.
 """
 
 import heapq
+import math
 
 import numpy as np
 
+from harmlab import poisson
 from harmlab.errors import MaxSubdivisionsExceeded, NonFiniteSample
 from harmlab.numerics import _F2_FINE_NODES, _F2_PAIR_W
 
@@ -60,3 +63,18 @@ def integrate_greedy(f, a: float, b: float, tol: float, max_intervals: int = 400
         heapq.heappush(heap, (-e2, counter + 1, mid, hi, f2))
         counter += 2
     return total
+
+
+def solve_greedy(g, p, tol: float) -> float:
+    """solve_at(g, p, tol) without skipped pieces or look-ahead: same pieces, tolerance split and failures."""
+    m = poisson._tail_power(g, tol)
+    pieces = poisson._pieces(g, p.x, p.y, m)
+    total = 0.0
+    try:
+        with np.errstate(all="ignore"):
+            for sign, lo, hi, _ in pieces:
+                f = poisson._integrand(g, m, p.x, p.y, sign)
+                total += integrate_greedy(f, lo, hi, tol / len(pieces), 20000)
+    except (MaxSubdivisionsExceeded, NonFiniteSample) as exc:
+        raise poisson._failed_at(exc, p.x, p.y) from exc
+    return total / math.pi

@@ -93,6 +93,20 @@ def test_solve_alpha_near_one_fails_with_one_line_reason():
     assert lines[0].startswith("harmlab: numerical failure: kernel quadrature failed at (0.3, 0.5): integrand non-finite")
 
 
+@pytest.mark.parametrize(
+    "boundary, reason",
+    [
+        ("relu:0.5:nan:0", "relu_power requires finite w and b, got w=nan, b=0.0"),  # was g = 0, exit 0
+        ("relu:0.5:1:nan", "relu_power requires finite w and b, got w=1.0, b=nan"),  # was g = 0, exit 0
+        ("relu:0.5:inf:0", "relu_power requires finite w and b, got w=inf, b=0.0"),  # was exit 3
+        ("tanh:nan:0", "tanh requires finite w and b, got w=nan, b=0.0"),  # was exit 3
+    ],
+)
+def test_solve_refuses_non_finite_boundary_parameters(capsys, boundary, reason):
+    code, out, err = invoke(capsys, "solve", "--boundary", boundary, "--x", "0.3", "--y", "0.5")
+    assert (code, out, err) == (2, "", f"harmlab: invalid input: {reason}\n")
+
+
 def test_eval_validation_exit_code(capsys):
     code, out, err = invoke(capsys, "eval", "--kind", "frac", "--alpha", "2", "--x", "1", "--y", "1")
     assert code == 2

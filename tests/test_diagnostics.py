@@ -15,6 +15,7 @@ from harmlab import (
     ur_slice_barron_check,
 )
 from harmlab.diagnostics import _dk1_field
+from harmlab.experiments import imag_power_poly, log_component_derivative_field, log_field_terms
 from harmlab.line_barron import xklogx_derivative
 from oracles import arctan_component, fd_derivative
 
@@ -94,8 +95,12 @@ def test_slice_degenerate_angles():
         lambda k: ur_slice_barron_check(k),
         lambda k: DifferentiableFunction1D(lambda x: x, k, (0.0, 1.0)),
         xklogx_derivative,
+        imag_power_poly,
+        lambda k: log_field_terms(k, 1, 0),
+        lambda k: log_component_derivative_field(k, 0, 1, 0.1),
     ],
-    ids=["dk1_angle_factor", "slice_log_fit", "ur_slice_barron_check", "DifferentiableFunction1D", "xklogx_derivative"],
+    ids=["dk1_angle_factor", "slice_log_fit", "ur_slice_barron_check", "DifferentiableFunction1D", "xklogx_derivative",
+         "imag_power_poly", "log_field_terms", "log_component_derivative_field"],
 )
 def test_k_must_be_a_positive_integer(call, k):
     with pytest.raises(ValidationError, match=rf"^k must be a positive integer, got {k}$"):

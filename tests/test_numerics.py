@@ -1,6 +1,7 @@
 """Quadrature, half-disk norms, line fits, and the finite-difference oracles."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -208,6 +209,76 @@ def test_integrate_adaptive_is_the_greedy_bit_for_bit(beta, a, width, where, ins
 
     got = _outcome(integrate_adaptive, f, a, b, tol, max_intervals)
     assert got == _outcome(integrate_greedy, f, a, b, tol, max_intervals)
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(
+    beta=st.floats(-0.9, 0.99, exclude_min=True),
+    a=st.floats(-2.0, 2.0),
+    width=st.floats(0.1, 3.0),
+    at_a=st.booleans(),
+    tol=st.sampled_from([1e-6, 1e-9, 1e-11]),
+    max_intervals=st.sampled_from([1, 3, 40, 2000]),
+    pocket=st.one_of(st.none(), st.tuples(st.floats(0.0, 1.0), st.floats(-12.0, -0.5))),
+)
+def test_root_look_ahead_is_the_greedy_bit_for_bit(beta, a, width, at_a, tol, max_intervals, pocket):
+    # |x - c|^beta with c at an end, and maybe a NaN pocket (centre, log10 of
+    # its half-width over the interval's), which a root node, a half, an end
+    # chain or nothing the greedy needs may sample
+    b = a + width
+    c = a if at_a else b
+
+    def f(x):
+        with np.errstate(divide="ignore"):
+            y = np.abs(x - c) ** beta
+        if pocket is None:
+            return y
+        return np.where(np.abs(x - (a + pocket[0] * width)) < 10.0 ** pocket[1] * width, np.nan, y)
+
+    def ahead(f, a, b, tol, max_intervals):
+        return integrate_adaptive(f, a, b, tol, max_intervals, root_ahead=True)
+
+    assert _outcome(ahead, f, a, b, tol, max_intervals) == _outcome(integrate_greedy, f, a, b, tol, max_intervals)
+
+
+def test_root_look_ahead_raises_where_the_greedy_does():
+    def rsqrt_with_nan(where):
+        return lambda x: np.where(where(x), np.nan, x**-0.5)
+
+    # a non-finite root rule names the whole interval
+    with pytest.raises(NonFiniteSample, match=re.escape("inside (0.0, 1.0)")):
+        integrate_adaptive(rsqrt_with_nan(lambda x: x > 0.9), 0.0, 1.0, 1e-10, root_ahead=True)
+    # a non-finite half raises when the root is bisected; 0.75 is no root node
+    with pytest.raises(NonFiniteSample, match=re.escape("inside (0.5, 1.0)")):
+        integrate_adaptive(rsqrt_with_nan(lambda x: abs(x - 0.75) < 1e-9), 0.0, 1.0, 1e-10, root_ahead=True)
+    # a non-finite row of the root's end chain that the greedy never bisects
+    # into raises nothing: at tol 1e-2 it bisects three times towards 0, the
+    # chain six times
+    seen = []
+
+    def rsqrt(x):
+        seen.append(x.min())
+        return x**-0.5
+
+    want = integrate_greedy(rsqrt, 0.0, 1.0, 1e-2)
+    floor = min(seen)
+    seen.clear()
+    got = integrate_adaptive(lambda x: np.where(x < floor, np.nan, rsqrt(x)), 0.0, 1.0, 1e-2, root_ahead=True)
+    assert got == want and len(seen) == 1 and seen[0] < floor
+
+
+def test_root_look_ahead_call_counts():
+    # one call fewer than test_look_ahead_call_counts when the root rule misses
+    # the tolerance; 26 rows that nothing reads when it meets it
+    for f, want in ((lambda x: x**-0.5, (32, 2775)), (np.cos, (1, 405))):
+        sizes = []
+
+        def counted(x):
+            sizes.append(x.size)
+            return f(x)
+
+        integrate_adaptive(counted, 0.0, 1.0, 1e-10, root_ahead=True)
+        assert (len(sizes), sum(sizes)) == want
 
 
 def test_nan_seen_only_ahead_is_not_raised():

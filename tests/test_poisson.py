@@ -1,7 +1,9 @@
 """Poisson-kernel solver against closed forms and qualitative principles."""
 
+import dataclasses
 import math
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -22,6 +24,8 @@ from harmlab import (
     solve_at,
     solve_grid,
 )
+from harmlab import poisson
+from greedy_reference import solve_greedy
 
 
 def test_heaviside_closed_form():
@@ -211,6 +215,66 @@ def test_relu09_look_ahead_call_counts():
     assert (len(sizes), sum(sizes)) == (14, 1260)
 
 
+def test_relu09_skip_and_root_look_ahead_call_counts():
+    # recorded when vanishing pieces began to be skipped and kept pieces to
+    # look ahead from their first call; the custom-data pin above, the same
+    # data without a declared support, stays at (14, 1260)
+    g0 = BoundaryFunction.relu_power(0.9)
+    sizes = []
+
+    def counted(s):
+        sizes.append(s.size)
+        return g0.fn(s)
+
+    got = solve_at(dataclasses.replace(g0, fn=counted), HalfPlanePoint(0.3, 0.5), tol=1e-10)
+    assert got == solve_at(g0, HalfPlanePoint(0.3, 0.5), tol=1e-10)
+    assert (len(sizes), sum(sizes)) == (10, 1230)
+
+
+def _outcome(solve, g, p, tol):
+    """repr of the value, or the failure's type and message."""
+    try:
+        return repr(solve(g, p, tol))
+    except NumericalError as exc:
+        return type(exc).__name__, str(exc)
+
+
+_SIGNED = st.one_of(st.floats(-10.0, -0.1), st.floats(0.1, 10.0))
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(
+    g=st.one_of(
+        st.builds(BoundaryFunction.relu_power, st.floats(0.0, 0.99), _SIGNED, _SIGNED.map(lambda b: b / 3.0)),
+        st.just(BoundaryFunction.heaviside()),
+    ),
+    x=st.floats(-3.0, 3.0),
+    y=st.floats(-3.0, 0.3).map(lambda e: 10.0**e),
+    tol=st.floats(-12.0, -6.0).map(lambda e: 10.0**e),
+)
+def test_solve_at_is_the_greedy_over_every_piece_bit_for_bit(g, x, y, tol):
+    # skipping vanishing pieces and looking ahead from a kept piece's first
+    # call change no value and no failure
+    p = HalfPlanePoint(x, y)
+    assert _outcome(solve_at, g, p, tol) == _outcome(solve_greedy, g, p, tol)
+
+
+@pytest.mark.parametrize(
+    "g, x, y, tol",
+    [
+        (BoundaryFunction.relu_power(0.995), 0.3, 0.5, 1e-10),
+        (BoundaryFunction.relu_power(0.999, -1.0, 0.5), -1.2, 0.4, 1e-6),
+        (BoundaryFunction.relu_power(0.5, 2.0, -1.0), 1.5, 0.1, 1e-300),
+        (BoundaryFunction.heaviside(), -0.4, 0.2, 1e-300),
+    ],
+    ids=["relu0.995", "relu0.999-negative-w", "relu0.5-tol1e-300", "heaviside-tol1e-300"],
+)
+def test_solve_at_fails_as_the_greedy_over_every_piece(g, x, y, tol):
+    p = HalfPlanePoint(x, y)
+    got = _outcome(solve_at, g, p, tol)
+    assert isinstance(got, tuple) and got == _outcome(solve_greedy, g, p, tol)
+
+
 def _two_kink():
     return BoundaryFunction.custom(
         lambda s: np.sqrt(np.abs(s - 0.4)) + np.maximum(-0.6 - s, 0.0) ** 0.5,
@@ -227,8 +291,9 @@ def _two_kink():
         BoundaryFunction.heaviside,
         lambda: BoundaryFunction.tanh(2.0, -1.0),
         _two_kink,
+        lambda: BoundaryFunction.relu_power(0.3, -2.0, 0.5),
     ],
-    ids=["relu0.1", "relu0.5", "relu0.9", "heaviside", "tanh", "two-kink"],
+    ids=["relu0.1", "relu0.5", "relu0.9", "heaviside", "tanh", "two-kink", "relu0.3-negative-w"],
 )
 def test_solve_grid_equals_elementwise_solve_at(make):
     g = make()
@@ -269,3 +334,47 @@ def test_nonfinite_sample_names_the_point():
     x, y = map(float, re.match(r"kernel quadrature failed at \((.*), (.*)\):", str(exc.value)).groups())
     with pytest.raises(NonFiniteSample, match=re.escape(str(exc.value))):
         solve_at(g, HalfPlanePoint(x, y))
+
+
+def test_support_of_the_constructors():
+    assert BoundaryFunction.relu_power(0.5, 2.0, 1.0).support == (-0.5, math.inf)
+    assert BoundaryFunction.relu_power(0.5, -2.0, 1.0).support == (-math.inf, 0.5)
+    assert BoundaryFunction.heaviside().support == (0.0, math.inf)
+    assert BoundaryFunction.tanh(2.0, -1.0).support is None
+    assert BoundaryFunction.custom(np.sin, 0.0).support is None
+
+
+@pytest.mark.parametrize(
+    "make", [lambda w, b: BoundaryFunction.relu_power(0.5, w, b), BoundaryFunction.tanh], ids=["relu", "tanh"]
+)
+@pytest.mark.parametrize("w, b", [(math.nan, 0.0), (1.0, math.nan), (math.inf, 0.0), (1.0, -math.inf)])
+def test_constructors_refuse_non_finite_parameters(make, w, b):
+    with pytest.raises(ValidationError, match="requires finite w and b"):
+        make(w, b)
+
+
+def test_a_root_node_a_few_ulps_from_the_support_end_marks_no_piece():
+    # the middle piece (-1, 1) has no kink; its largest root node maps to
+    # x + cos(pi/16) y, and a support that starts a few ulps from there
+    # proves nothing (the tail t <= -1 maps far below it and is skipped)
+    x, y, m = 0.3, 0.5, 2.0
+    edge = x + poisson._ROOT_EDGES[1] * y
+    for ulps in range(-4, 5):
+        end = edge + ulps * math.ulp(edge)
+        g = BoundaryFunction(lambda s: np.where(s > end, 1.0, 0.0), 0.0, support=(end, math.inf))
+        assert [zero for *_, zero in poisson._pieces(g, x, y, m)] == [False, False, True], ulps
+    g = BoundaryFunction(lambda s: np.where(s > edge + 1e-9, 1.0, 0.0), 0.0, support=(edge + 1e-9, math.inf))
+    assert [zero for *_, zero in poisson._pieces(g, x, y, m)] == [True, False, True]
+
+
+def test_an_underflowing_tail_power_marks_no_piece():
+    # at (0.3, 0.5) the kink is in the middle, so the t <= -1 tail is one piece
+    # on (0, 1), where relu data vanish; its smallest root node s0 gives
+    # s0^200 = 0 (alpha = 0.995), so it is kept, and a normal s0^100 (alpha = 0.99)
+    s0 = 0.5 + 0.5 * poisson._ROOT_EDGES[0]
+    assert s0**200 == 0.0 and s0**100 >= sys.float_info.min
+    for alpha, skipped in ((0.995, False), (0.99, True)):
+        pieces = poisson._pieces(BoundaryFunction.relu_power(alpha), 0.3, 0.5, 1.0 / (1.0 - alpha))
+        assert [(lo, hi, zero) for sign, lo, hi, zero in pieces if sign == -1] == [(0.0, 1.0, skipped)]
+    with pytest.raises(NonFiniteSample, match=re.escape("failed at (0.3, 0.5): integrand non-finite inside (0.0, 1.0)")):
+        solve_at(BoundaryFunction.relu_power(0.995), HalfPlanePoint(0.3, 0.5), tol=1e-10)
