@@ -14,6 +14,7 @@ import errno
 import functools
 import math
 import os
+import re
 import sys
 
 import numpy as np
@@ -312,6 +313,10 @@ def _add_output_flags(sp) -> None:
     sp.add_argument("--gnuplot", action="store_true", help="emit a companion gnuplot script")
 
 
+# a negative number, exponent forms included: -1, -.5, -2.5e-3, -1E+2
+_NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+
+
 class _Parser(argparse.ArgumentParser):
     """An argparse parser whose refusals raise ValidationError, so run prints them in one line.
 
@@ -320,8 +325,14 @@ class _Parser(argparse.ArgumentParser):
     made it ("ensemble extend: unrecognized arguments: --seed -1"). Each
     parser refuses the arguments it does not take itself, instead of handing
     them up to the top level, which would not know the command. -h still
-    prints help and exits 0.
+    prints help and exits 0. A negative number in exponent form is a value,
+    as other negative numbers are: `--x -1e-3` reads like `--x=-1e-3`
+    (argparse's own matcher takes no exponent).
     """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = _NEGATIVE_NUMBER
 
     def parse_known_args(self, args=None, namespace=None):
         namespace, extras = super().parse_known_args(args, namespace)

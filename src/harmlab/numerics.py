@@ -5,20 +5,21 @@ The adaptive integrator uses an embedded Fejer-2 pair (7 nodes nested inside
 15) with globally greedy bisection, so integrable endpoint singularities are
 resolved without ever sampling the endpoints. Integrands must accept numpy
 arrays of abscissae. The greedy is written once, as a coroutine per integral
-(_greedy). integrate_adaptive drives one and looks ahead along endpoint
-chains, where callers that split their integrals at kinks put the
-singularities: an interval at a or b keeps the pairs of its next bisections
-towards that end as a chain and a position in it, with values bit-identical
-to a greedy without look-ahead; with root_ahead its first call of f already
-evaluates the root's bisection and chains. _integrate_lanes drives many
-lanes, one call of f per round, without it.
+(_greedy). integrate_adaptive drives one with look-ahead: one table holds
+the bisections evaluated in advance, and a bisection missing from it asks
+in the same call of f for its halves, the end chains (the next bisections
+towards a or b, where callers that split their integrals at kinks put the
+singularities) and the bisections of the heap's top interior intervals.
+Values are bit-identical to a greedy without look-ahead; with root_ahead
+its first call of f already evaluates the root's bisection and chains.
+_integrate_lanes drives many lanes, one call of f per round, without it.
 
 Half-disk norms take polar product fields: f(r, phi) returns components, each
 a list of (radial table, angular table) pairs, and the field's magnitude is
 |V|^2 = sum_c (sum_i R_ci(r) Q_ci(phi))^2. The tensor quadrature then needs no
 nr x nphi grid for p = 2 (a QR reduction of each component's angular tables);
-other p assemble the field on the grid. The p = inf grid max of a single
-product R(r) Q(phi) is max|R| max|Q|.
+other p assemble the field in blocks of radii, and p = inf on the whole grid.
+The p = inf grid max of a single product R(r) Q(phi) is max|R| max|Q|.
 """
 
 from __future__ import annotations
@@ -126,43 +127,43 @@ def _pair_rows(f, lo, hi) -> tuple[list, bool]:
     return [pair if ok else None for pair, ok in zip(pairs, finite.tolist())], False
 
 
-# Bisections evaluated ahead along an endpoint chain (see _greedy). The deepest
-# relu:0.9 solve of the evaluation-budget test samples g at 1740 points with
-# depth 6, 1950 with depth 7 and 2250 with depth 8, against its limit of 2000.
+# _greedy's look-ahead: bisections along an endpoint chain, and heap slots whose
+# interior intervals a request also bisects. The deepest relu:0.9 solve of the
+# evaluation-budget test samples g at 1800 points (its limit is 2000); 2010
+# with depth 7, and 1950 with 7 slots and 2010 with 15.
 _AHEAD_DEPTH = 6
+_SPEC_SLOTS = 3
 
 
-def _chain(lo: float, hi: float, left: bool) -> tuple[list[float], list[float]]:
-    """Halves of the next _AHEAD_DEPTH bisections of (lo, hi) towards its lo (left) or hi end.
-
-    Returns the halves' lo and hi ends, the two halves of each bisection in
-    turn. The bisections are the greedy's own, mid = 0.5 * (lo + hi), and
-    the chain stops where the greedy would accept an interval at
-    floating-point resolution instead of bisecting it.
+def _parents(lo: float, hi: float, left: bool, right: bool) -> list[tuple[float, float]]:
+    """(lo, hi), then the intervals of the next _AHEAD_DEPTH bisections of its
+    lo half towards lo (left) and of its hi half towards hi (right), each the
+    greedy's own, mid = 0.5 * (lo + hi). A chain stops where the greedy would
+    accept an interval at floating-point resolution instead of bisecting it.
     """
+    mid = 0.5 * (lo + hi)
+    parents = [(lo, hi)]
+    chains = [(lo, mid, True)] if left else []
+    if right:
+        chains.append((mid, hi, False))
+    for l, h, towards_lo in chains:
+        for _ in range(_AHEAD_DEPTH):
+            m = 0.5 * (l + h)
+            if m <= l or m >= h:
+                break
+            parents.append((l, h))
+            l, h = (l, m) if towards_lo else (m, h)
+    return parents
+
+
+def _halves(parents) -> tuple[list[float], list[float]]:
+    """The lo and hi ends of the rows that bisect the parents: the two halves of each in turn."""
     los, his = [], []
-    for _ in range(_AHEAD_DEPTH):
+    for lo, hi in parents:
         mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            break
-        los += [lo, mid]
-        his += [mid, hi]
-        if left:
-            hi = mid
-        else:
-            lo = mid
+        los += (lo, mid)
+        his += (mid, hi)
     return los, his
-
-
-def _ahead_rows(lo: float, mid: float, hi: float, left: bool, right: bool):
-    """Rows of a bisection of (lo, hi) at an end: its halves, then the _chain of
-    the half at lo (left) and of the half at hi (right).
-
-    Returns the rows' lo and hi ends and the length of the lo half's chain.
-    """
-    chain_lo = _chain(lo, mid, True) if left else ([], [])
-    chain_hi = _chain(mid, hi, False) if right else ([], [])
-    return [lo, mid, *chain_lo[0], *chain_hi[0]], [mid, hi, *chain_lo[1], *chain_hi[1]], len(chain_lo[0])
 
 
 def _greedy(a: float, b: float, tol: float, max_intervals: int, ahead: bool, root_ahead: bool = False):
@@ -176,41 +177,36 @@ def _greedy(a: float, b: float, tol: float, max_intervals: int, ahead: bool, roo
     MaxSubdivisionsExceeded when the interval budget runs out, and
     NonFiniteSample when a half it bisects into has a non-finite sample.
 
-    Endpoint look-ahead (ahead=True): callers split their integrals at kinks,
-    so a singularity sits at a or b, and the greedy bisects the interval at
-    that end round after round. A request that bisects an interval touching a
-    or b also asks for the halves of the next _AHEAD_DEPTH bisections of its
-    half at that end (_chain). That half's heap entry carries the look-ahead
-    as a chain and a position, (pairs, j): the chain's evaluated pairs, two
-    halves per bisection in turn, and the index of its next bisection's
-    halves. A later bisection of it takes pairs[j] and pairs[j + 1] without
-    yielding and hands (pairs, j + 2) to the half that still touches a (or
-    b), so such a step costs a heap pop and two pushes. A stored pair belongs
-    to the same interval and comes from the same arithmetic, so the pops,
-    pushes, counters and sums, and so the value and the failure, are those
-    of a greedy without look-ahead, bit for bit. A non-finite row found ahead
-    is stored and raises only when the greedy bisects into it.
+    Look-ahead (ahead=True) keeps one table, known[(lo, hi)] -> the pairs of
+    (lo, mid) and (mid, hi). A bisection missing from it yields a request
+    for its own halves and, into the table, for:
+    - the end chains (_parents) when the interval touches a or b: callers
+      split their integrals at kinks, so a singularity sits there, and the
+      greedy bisects the interval at that end round after round;
+    - the bisections of the intervals in the heap's first _SPEC_SLOTS slots
+      that have an error above 0, do not touch a or b and are not in the
+      table yet, one of which the greedy is likely to pop next.
+    A stored pair belongs to the same interval and comes from the same
+    arithmetic, so the pops, pushes, counters and sums, and so the value and
+    the failure, are those of a greedy without look-ahead, bit for bit. A
+    non-finite row asked for ahead raises only when the greedy bisects into it.
 
     Root look-ahead (root_ahead=True, with ahead): the first request carries
-    the root rule, its two halves and both end chains (1 + 2 + 12 + 12 rows,
-    the rows of the first two requests when the root is bisected), and the
-    root's bisection takes its pairs without yielding. That saves a request
-    when the root rule misses the tolerance, and costs 26 rows that nothing
-    reads when it meets it.
+    the root rule with the root's bisection and both end chains (1 + 2 + 12
+    + 12 rows). That saves a request when the root rule misses the
+    tolerance, and costs 26 rows that nothing reads when it meets it.
     """
-    bisection = None  # the pairs of the root's bisection, asked for ahead
+    known = {}  # (lo, hi) -> the pairs of its halves, asked for ahead
     mid = 0.5 * (a + b)
-    if root_ahead and a < mid < b:
-        los, his, split = _ahead_rows(a, mid, b, True, True)
-        root, *pairs = yield [a, *los], [b, *his]
-        bisection = pairs, split
-    else:
-        [root] = yield [a], [b]
+    parents = _parents(a, b, True, True) if root_ahead and a < mid < b else []
+    los, his = _halves(parents)
+    root, *pairs = yield [a, *los], [b, *his]
+    known.update(zip(parents, zip(pairs[::2], pairs[1::2])))
     if root is None:
         raise _nonfinite(a, b)
     total, coarse = root
     total_err = abs(total - coarse)
-    heap = [(-total_err, 0, a, b, total, None)]
+    heap = [(-total_err, 0, a, b, total)]
     counter = 1
     while total_err > tol * (1.0 + abs(total)):
         if counter >= max_intervals:
@@ -220,7 +216,7 @@ def _greedy(a: float, b: float, tol: float, max_intervals: int, ahead: bool, roo
                 estimate=total,
                 err_bound=total_err,
             )
-        neg_err, _, lo, hi, est, look = heapq.heappop(heap)
+        neg_err, _, lo, hi, est = heapq.heappop(heap)
         if neg_err >= 0.0:
             # every remaining interval is at floating-point resolution; the
             # accumulated budget cannot improve further
@@ -228,27 +224,22 @@ def _greedy(a: float, b: float, tol: float, max_intervals: int, ahead: bool, roo
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:
             # interval at floating-point resolution; accept as-is
-            heapq.heappush(heap, (0.0, counter, lo, hi, est, None))
+            heapq.heappush(heap, (0.0, counter, lo, hi, est))
             counter += 1
             total_err += neg_err  # remove this interval's error from the budget
             continue
-        if look is not None and look[1] < len(look[0]):
-            # the chain's next bisection, evaluated ahead; the half still
-            # touching a (or b) carries the chain on
-            pairs, j = look
-            p1, p2 = pairs[j], pairs[j + 1]
-            k1, k2 = ((pairs, j + 2), None) if lo == a else (None, (pairs, j + 2))
-        elif ahead and (lo == a or hi == b):
-            if bisection is None:
-                los, his, split = _ahead_rows(lo, mid, hi, lo == a, hi == b)
-                bisection = (yield los, his), split
-            (p1, p2, *pairs), split = bisection
-            bisection = None
-            k1 = (pairs[:split], 0) if lo == a else None
-            k2 = (pairs[split:], 0) if hi == b else None
-        else:
+        if not ahead:
             p1, p2 = yield [lo, mid], [mid, hi]
-            k1 = k2 = None
+        else:
+            halves = known.pop((lo, hi), None)
+            if halves is None:
+                parents = _parents(lo, hi, lo == a, hi == b) + [
+                    (l, h) for e, _, l, h, _ in heap[:_SPEC_SLOTS]
+                    if e < 0.0 and l != a and h != b and (l, h) not in known
+                ]
+                halves = yield _halves(parents)
+                known.update(zip(parents[1:], zip(halves[2::2], halves[3::2])))
+            p1, p2 = halves[:2]
         if p1 is None:
             raise _nonfinite(lo, mid)
         if p2 is None:
@@ -258,8 +249,8 @@ def _greedy(a: float, b: float, tol: float, max_intervals: int, ahead: bool, roo
         e2 = abs(f2 - c2)
         total += (f1 + f2) - est
         total_err += (e1 + e2) + neg_err
-        heapq.heappush(heap, (-e1, counter, lo, mid, f1, k1))
-        heapq.heappush(heap, (-e2, counter + 1, mid, hi, f2, k2))
+        heapq.heappush(heap, (-e1, counter, lo, mid, f1))
+        heapq.heappush(heap, (-e2, counter + 1, mid, hi, f2))
         counter += 2
     return total
 
@@ -318,15 +309,16 @@ def integrate_adaptive(
 ) -> float:
     """Adaptive integral of f over (a, b) with absolute error <= tol*(1+|result|).
 
-    Greedy global strategy (_greedy, with endpoint look-ahead): keep a heap
-    of subintervals ranked by the embedded pair's error estimate and bisect
-    the worst one. Endpoint singularities are admissible because the rule
-    never samples a or b. f receives 1D arrays.
+    Greedy global strategy (_greedy, with look-ahead): keep a heap of
+    subintervals ranked by the embedded pair's error estimate and bisect the
+    worst one. Endpoint singularities are admissible because the rule never
+    samples a or b. f receives 1D arrays. A call of f that a bisection needs
+    also evaluates the end chains and the heap's top rows ahead.
 
     root_ahead=True makes the first call of f also evaluate the root's
-    bisection and both end chains: one call fewer when the root rule misses
-    the tolerance, 26 rows (390 samples) more when it meets it. Values and
-    failures are the same either way.
+    bisection and both end chains into the look-ahead table: one call fewer
+    when the root rule misses the tolerance, 26 rows (390 samples) more when
+    it meets it. Values and failures are the same either way.
     """
     if not (0.0 < tol < math.inf):
         raise ValidationError(f"tol must be finite and > 0, got {tol}")
@@ -350,13 +342,15 @@ def integrate_adaptive(
 # --- half-disk grid and L^p norms -----------------------------------------------
 
 # Most nodes one half-disk grid may have (2048 x 2048); larger grids are refused
-# up front instead of failing in the allocator. Only the norms that assemble
-# the field on the grid (p other than 2, except a single product at p = inf)
-# hold grid-sized arrays, 8 bytes a node per component (`ru_maxrss` growth
-# over one norm on 1024 x 1024 and 2048 x 2048 grids; 32 bytes when the field
-# itself was a grid array), so a two-component norm at the limit needs about
-# 67 MB. The other norms hold O(nr + nphi) tables.
+# up front instead of failing in the allocator. Only the p = inf norm of a
+# field other than a single product assembles it on the whole grid, 8 bytes a
+# node per component (`ru_maxrss` growth over one norm on 1024 x 1024 and
+# 2048 x 2048 grids; 32 bytes when the field itself was a grid array), so a
+# two-component norm at the limit needs about 67 MB. The other norms hold
+# O(nr + nphi) tables and at most _NORM_BLOCK rows of the grid.
 MAX_GRID_POINTS = 2**22
+# radii per block of norm_lp_halfdisk's |V|^p sums: 64 kB a component at 256 angles
+_NORM_BLOCK = 32
 
 
 @dataclass(frozen=True)
@@ -545,7 +539,8 @@ def norm_lp_halfdisk(f, grid: GridSpec, p: float) -> float:
        O(T^2 (nr + nphi)) work for T terms. (A plain Gram sum of the table
        products loses digits to cancellation at high Sobolev orders: 4e-13
        relative at k = 3, order 7, eps = 1e-5 R on the default grid.)
-    2. Otherwise: the field is assembled on the grid and summed there.
+    2. Otherwise: the field is assembled and summed in blocks of _NORM_BLOCK
+       radii. A radius's sum over the angles does not depend on the block.
 
     For p = inf the grid max (max|R| max|Q| for a single product) is sharpened
     along the maximizing ray (ray_refined_max): f is called again on a few
@@ -568,9 +563,12 @@ def norm_lp_halfdisk(f, grid: GridSpec, p: float) -> float:
                     M = np.linalg.qr(Qs.T, mode="r") @ Rs
                     integral += float(wr @ (M * M).sum(axis=0))
         else:
-            absV = _magnitude(tables)
-            absV **= p
-            integral = float(wr @ absV.sum(axis=1))
+            row_sums = np.empty(grid.nr)
+            for j in range(0, grid.nr, _NORM_BLOCK):
+                absV = _magnitude([(Rs[:, j:j + _NORM_BLOCK], Qs) for Rs, Qs in tables])
+                absV **= p
+                row_sums[j:j + _NORM_BLOCK] = absV.sum(axis=1)
+            integral = float(wr @ row_sums)
         integral *= grid.angular_weight
     if not math.isfinite(integral):
         raise NonFiniteSample("field's L^p norm overflows on the grid")

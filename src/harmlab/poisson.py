@@ -10,14 +10,15 @@ plain z = 1/|t| map leaves a z^-alpha singularity. Activation kinks are split
 off exactly (a tail kink at t maps to s = |t|^(-1/m)) to keep full convergence
 order. Every piece is one greedy adaptive integral (numerics._greedy) with its
 singularity at an end. solve_at integrates the pieces one by one with
-integrate_adaptive, which looks ahead: when the greedy bisects the interval at
-an end, the same call of g also evaluates the next six bisections towards that
-end, so solve_at calls g once per up to seven bisections along a kink instead
-of once per bisection, with the same values bit for bit. solve_grid integrates
-every (node, piece) of a block of nodes as one lane of a batched greedy
-(numerics._integrate_lanes): each lane takes the steps solve_at would, one
-round of bisections costs one call of g, and the lanes do not look ahead.
-Both name the point in a quadrature failure.
+integrate_adaptive, which looks ahead through one table of bisections: a call
+of g that a bisection needs also evaluates the next six bisections towards the
+end it touches, if any, and the bisections of the interior intervals atop the
+greedy's heap. Later bisections of those intervals call no g, and the values
+are the same bit for bit. solve_grid integrates every (node, piece) of a
+block of nodes as one lane of a batched greedy (numerics._integrate_lanes):
+each lane takes the steps solve_at would, one round of bisections costs one
+call of g, and the lanes do not look ahead. Both name the point in a
+quadrature failure.
 
 ReLU^alpha and Heaviside data vanish on a half-line, which their constructors
 record as the support. A piece whose root nodes all map outside it
@@ -95,7 +96,13 @@ class BoundaryFunction:
         growth_alpha: float,
         kinks: tuple[float, ...] = (),
     ) -> "BoundaryFunction":
-        return cls(fn, float(growth_alpha), tuple(kinks))
+        """g = fn with growth exponent growth_alpha (not NaN) and finite kinks."""
+        growth_alpha, kinks = float(growth_alpha), tuple(kinks)
+        if math.isnan(growth_alpha):
+            raise ValidationError(f"custom requires a growth_alpha that is not NaN, got {growth_alpha}")
+        if not all(map(math.isfinite, kinks)):
+            raise ValidationError(f"custom requires finite kinks, got kinks={kinks}")
+        return cls(fn, growth_alpha, kinks)
 
 
 def _check_finite(name: str, w: float, b: float) -> None:

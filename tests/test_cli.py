@@ -161,6 +161,16 @@ def test_eval_hostile_values_exit_with_one_line(capsys, argv, code, reason):
     assert err.startswith("harmlab: invalid input: " if code == 2 else "harmlab: numerical failure: ")
 
 
+@pytest.mark.parametrize("x", ["-1e-3", "-1E-3", "-2.5e+1", "-.5e1", "-3.", "-1"])
+@pytest.mark.parametrize("command", [["solve", "--boundary", "relu:0.5"], ["eval", "--kind", "frac", "--alpha", "0.5"]],
+                         ids=["solve", "eval"])
+def test_a_negative_number_in_exponent_form_is_a_value(capsys, command, x):
+    # `--x -1e-3` used to exit 2 with "argument --x: expected one argument"
+    spaced = invoke(capsys, *command, "--x", x, "--y", "0.5")
+    assert spaced[0] == 0
+    assert spaced == invoke(capsys, *command, f"--x={x}", "--y", "0.5")
+
+
 def test_solve_heaviside(capsys):
     code, out, _ = invoke(capsys, "solve", "--boundary", "heaviside", "--x", "1", "--y", "1")
     assert code == 0
