@@ -115,31 +115,22 @@ def _write_gnuplot(csv_path: str) -> None:
         )
 
 
+# boundary tag -> (constructor, the parameter counts it takes, its arity refusal)
+_BOUNDARY_TAGS = {
+    "heaviside": (BoundaryFunction.heaviside, (0,), "heaviside takes no parameters, got {!r}"),
+    "relu": (BoundaryFunction.relu_power, (1, 3), "expected relu:A or relu:A:w:b, got {!r}"),
+    "tanh": (BoundaryFunction.tanh, (0, 2), "expected tanh or tanh:w:b, got {!r}"),
+}
+
+
 def _boundary_from_spec(spec: str) -> BoundaryFunction:
-    parts = spec.split(":")
-    tag = parts[0]
-    if tag == "heaviside":
-        if len(parts) != 1:
-            raise ValidationError(f"heaviside takes no parameters, got {spec!r}")
-        return BoundaryFunction.heaviside()
-    if tag == "relu":
-        if len(parts) not in (2, 4):
-            raise ValidationError(f"expected relu:A or relu:A:w:b, got {spec!r}")
-        alpha = _float(parts[1], "boundary parameter")
-        w = _float(parts[2], "boundary parameter") if len(parts) == 4 else 1.0
-        b = _float(parts[3], "boundary parameter") if len(parts) == 4 else 0.0
-        return BoundaryFunction.relu_power(alpha, w, b)
-    if tag == "tanh":
-        if len(parts) not in (1, 3):
-            raise ValidationError(f"expected tanh or tanh:w:b, got {spec!r}")
-        w = _float(parts[1], "boundary parameter") if len(parts) == 3 else 1.0
-        b = _float(parts[2], "boundary parameter") if len(parts) == 3 else 0.0
-        return BoundaryFunction.tanh(w, b)
-    raise ValidationError(f"unknown boundary spec {spec!r}")
-
-
-def _grid_from_args(args) -> GridSpec:
-    return GridSpec(args.R, args.nr, args.nphi, args.grading)
+    tag, *params = spec.split(":")
+    if tag not in _BOUNDARY_TAGS:
+        raise ValidationError(f"unknown boundary spec {spec!r}")
+    make, arities, refusal = _BOUNDARY_TAGS[tag]
+    if len(params) not in arities:
+        raise ValidationError(refusal.format(spec))
+    return make(*[_float(t, "boundary parameter") for t in params])
 
 
 def _check_sweep(n: int, what: str, unit: str) -> None:
@@ -229,7 +220,7 @@ def _emit_rates(args, reports: list[ErrorReport], fit: RateFit, min_r2: float, r
 
 
 def _cmd_rates_reg(args) -> int:
-    grid = _grid_from_args(args)
+    grid = GridSpec(args.R, args.nr, args.nphi, args.grading)
     reports, fit = reg_error_experiment(args.k, _parse_p(args.p), args.order, _eps_list(args), grid)
     return _emit_rates(args, reports, fit, REG_MODEL_MIN_R2,
                        f"the order-{args.order} error is not a power of eps; the slope is not a rate")
@@ -252,7 +243,7 @@ def _cmd_rates_mc(args) -> int:
 
 
 def _cmd_rates_sobolev(args) -> int:
-    grid = _grid_from_args(args)
+    grid = GridSpec(args.R, args.nr, args.nphi, args.grading)
     reports, fit = sobolev_lognorm_experiment(args.k, _eps_list(args), grid, order=args.order)
     return _emit_rates(args, reports, fit, LOG_MODEL_MIN_R2,
                        f"seminorm^2 at order {reports[0].derivative_order} is not affine in |log eps|;"
@@ -302,10 +293,16 @@ def _cmd_ensemble(args) -> int:
 # --- parser --------------------------------------------------------------------
 
 
-def _add_grid_flags(sp) -> None:
-    sp.add_argument("--nr", type=int, default=256, help="radial grid nodes (default 256)")
-    sp.add_argument("--nphi", type=int, default=256, help="angular grid nodes (default 256)")
-    sp.add_argument("--grading", type=float, default=2.0, help="radial mesh exponent (default 2)")
+def _add_grid_sweep_flags(sp, eps_min: float, steps: int) -> None:
+    """The half-disk grid and log-spaced eps sweep of rates reg and sobolev, then the output flags."""
+    sp.add_argument("--R", type=float, default=1.0, help="half-disk radius")
+    sp.add_argument("--eps-min", type=float, default=eps_min, help="smallest regularization parameter")
+    sp.add_argument("--eps-max", type=float, default=1e-1, help="largest regularization parameter")
+    sp.add_argument("--steps", type=int, default=steps, help="number of log-spaced eps values")
+    _add_output_flags(sp)
+    sp.add_argument("--nr", type=int, default=256, help="radial grid nodes")
+    sp.add_argument("--nphi", type=int, default=256, help="angular grid nodes")
+    sp.add_argument("--grading", type=float, default=2.0, help="radial mesh exponent")
 
 
 def _add_output_flags(sp) -> None:
@@ -317,6 +314,13 @@ def _add_output_flags(sp) -> None:
 _NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
 
 
+class _HelpFormatter(argparse.ArgumentDefaultsHelpFormatter):
+    """Adds a flag's default to its help only when it has one: no `(default: None)`."""
+
+    def _get_help_string(self, action):
+        return action.help if action.default is None else super()._get_help_string(action)
+
+
 class _Parser(argparse.ArgumentParser):
     """An argparse parser whose refusals raise ValidationError, so run prints them in one line.
 
@@ -325,13 +329,13 @@ class _Parser(argparse.ArgumentParser):
     made it ("ensemble extend: unrecognized arguments: --seed -1"). Each
     parser refuses the arguments it does not take itself, instead of handing
     them up to the top level, which would not know the command. -h still
-    prints help and exits 0. A negative number in exponent form is a value,
-    as other negative numbers are: `--x -1e-3` reads like `--x=-1e-3`
-    (argparse's own matcher takes no exponent).
+    prints help, with each flag's default, and exits 0. A negative number in
+    exponent form is a value, as other negative numbers are: `--x -1e-3`
+    reads like `--x=-1e-3` (argparse's own matcher takes no exponent).
     """
 
     def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
+        super().__init__(*args, formatter_class=_HelpFormatter, **kwargs)
         self._negative_number_matcher = _NEGATIVE_NUMBER
 
     def parse_known_args(self, args=None, namespace=None):
@@ -348,16 +352,14 @@ class _Parser(argparse.ArgumentParser):
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The argparse tree, built once per process; run parses every argv with it."""
-    fmt = argparse.ArgumentDefaultsHelpFormatter
     ap = _Parser(
         prog="harmlab",
         description="Harmonic extensions of ReLU^alpha boundary data and their rate experiments",
-        formatter_class=fmt,
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    ev = sub.add_parser("eval", formatter_class=fmt, help="evaluate a closed-form solution at one point")
-    ev.add_argument("--kind", required=True, choices=["int", "frac", "half", "threehalf", "heaviside", "reg"])
+    ev = sub.add_parser("eval", help="evaluate a closed-form solution at one point")
+    ev.add_argument("--kind", required=True, choices=list(_EVAL_KINDS))
     ev.add_argument("--alpha", type=float, help="activation power for --kind frac")
     ev.add_argument("--k", type=int, help="integer power for --kind int/reg")
     ev.add_argument("--eps", type=float, help="regularization parameter for --kind reg")
@@ -365,72 +367,62 @@ def build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--y", type=float, required=True, help="ordinate (y > 0; reg allows y = 0)")
     ev.set_defaults(handler=_cmd_eval)
 
-    so = sub.add_parser("solve", formatter_class=fmt, help="Poisson-kernel harmonic extension of boundary data")
+    so = sub.add_parser("solve", help="Poisson-kernel harmonic extension of boundary data")
     so.add_argument("--boundary", required=True, help="relu:A[:w:b] | heaviside | tanh[:w:b]")
     so.add_argument("--x", type=float, required=True, help="abscissa")
     so.add_argument("--y", type=float, required=True, help="ordinate (y > 0)")
-    so.add_argument("--tol", type=float, default=1e-9, help="quadrature tolerance (default 1e-9)")
+    so.add_argument("--tol", type=float, default=1e-9, help="quadrature tolerance")
     so.set_defaults(handler=_cmd_solve)
 
-    rates = sub.add_parser("rates", formatter_class=fmt, help="rate experiments emitting CSV")
+    rates = sub.add_parser("rates", help="rate experiments emitting CSV")
     rsub = rates.add_subparsers(dest="experiment", required=True)
 
-    rr = rsub.add_parser("reg", formatter_class=fmt, help="regularization error rates in eps")
+    rr = rsub.add_parser("reg", help="regularization error rates in eps")
     rr.add_argument("--k", type=int, required=True, help="integer activation power (k >= 2)")
-    rr.add_argument("--R", type=float, default=1.0, help="half-disk radius")
     rr.add_argument("--p", default="inf", help="integrability in [1, inf]; token 'inf' for sup norm")
     rr.add_argument("--order", type=int, default=0, choices=[0, 1, 2], help="derivative order of the measured error")
-    rr.add_argument("--eps-min", type=float, default=1e-4, dest="eps_min", help="smallest regularization parameter")
-    rr.add_argument("--eps-max", type=float, default=1e-1, dest="eps_max", help="largest regularization parameter")
-    rr.add_argument("--steps", type=int, default=7, help="number of log-spaced eps values")
-    _add_output_flags(rr)
-    _add_grid_flags(rr)
+    _add_grid_sweep_flags(rr, eps_min=1e-4, steps=7)
     rr.set_defaults(handler=_cmd_rates_reg)
 
-    rm = rsub.add_parser("mc", formatter_class=fmt, help="Monte-Carlo subsampling rates in n")
+    rm = rsub.add_parser("mc", help="Monte-Carlo subsampling rates in n")
     rm.add_argument("--alpha", type=float, required=True, help="activation power of the target")
-    rm.add_argument("--n-min", type=int, default=32, dest="n_min", help="smallest subnetwork size")
-    rm.add_argument("--n-max", type=int, default=4096, dest="n_max", help="largest subnetwork size")
+    rm.add_argument("--n-min", type=int, default=32, help="smallest subnetwork size")
+    rm.add_argument("--n-max", type=int, default=4096, help="largest subnetwork size")
     rm.add_argument("--steps", type=int, default=8, help="number of log-spaced sizes")
     rm.add_argument("--seeds", type=int, default=10, help="number of seeds averaged per size")
     rm.add_argument("--order", type=int, default=0, choices=[0, 1, 2], help="Sobolev derivative order m")
     rm.add_argument("--q", type=float, default=2.0, help="integrability exponent (q >= 2)")
-    rm.add_argument("--target-size", type=int, default=2000, dest="target_size")
-    rm.add_argument("--target-seed", type=int, default=20240, dest="target_seed")
+    rm.add_argument("--target-size", type=int, default=2000, help="neurons of the random target")
+    rm.add_argument("--target-seed", type=int, default=20240, help="random seed of the target")
     _add_output_flags(rm)
     rm.set_defaults(handler=_cmd_rates_mc)
 
-    rs = rsub.add_parser("sobolev", formatter_class=fmt, help="Sobolev seminorm growth in |log eps|")
+    rs = rsub.add_parser("sobolev", help="Sobolev seminorm growth in |log eps|")
     rs.add_argument("--k", type=int, required=True, help="integer activation power (2 or 3)")
-    rs.add_argument("--R", type=float, default=1.0, help="half-disk radius")
-    rs.add_argument("--eps-min", type=float, default=1e-3, dest="eps_min", help="smallest regularization parameter")
-    rs.add_argument("--eps-max", type=float, default=1e-1, dest="eps_max", help="largest regularization parameter")
-    rs.add_argument("--steps", type=int, default=5, help="number of log-spaced eps values")
     rs.add_argument("--order", type=int, default=None, help="seminorm order (default k+2)")
-    _add_output_flags(rs)
-    _add_grid_flags(rs)
+    _add_grid_sweep_flags(rs, eps_min=1e-3, steps=5)
     rs.set_defaults(handler=_cmd_rates_sobolev)
 
-    diag = sub.add_parser("diag", formatter_class=fmt, help="divergence and slice diagnostics")
+    diag = sub.add_parser("diag", help="divergence and slice diagnostics")
     dsub = diag.add_subparsers(dest="diagnostic", required=True)
 
-    dx = dsub.add_parser("xklogx", formatter_class=fmt, help="logarithmic divergence of the x^k log x criterion")
+    dx = dsub.add_parser("xklogx", help="logarithmic divergence of the x^k log x criterion")
     dx.add_argument("--k", type=int, required=True, help="integer power in x^k log x")
-    dx.add_argument("--delta-min", type=float, default=1e-6, dest="delta_min", help="smallest lower cutoff")
+    dx.add_argument("--delta-min", type=float, default=1e-6, help="smallest lower cutoff")
     dx.add_argument("--steps", type=int, default=5, help="number of log-spaced cutoffs")
     dx.set_defaults(handler=_cmd_diag_xklogx)
 
-    ds = dsub.add_parser("slice", formatter_class=fmt, help="log-coefficient fit along a ray")
+    ds = dsub.add_parser("slice", help="log-coefficient fit along a ray")
     ds.add_argument("--k", type=int, required=True, help="integer activation power")
     ds.add_argument("--theta", type=float, required=True, help="ray angle in (0, pi), k*theta not in pi*Z")
     ds.set_defaults(handler=_cmd_diag_slice)
 
-    en = sub.add_parser("ensemble", formatter_class=fmt, help="operate on ensemble text files")
+    en = sub.add_parser("ensemble", help="operate on ensemble text files")
     esub = en.add_subparsers(dest="action", required=True)
 
     def ensemble_action(name, summary, transform):
         # no prefix matching: sample's --n must not read as lift's --nodes
-        sp = esub.add_parser(name, formatter_class=fmt, help=summary, allow_abbrev=False)
+        sp = esub.add_parser(name, help=summary, allow_abbrev=False)
         sp.add_argument("--in", dest="infile", required=True, help="input ensemble file")
         sp.add_argument("--out", required=True, help="output ensemble file")
         sp.set_defaults(handler=_cmd_ensemble, transform=transform)

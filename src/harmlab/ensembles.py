@@ -21,7 +21,7 @@ import warnings
 import numpy as np
 
 from .errors import ValidationError
-from .numerics import QuadratureRule
+from .numerics import QuadratureRule, _check_count
 
 __all__ = [
     "NeuronEnsemble",
@@ -51,7 +51,8 @@ MAX_NEURONS = 10_000_000
 
 
 def check_neuron_count(n: int, what: str) -> None:
-    """ValidationError unless 1 <= n <= MAX_NEURONS."""
+    """ValidationError unless n is an integer and 1 <= n <= MAX_NEURONS."""
+    _check_count(n, what)
     if n < 1:
         raise ValidationError(f"{what} must be >= 1, got {n}")
     if n > MAX_NEURONS:
@@ -233,7 +234,8 @@ def barron_cost(e: NeuronEnsemble) -> float:
 
 
 def _check_node_count(n: int) -> None:
-    """ValidationError unless a Cauchy rule gets at least one node."""
+    """ValidationError unless a Cauchy rule gets an integer number of nodes, at least one."""
+    _check_count(n, "n")
     if n < 1:
         raise ValidationError(f"need at least 1 node, got n = {n}")
 

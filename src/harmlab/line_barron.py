@@ -25,7 +25,7 @@ import numpy as np
 
 from .ensembles import NeuronEnsemble
 from .errors import MaxSubdivisionsExceeded, NonFiniteSample, NumericalError, ValidationError
-from .numerics import RateFit, fit_linear, integrate_adaptive
+from .numerics import RateFit, _segments, fit_linear, integrate_adaptive
 from .solutions import _check_k
 
 __all__ = [
@@ -58,12 +58,6 @@ class DifferentiableFunction1D:
             raise ValidationError(f"support must be a nonempty interval, got {self.support}")
 
 
-def _pieces(df: DifferentiableFunction1D) -> list[tuple[float, float]]:
-    a, b = df.support
-    cuts = sorted({a, b, *(s for s in df.singular_points if a < s < b), *( [0.0] if a < 0.0 < b else [] )})
-    return list(zip(cuts[:-1], cuts[1:]))
-
-
 def barron_norm_upper(df: DifferentiableFunction1D, tol: float = 1e-9) -> float:
     """integral over the support of |f^(k+1)(x)| (1 + |x|^k) dx.
 
@@ -89,7 +83,7 @@ def barron_norm_upper(df: DifferentiableFunction1D, tol: float = 1e-9) -> float:
 
     total = 0.0
     sing = {*df.singular_points, -math.inf, math.inf}
-    for lo, hi in _pieces(df):
+    for lo, hi in _segments({*df.singular_points, 0.0}, *df.support):
         if math.isinf(lo) or math.isinf(hi):
             g, a, b = tangent, math.atan(lo), math.atan(hi)
         else:

@@ -77,8 +77,15 @@ class QuadratureRule:
             )
 
 
+def _check_count(n, what: str) -> None:
+    """ValidationError unless n, a count of nodes or neurons, is an integer (numpy's included)."""
+    if not isinstance(n, (int, np.integer)):
+        raise ValidationError(f"{what} must be an integer, got {n!r}")
+
+
 def gauss_legendre_rule(n: int, a: float, b: float) -> QuadratureRule:
     """n-point Gauss-Legendre rule on [a, b]."""
+    _check_count(n, "n")
     if n < 1:
         raise ValidationError(f"need n >= 1 nodes, got {n}")
     x, w = np.polynomial.legendre.leggauss(n)
@@ -298,6 +305,17 @@ def _integrate_lanes(f, a, b, tol, max_intervals: int) -> list[float]:
     return total
 
 
+def _segments(interior, lo: float, hi: float) -> list[tuple[float, float]]:
+    """The pieces (left, right) of (lo, hi) cut at the points of `interior` strictly inside it, in order."""
+    edges = [lo, *sorted(t for t in interior if lo < t < hi), hi]
+    return list(zip(edges[:-1], edges[1:]))
+
+
+def _check_tol(tol: float) -> None:
+    if not (0.0 < tol < math.inf):
+        raise ValidationError(f"tol must be finite and > 0, got {tol}")
+
+
 def integrate_adaptive(
     f: Callable[[np.ndarray], np.ndarray],
     a: float,
@@ -320,8 +338,7 @@ def integrate_adaptive(
     when the root rule misses the tolerance, 26 rows (390 samples) more when
     it meets it. Values and failures are the same either way.
     """
-    if not (0.0 < tol < math.inf):
-        raise ValidationError(f"tol must be finite and > 0, got {tol}")
+    _check_tol(tol)
     if not (b > a):
         if b == a:
             return 0.0
@@ -371,6 +388,8 @@ class GridSpec:
             raise ValidationError(f"R must be > 0, got {self.R}")
         if not (math.isfinite(self.R) and math.isfinite(self.grading)):
             raise ValidationError(f"R and grading must be finite, got R = {self.R}, grading = {self.grading}")
+        _check_count(self.nr, "nr")
+        _check_count(self.nphi, "nphi")
         if self.nr < 8 or self.nphi < 8:
             raise ValidationError(f"need nr, nphi >= 8, got ({self.nr}, {self.nphi})")
         if self.grading < 1.0:

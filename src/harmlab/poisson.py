@@ -41,7 +41,7 @@ import numpy as np
 from .ensembles import activation
 from .errors import MaxSubdivisionsExceeded, NonFiniteSample, NumericalError, ValidationError
 from .halfplane import HalfPlanePoint
-from .numerics import _F2_FINE_NODES, GridSpec, _integrate_lanes, integrate_adaptive
+from .numerics import _F2_FINE_NODES, GridSpec, _check_tol, _integrate_lanes, _segments, integrate_adaptive
 
 __all__ = ["BoundaryFunction", "solve_at", "solve_grid"]
 
@@ -110,11 +110,6 @@ def _check_finite(name: str, w: float, b: float) -> None:
         raise ValidationError(f"{name} requires finite w and b, got w={w}, b={b}")
 
 
-def _segments(interior: list[float], lo: float, hi: float) -> list[tuple[float, float]]:
-    edges = [lo, *sorted(t for t in interior if lo < t < hi), hi]
-    return list(zip(edges[:-1], edges[1:]))
-
-
 # nodes integrated together by solve_grid; bounds the quadrature state held at once
 _GRID_BLOCK = 256
 # a non-finite sample raises NonFiniteSample; numpy need not warn about it as well
@@ -130,11 +125,8 @@ def _failed_at(exc: NumericalError, x: float, y: float) -> NumericalError:
 def _tail_power(g: BoundaryFunction, tol: float) -> float:
     """Validate (g, tol) and return the tail exponent m = 1/(1 - max(alpha, 0))."""
     if g.growth_alpha >= 1.0:
-        raise ValidationError(
-            f"boundary growth exponent {g.growth_alpha} >= 1: kernel integral diverges"
-        )
-    if not (0.0 < tol < math.inf):
-        raise ValidationError(f"tol must be finite and > 0, got {tol}")
+        raise ValidationError(f"boundary growth exponent {g.growth_alpha} >= 1: kernel integral diverges")
+    _check_tol(tol)
     return 1.0 / (1.0 - max(g.growth_alpha, 0.0))
 
 

@@ -1,5 +1,6 @@
 """CLI surface: output formats, exit codes, CSV schema, and determinism."""
 
+import argparse
 import math
 import os
 import subprocess
@@ -838,14 +839,30 @@ def test_ensemble_sampling_lift_determinism(tmp_path, capsys):
         (["ensemble", "sample"], ("--in", "--out", "--n", "--seed")),
     ],
 )
-def test_help_lists_flags(capsys, argv, flags):
+def test_help_lists_flags(capsys, monkeypatch, argv, flags):
+    monkeypatch.setenv("COLUMNS", "200")  # argparse wraps help to the terminal width
     with pytest.raises(SystemExit) as exc:
         run([*argv, "--help"])
     assert exc.value.code == 0
     out = capsys.readouterr().out
     for flag in flags:
         assert flag in out
-    assert "default" in out or argv == ["eval"]  # defaults shown where they exist
+    entries = {}  # first option string -> the flag's help entry, its lines joined
+    for line in out.partition("\n\n")[2].splitlines():
+        if line.startswith("  -"):
+            flag = line.split()[0].rstrip(",")
+            entries[flag] = line
+        elif line.startswith("   "):
+            entries[flag] += " " + line.strip()
+    assert "(default: None)" not in out
+    parser = cli.build_parser()
+    for name in argv:
+        (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        parser = sub.choices[name]
+    for action in parser._actions:
+        if action.default not in (None, argparse.SUPPRESS):  # shown once, at the end of the entry
+            entry = entries[action.option_strings[0]]
+            assert entry.count("default") == 1 and entry.endswith(f"(default: {action.default})"), entry
 
 
 def test_rates_reg_default_slope_band(tmp_path, capsys):

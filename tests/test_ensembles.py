@@ -4,6 +4,7 @@ serialization, and the regularity bounds their costs control."""
 import collections
 import itertools
 import math
+import re
 import tempfile
 import tracemalloc
 import warnings
@@ -1089,6 +1090,26 @@ def test_cauchy_rules_refuse_fewer_than_one_node(rule, n):
         with pytest.raises(ValidationError, match=f"need at least 1 node, got n = {n}"):
             rule(n)
         assert rule(1).weights.sum() == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("rule", [cauchy_tangent_rule, cauchy_midpoint_rule, cauchy_graded_rule])
+@pytest.mark.parametrize("n", [2.5, 3.0, np.float64(4.0)])
+def test_cauchy_rules_refuse_a_node_count_that_is_not_an_integer(rule, n):
+    # 2.5 used to give a rule of 2 nodes without a word
+    with pytest.raises(ValidationError, match=re.escape(f"n must be an integer, got {n!r}")):
+        rule(n)
+    assert rule(np.int64(3)).weights.sum() == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("n", [2.5, 3.0, np.float64(4.0)])
+def test_neuron_counts_refuse_a_count_that_is_not_an_integer(n):
+    # sample_subnetwork(e, 2.5) used to return 2 neurons without a word
+    e = NeuronEnsemble(np.full(4, 0.25), np.ones(4), np.linspace(-1.0, 1.0, 4), np.zeros(4), 0.5)
+    with pytest.raises(ValidationError, match=re.escape(f"n must be an integer, got {n!r}")):
+        sample_subnetwork(e, n)
+    with pytest.raises(ValidationError, match=re.escape(f"n_samples must be an integer, got {n!r}")):
+        lift_ensemble(e, n_samples=n)
+    assert len(sample_subnetwork(e, np.int64(3), seed=1)) == 3
 
 
 def test_neuron_count_limit(monkeypatch):

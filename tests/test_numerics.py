@@ -269,8 +269,7 @@ def test_root_look_ahead_raises_where_the_greedy_does():
 
 def test_root_look_ahead_call_counts():
     # one call fewer than test_look_ahead_call_counts when the root rule misses
-    # the tolerance; 26 rows that nothing reads when it meets it. Re-recorded
-    # when requests began to bisect the heap's top ahead: was (32, 2775)
+    # the tolerance; 26 rows that nothing reads when it meets it
     for f, want in ((lambda x: x**-0.5, (17, 2805)), (np.cos, (1, 405))):
         sizes = []
 
@@ -356,8 +355,7 @@ def test_heap_top_rows_are_the_greedy_bit_for_bit(beta, a, width, inside, tol, m
 
 
 def test_look_ahead_call_counts():
-    # the greedy without look-ahead calls f 87 times on 2595 abscissae here,
-    # with endpoint chains alone 33 times on 2775
+    # the greedy without look-ahead calls f 87 times on 2595 abscissae here
     sizes = []
 
     def rsqrt(x):
@@ -366,6 +364,13 @@ def test_look_ahead_call_counts():
 
     integrate_adaptive(rsqrt, 0.0, 1.0, 1e-10)
     assert (len(sizes), sum(sizes)) == (18, 2805)
+
+
+@pytest.mark.parametrize("n", [2.5, 3.0, np.float64(4.0)])
+def test_gauss_legendre_rule_refuses_a_node_count_that_is_not_an_integer(n):
+    with pytest.raises(ValidationError, match=re.escape(f"n must be an integer, got {n!r}")):
+        gauss_legendre_rule(n, -1.0, 1.0)
+    assert gauss_legendre_rule(np.int64(3), -1.0, 1.0).nodes.size == 3
 
 
 def test_quadrature_rule_validation():
@@ -443,6 +448,16 @@ def test_gridspec_validation():
     for R, grading in ((1.0, math.nan), (1.0, math.inf), (math.inf, 2.0), (math.nan, 2.0)):
         with pytest.raises(ValidationError):
             GridSpec(R, grading=grading)
+
+
+@pytest.mark.parametrize(
+    "nr, nphi, bad", [(64.0, 64, "nr"), (16.5, 16, "nr"), (64, 64.0, "nphi"), (16, np.float64(16.0), "nphi")]
+)
+def test_gridspec_refuses_node_counts_that_are_not_integers(nr, nphi, bad):
+    # 64.0 used to pass, and the first norm on the grid raised numpy's TypeError
+    with pytest.raises(ValidationError, match=f"{bad} must be an integer"):
+        GridSpec(1.0, nr, nphi)
+    assert GridSpec(1.0, np.int64(16), 16) == GridSpec(1.0, 16, 16)  # numpy's integers are counts
 
 
 def test_gridspec_node_limit(monkeypatch):

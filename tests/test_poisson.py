@@ -203,7 +203,7 @@ def test_relu09_evaluation_budget():
 
 def test_relu09_look_ahead_call_counts():
     # one call of g per up to seven bisections along a kink, and the heap's
-    # top bisected ahead; endpoint chains alone gave (14, 1260)
+    # top bisected ahead
     g0 = BoundaryFunction.relu_power(0.9)
     sizes = []
 
@@ -218,7 +218,7 @@ def test_relu09_look_ahead_call_counts():
 def test_relu09_skip_and_root_look_ahead_call_counts():
     # vanishing pieces skipped and kept pieces looking ahead from their first
     # call; the custom-data pin above is the same data without a declared
-    # support. Endpoint chains without the heap's top gave (10, 1230)
+    # support
     g0 = BoundaryFunction.relu_power(0.9)
     sizes = []
 
