@@ -4,7 +4,9 @@ experiments with reproducible CSV output.
 Exit codes: 0 success, 2 validation error or a file that cannot be read or
 written, 3 numerical failure; one-line diagnostics go to stderr; --out is
 checked before any work. Identical argv (plus seeds) produces byte-identical
-CSV files. All work runs on one thread.
+CSV files. All work runs on one thread. Each command loads only the modules
+it runs: a rates handler imports experiments, a diag handler line_barron or
+diagnostics, when it is called.
 """
 
 from __future__ import annotations
@@ -16,10 +18,10 @@ import math
 import os
 import re
 import sys
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .diagnostics import slice_log_fit
 from .ensembles import (
     MAX_NEURONS,
     cauchy_tangent_rule,
@@ -31,18 +33,7 @@ from .ensembles import (
     slice_ensemble,
 )
 from .errors import NumericalError, ValidationError
-from .experiments import (
-    LOG_MODEL_MIN_R2,
-    MC_MODEL_MIN_R2,
-    REG_MODEL_MIN_R2,
-    ErrorReport,
-    make_random_target,
-    mc_rate_experiment,
-    reg_error_experiment,
-    sobolev_lognorm_experiment,
-)
 from .halfplane import HalfPlanePoint
-from .line_barron import log_divergence_diagnostic
 from .numerics import GridSpec, RateFit
 from .poisson import BoundaryFunction, solve_at
 from .solutions import (
@@ -55,6 +46,9 @@ from .solutions import (
     eval_u_reg,
     eval_u_three_half,
 )
+
+if TYPE_CHECKING:
+    from .experiments import ErrorReport
 
 CSV_HEADER = "experiment,k,R,p,order,knob,value"
 
@@ -220,6 +214,8 @@ def _emit_rates(args, reports: list[ErrorReport], fit: RateFit, min_r2: float, r
 
 
 def _cmd_rates_reg(args) -> int:
+    from .experiments import REG_MODEL_MIN_R2, reg_error_experiment
+
     grid = GridSpec(args.R, args.nr, args.nphi, args.grading)
     reports, fit = reg_error_experiment(args.k, _parse_p(args.p), args.order, _eps_list(args), grid)
     return _emit_rates(args, reports, fit, REG_MODEL_MIN_R2,
@@ -227,6 +223,8 @@ def _cmd_rates_reg(args) -> int:
 
 
 def _cmd_rates_mc(args) -> int:
+    from .experiments import MC_MODEL_MIN_R2, make_random_target, mc_rate_experiment
+
     if args.n_min < 1 or args.n_max <= args.n_min or args.steps < 3:
         raise ValidationError("need 1 <= n-min < n-max and steps >= 3")
     _check_sweep(args.steps, "steps", "sizes")
@@ -243,6 +241,8 @@ def _cmd_rates_mc(args) -> int:
 
 
 def _cmd_rates_sobolev(args) -> int:
+    from .experiments import LOG_MODEL_MIN_R2, sobolev_lognorm_experiment
+
     grid = GridSpec(args.R, args.nr, args.nphi, args.grading)
     reports, fit = sobolev_lognorm_experiment(args.k, _eps_list(args), grid, order=args.order)
     return _emit_rates(args, reports, fit, LOG_MODEL_MIN_R2,
@@ -251,6 +251,8 @@ def _cmd_rates_sobolev(args) -> int:
 
 
 def _cmd_diag_xklogx(args) -> int:
+    from .line_barron import log_divergence_diagnostic
+
     if args.steps < 3:
         raise ValidationError("need at least 3 steps")
     if not 0.0 < args.delta_min < 0.1:  # the cutoffs run from 0.1 down to delta-min
@@ -263,6 +265,8 @@ def _cmd_diag_xklogx(args) -> int:
 
 
 def _cmd_diag_slice(args) -> int:
+    from .diagnostics import slice_log_fit
+
     res = slice_log_fit(args.k, args.theta)
     expected = (1.0 / math.cos(args.theta)) ** args.k * math.sin(args.k * args.theta) / math.pi
     print(

@@ -279,7 +279,7 @@ def test_rates_mc_too_many_steps_exits_2_before_any_work(tmp_path, capsys, monke
         raise AssertionError("work started on an oversized --steps")
 
     monkeypatch.setattr(cli.np, "logspace", never)
-    monkeypatch.setattr(cli, "make_random_target", never)
+    monkeypatch.setattr(experiments, "make_random_target", never)
     code, out, err = invoke(capsys, "rates", "mc", "--alpha", "2", "--steps", "100000000",
                             "--out", str(tmp_path / "x.csv"))
     assert code == 2 and out == ""
@@ -293,7 +293,7 @@ def _sweep(capsys, monkeypatch, tmp_path, argv):
         raise AssertionError("work started on an oversized sweep")
 
     monkeypatch.setattr(cli.np, "logspace", never)
-    monkeypatch.setattr(cli, "make_random_target", never)
+    monkeypatch.setattr(experiments, "make_random_target", never)
     out_flag = [] if argv[0] == "diag" else ["--out", str(tmp_path / "x.csv")]
     return invoke(capsys, *argv, *out_flag)
 
@@ -407,7 +407,7 @@ def test_rates_mc_warns_on_a_weak_fit(tmp_path, capsys):
 def test_rates_reg_warns_below_its_threshold(tmp_path, capsys, monkeypatch, r2, warns):
     report = experiments.ErrorReport("reg", 2, 1.0, math.inf, 1, 1e-3, 1e-6)
     fit = numerics.RateFit(2.0, 0.0, r2)
-    monkeypatch.setattr(cli, "reg_error_experiment", lambda *args: ([report], fit))
+    monkeypatch.setattr(experiments, "reg_error_experiment", lambda *args: ([report], fit))
     code, stdout, err = invoke(capsys, "rates", "reg", "--k", "2", "--order", "1", "--out", str(tmp_path / "r.csv"))
     assert code == 0 and stdout == f"slope=2.000 r2={r2:.3f}\n"
     want = f"harmlab: warning: r2={r2:.3f} < 0.99: the order-1 error is not a power of eps; the slope is not a rate\n"
@@ -776,7 +776,7 @@ def test_bad_out_exits_2_before_the_work(tmp_path, capsys, monkeypatch, binding,
     def never(*a, **kw):
         raise AssertionError(f"{binding} ran although --out is bad")
 
-    monkeypatch.setattr(cli, binding, never)
+    monkeypatch.setattr(cli if binding == "lift_ensemble" else experiments, binding, never)
     src = tmp_path / "e1.txt"
     save_ensemble(NeuronEnsemble([1.0], [1.0], [[1.0]], [0.0], 0.5), src)
     locked = tmp_path / "locked"
