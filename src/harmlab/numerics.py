@@ -6,13 +6,14 @@ The adaptive integrator uses an embedded Fejer-2 pair (7 nodes nested inside
 resolved without ever sampling the endpoints. Integrands must accept numpy
 arrays of abscissae. The greedy is written once, as a coroutine per integral
 (_greedy). integrate_adaptive drives one with look-ahead: one table holds
-the bisections evaluated in advance, and a bisection missing from it asks
-in the same call of f for its halves, the end chains (the next bisections
+the bisections evaluated in advance. Its first call of f evaluates the root
+rule with the root's bisection and short end chains (the next bisections
 towards a or b, where callers that split their integrals at kinks put the
-singularities) and the bisections of the heap's top interior intervals.
-Values are bit-identical to a greedy without look-ahead; with root_ahead
-its first call of f already evaluates the root's bisection and chains.
-_integrate_lanes drives many lanes, one call of f per round, without it.
+singularities), and a bisection missing from the table asks in the same
+call of f for its halves, the end chains and the bisections of the heap's
+top interior intervals. Values are bit-identical to a greedy without
+look-ahead. _integrate_lanes drives many lanes, one call of f per round,
+without it.
 
 Half-disk norms take polar product fields: f(r, phi) returns components, each
 a list of (radial table, angular table) pairs, and the field's magnitude is
@@ -134,17 +135,20 @@ def _pair_rows(f, lo, hi) -> tuple[list, bool]:
     return [pair if ok else None for pair, ok in zip(pairs, finite.tolist())], False
 
 
-# _greedy's look-ahead: bisections along an endpoint chain, and heap slots whose
-# interior intervals a request also bisects. The deepest relu:0.9 solve of the
-# evaluation-budget test samples g at 1800 points (its limit is 2000); 2010
-# with depth 7, and 1950 with 7 slots and 2010 with 15.
+# _greedy's look-ahead: bisections along an endpoint chain after a bisection
+# and after the root rule, and heap slots whose interior intervals a request
+# also bisects. The deepest relu:0.9 solve of the evaluation-budget test
+# samples g at 1710 points (its limit is 2000); 1950 with _ROOT_DEPTH 5 and
+# 2190 with 6, and 1830 with 7 slots and 2070 with 15. A shared depth of 5
+# costs about 2% of kernel_solve's wall time.
 _AHEAD_DEPTH = 6
+_ROOT_DEPTH = 4
 _SPEC_SLOTS = 3
 
 
-def _parents(lo: float, hi: float, left: bool, right: bool) -> list[tuple[float, float]]:
-    """(lo, hi), then the intervals of the next _AHEAD_DEPTH bisections of its
-    lo half towards lo (left) and of its hi half towards hi (right), each the
+def _parents(lo: float, hi: float, left: bool, right: bool, depth: int = _AHEAD_DEPTH) -> list[tuple[float, float]]:
+    """(lo, hi), then the intervals of the next `depth` bisections of its lo
+    half towards lo (left) and of its hi half towards hi (right), each the
     greedy's own, mid = 0.5 * (lo + hi). A chain stops where the greedy would
     accept an interval at floating-point resolution instead of bisecting it.
     """
@@ -154,7 +158,7 @@ def _parents(lo: float, hi: float, left: bool, right: bool) -> list[tuple[float,
     if right:
         chains.append((mid, hi, False))
     for l, h, towards_lo in chains:
-        for _ in range(_AHEAD_DEPTH):
+        for _ in range(depth):
             m = 0.5 * (l + h)
             if m <= l or m >= h:
                 break
@@ -173,7 +177,7 @@ def _halves(parents) -> tuple[list[float], list[float]]:
     return los, his
 
 
-def _greedy(a: float, b: float, tol: float, max_intervals: int, ahead: bool, root_ahead: bool = False):
+def _greedy(a: float, b: float, tol: float, max_intervals: int, ahead: bool):
     """Greedy Fejer-2 integral over (a, b) to tol * (1 + |result|), as a coroutine; a < b.
 
     It yields (los, his), the intervals (los[j], his[j]) whose [fine, coarse]
@@ -198,14 +202,14 @@ def _greedy(a: float, b: float, tol: float, max_intervals: int, ahead: bool, roo
     the failure, are those of a greedy without look-ahead, bit for bit. A
     non-finite row asked for ahead raises only when the greedy bisects into it.
 
-    Root look-ahead (root_ahead=True, with ahead): the first request carries
-    the root rule with the root's bisection and both end chains (1 + 2 + 12
-    + 12 rows). That saves a request when the root rule misses the
-    tolerance, and costs 26 rows that nothing reads when it meets it.
+    With look-ahead the first request also carries the root's bisection and
+    both end chains _ROOT_DEPTH deep (1 + 2 + 8 + 8 rows). That saves a
+    request when the root rule misses the tolerance, and costs 18 rows that
+    nothing reads when it meets it.
     """
     known = {}  # (lo, hi) -> the pairs of its halves, asked for ahead
     mid = 0.5 * (a + b)
-    parents = _parents(a, b, True, True) if root_ahead and a < mid < b else []
+    parents = _parents(a, b, True, True, _ROOT_DEPTH) if ahead and a < mid < b else []
     los, his = _halves(parents)
     root, *pairs = yield [a, *los], [b, *his]
     known.update(zip(parents, zip(pairs[::2], pairs[1::2])))
@@ -322,21 +326,19 @@ def integrate_adaptive(
     b: float,
     tol: float = 1e-9,
     max_intervals: int = 4000,
-    *,
-    root_ahead: bool = False,
 ) -> float:
     """Adaptive integral of f over (a, b) with absolute error <= tol*(1+|result|).
 
     Greedy global strategy (_greedy, with look-ahead): keep a heap of
     subintervals ranked by the embedded pair's error estimate and bisect the
     worst one. Endpoint singularities are admissible because the rule never
-    samples a or b. f receives 1D arrays. A call of f that a bisection needs
-    also evaluates the end chains and the heap's top rows ahead.
-
-    root_ahead=True makes the first call of f also evaluate the root's
-    bisection and both end chains into the look-ahead table: one call fewer
-    when the root rule misses the tolerance, 26 rows (390 samples) more when
-    it meets it. Values and failures are the same either way.
+    samples a or b. f receives 1D arrays. The first call of f also evaluates
+    the root's bisection and both end chains, and a call of f that a
+    bisection needs also evaluates the end chains and the heap's top rows
+    ahead. Values and failures are those of the greedy without look-ahead.
+    That saves a call of f whenever the root rule misses the tolerance; when
+    it meets it, the first call evaluates 18 rows (270 samples) that nothing
+    reads, 19 rows in all instead of 1.
     """
     _check_tol(tol)
     if not (b > a):
@@ -347,7 +349,7 @@ def integrate_adaptive(
     def rows(x):
         return np.asarray(f(x.ravel()), dtype=float).reshape(x.shape)
 
-    greedy = _greedy(a, b, tol, max_intervals, True, root_ahead)
+    greedy = _greedy(a, b, tol, max_intervals, True)
     ask = next(greedy)
     try:
         while True:

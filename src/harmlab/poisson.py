@@ -10,24 +10,21 @@ plain z = 1/|t| map leaves a z^-alpha singularity. Activation kinks are split
 off exactly (a tail kink at t maps to s = |t|^(-1/m)) to keep full convergence
 order. Every piece is one greedy adaptive integral (numerics._greedy) with its
 singularity at an end. solve_at integrates the pieces one by one with
-integrate_adaptive, which looks ahead through one table of bisections: a call
-of g that a bisection needs also evaluates the next six bisections towards the
-end it touches, if any, and the bisections of the interior intervals atop the
-greedy's heap. Later bisections of those intervals call no g, and the values
-are the same bit for bit. solve_grid integrates every (node, piece) of a
-block of nodes as one lane of a batched greedy (numerics._integrate_lanes):
-each lane takes the steps solve_at would, one round of bisections costs one
-call of g, and the lanes do not look ahead. Both name the point in a
-quadrature failure.
+integrate_adaptive, which looks ahead through one table of bisections: the
+first call of g evaluates the root rule with the root's bisection and the next
+four bisections towards each end, and a call of g that a bisection needs also
+evaluates the next six bisections towards the end it touches, if any, and the
+bisections of the interior intervals atop the greedy's heap. Later bisections
+of those intervals call no g, and the values are the same bit for bit.
+solve_grid integrates every (node, piece) of a block of nodes as one lane of a
+batched greedy (numerics._integrate_lanes): each lane takes the steps solve_at
+would, one round of bisections costs one call of g, and the lanes do not look
+ahead. Both name the point in a quadrature failure.
 
 ReLU^alpha and Heaviside data vanish on a half-line, which their constructors
 record as the support. A piece whose root nodes all map outside it
 (_vanishes) has a root rule of exactly 0.0, so its integral is 0.0 and both
-solvers skip it, splitting the tolerance over all pieces as before. For such
-data solve_at also has each kept piece's first call of g look ahead
-(integrate_adaptive's root_ahead): it evaluates the root's bisection and
-both end chains with the root rule, since a kept piece's root rule rarely
-meets the tolerance."""
+solvers skip it, splitting the tolerance over all pieces as before."""
 
 from __future__ import annotations
 
@@ -213,17 +210,13 @@ def solve_at(g: BoundaryFunction, p: HalfPlanePoint, tol: float = 1e-9) -> float
     x, y = p.x, p.y
     pieces = _pieces(g, x, y, m)
     piece_tol = tol / len(pieces)
-    # data that declare where they vanish rarely meet the tolerance with a
-    # kept piece's root rule, so its first call evaluates the bisection too
-    root_ahead = g.support is not None
     total = 0.0  # never -0.0, so a skipped piece's exact 0.0 leaves it as it is
     try:
         with np.errstate(**_QUAD_ERRSTATE):
             for sign, lo, hi, zero in pieces:
                 if not zero:
                     total += integrate_adaptive(
-                        _integrand(g, m, x, y, sign), lo, hi, tol=piece_tol, max_intervals=20000,
-                        root_ahead=root_ahead,
+                        _integrand(g, m, x, y, sign), lo, hi, tol=piece_tol, max_intervals=20000
                     )
     except (MaxSubdivisionsExceeded, NonFiniteSample) as exc:
         raise _failed_at(exc, x, y) from exc

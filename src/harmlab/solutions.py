@@ -16,6 +16,11 @@ Each closed form has one numpy implementation (the `*_field` functions),
 elementwise over arrays. The scalar evaluators return that same formula as a
 float at one point; only `eval_u_half` and `eval_u_three_half` are separate
 algebraic forms, kept as reference values for the alpha = 1/2, 3/2 branch.
+
+Where x < 0 the Heaviside, fractional and algebraic forms measure the angle
+from the negative axis, psi = arctan2(y, -x), or use r - x instead of r + x,
+so none of them cancels near that axis; every x >= 0 value keeps the plain
+form above.
 """
 
 from __future__ import annotations
@@ -76,9 +81,15 @@ def heaviside_field(X, Y):
     """Harmonic extension of the Heaviside step: arctan(x/y)/pi + 1/2, in (0, 1).
 
     On y = 0 this is the Heaviside convention 1 / 1/2 / 0 for x > / = / < 0.
+    Where x < 0 it is arctan2(y, -x)/pi, which does not cancel near that axis.
     """
     X = np.asarray(X, dtype=float)
     Y = np.asarray(Y, dtype=float)
+    return np.where(X < 0.0, np.arctan2(Y, -X) / np.pi, _arctan_part(X, Y))
+
+
+def _arctan_part(X, Y):
+    """arctan(x/y)/pi + 1/2 on arrays, the Heaviside extension's form for x >= 0."""
     return np.arctan2(X, Y) / np.pi + 0.5
 
 
@@ -91,7 +102,7 @@ def _integer_parts(X, Y, k: int, e2: float):
     Y = np.asarray(Y, dtype=float)
     W = (X + 1j * Y) ** k
     logpart = np.log(X * X + Y * Y + e2) / (2.0 * np.pi) * W.imag
-    return heaviside_field(X, Y) * W.real, logpart
+    return _arctan_part(X, Y) * W.real, logpart
 
 
 def u_integer_field(X, Y, k: int):
@@ -106,14 +117,18 @@ def u_fractional_field(X, Y, alpha: float):
 
     This is the unique alpha-homogeneous harmonic function with boundary
     values ReLU^alpha(x); the coefficient -cot(pi*alpha) on the imaginary
-    part is forced by the vanishing on the negative axis.
+    part is forced by the vanishing on the negative axis. Where x < 0 it is
+    r^alpha sin(alpha psi) / sin(pi alpha) with psi = arctan2(y, -x), the same
+    function without the cancellation of those two parts near that axis.
     """
     _check_fractional(alpha)
     X = np.asarray(X, dtype=float)
     Y = np.asarray(Y, dtype=float)
     W = (X + 1j * Y) ** alpha  # numpy principal branch; arg in (0, pi) on the half-plane
-    cot = math.cos(math.pi * alpha) / math.sin(math.pi * alpha)
-    return W.real - cot * W.imag
+    sin = math.sin(math.pi * alpha)
+    cot = math.cos(math.pi * alpha) / sin
+    left = np.hypot(X, Y) ** alpha * np.sin(alpha * np.arctan2(Y, -X)) / sin
+    return np.where(X < 0.0, left, W.real - cot * W.imag)
 
 
 # --- scalar evaluators -------------------------------------------------------------
@@ -130,15 +145,21 @@ def eval_u_fractional(p: HalfPlanePoint, alpha: float) -> float:
 
 
 def eval_u_half(p: HalfPlanePoint) -> float:
-    """Closed algebraic form sqrt((r + x)/2) of the alpha = 1/2 extension."""
-    return math.sqrt(0.5 * (math.hypot(p.x, p.y) + p.x))
+    """Closed algebraic form sqrt((r + x)/2) of the alpha = 1/2 extension; y/sqrt(2(r - x)) where x < 0."""
+    r = math.hypot(p.x, p.y)
+    if p.x < 0.0:
+        return p.y / math.sqrt(2.0 * (r - p.x))
+    return math.sqrt(0.5 * (r + p.x))
 
 
 def eval_u_three_half(p: HalfPlanePoint) -> float:
-    """Closed algebraic form of the alpha = 3/2 extension (triple-angle identity)."""
+    """Closed algebraic form of the alpha = 3/2 extension (triple-angle identity).
+
+    With c = (r + x)/2 and s = (r - x)/2; where x < 0, c = y^2/(4s), since c s = y^2/4.
+    """
     r = math.hypot(p.x, p.y)
-    c = 0.5 * (r + p.x)
     s = 0.5 * (r - p.x)
+    c = p.y * (p.y / (4.0 * s)) if p.x < 0.0 else 0.5 * (r + p.x)
     return c * math.sqrt(c) - 3.0 * math.sqrt(c) * s
 
 

@@ -235,10 +235,8 @@ def test_root_look_ahead_is_the_greedy_bit_for_bit(beta, a, width, at_a, tol, ma
             return y
         return np.where(np.abs(x - (a + pocket[0] * width)) < 10.0 ** pocket[1] * width, np.nan, y)
 
-    def ahead(f, a, b, tol, max_intervals):
-        return integrate_adaptive(f, a, b, tol, max_intervals, root_ahead=True)
-
-    assert _outcome(ahead, f, a, b, tol, max_intervals) == _outcome(integrate_greedy, f, a, b, tol, max_intervals)
+    got = _outcome(integrate_adaptive, f, a, b, tol, max_intervals)
+    assert got == _outcome(integrate_greedy, f, a, b, tol, max_intervals)
 
 
 def test_root_look_ahead_raises_where_the_greedy_does():
@@ -247,13 +245,13 @@ def test_root_look_ahead_raises_where_the_greedy_does():
 
     # a non-finite root rule names the whole interval
     with pytest.raises(NonFiniteSample, match=re.escape("inside (0.0, 1.0)")):
-        integrate_adaptive(rsqrt_with_nan(lambda x: x > 0.9), 0.0, 1.0, 1e-10, root_ahead=True)
+        integrate_adaptive(rsqrt_with_nan(lambda x: x > 0.9), 0.0, 1.0, 1e-10)
     # a non-finite half raises when the root is bisected; 0.75 is no root node
     with pytest.raises(NonFiniteSample, match=re.escape("inside (0.5, 1.0)")):
-        integrate_adaptive(rsqrt_with_nan(lambda x: abs(x - 0.75) < 1e-9), 0.0, 1.0, 1e-10, root_ahead=True)
+        integrate_adaptive(rsqrt_with_nan(lambda x: abs(x - 0.75) < 1e-9), 0.0, 1.0, 1e-10)
     # a non-finite row of the root's end chain that the greedy never bisects
     # into raises nothing: at tol 1e-2 it bisects three times towards 0, the
-    # chain six times
+    # chain four times
     seen = []
 
     def rsqrt(x):
@@ -263,22 +261,36 @@ def test_root_look_ahead_raises_where_the_greedy_does():
     want = integrate_greedy(rsqrt, 0.0, 1.0, 1e-2)
     floor = min(seen)
     seen.clear()
-    got = integrate_adaptive(lambda x: np.where(x < floor, np.nan, rsqrt(x)), 0.0, 1.0, 1e-2, root_ahead=True)
+    got = integrate_adaptive(lambda x: np.where(x < floor, np.nan, rsqrt(x)), 0.0, 1.0, 1e-2)
     assert got == want and len(seen) == 1 and seen[0] < floor
 
 
 def test_root_look_ahead_call_counts():
-    # one call fewer than test_look_ahead_call_counts when the root rule misses
-    # the tolerance; 26 rows that nothing reads when it meets it
-    for f, want in ((lambda x: x**-0.5, (17, 2805)), (np.cos, (1, 405))):
-        sizes = []
+    # the first call evaluates 18 rows that nothing reads when the root rule
+    # meets the tolerance, as it does for cos. Before every integral looked
+    # ahead from its root this read (1, 405)
+    sizes = []
 
-        def counted(x):
-            sizes.append(x.size)
-            return f(x)
+    def cos(x):
+        sizes.append(x.size)
+        return np.cos(x)
 
-        integrate_adaptive(counted, 0.0, 1.0, 1e-10, root_ahead=True)
-        assert (len(sizes), sum(sizes)) == want
+    integrate_adaptive(cos, 0.0, 1.0, 1e-10)
+    assert (len(sizes), sum(sizes)) == (1, 285)
+
+
+def test_look_ahead_call_counts():
+    # the greedy without look-ahead calls f 87 times on 2595 abscissae here.
+    # Before every integral looked ahead from its root this read (18, 2805),
+    # and (17, 2805) when asked to look ahead from the root
+    sizes = []
+
+    def rsqrt(x):
+        sizes.append(x.size)
+        return x**-0.5
+
+    integrate_adaptive(rsqrt, 0.0, 1.0, 1e-10)
+    assert (len(sizes), sum(sizes)) == (18, 2895)
 
 
 def test_nan_seen_only_ahead_is_not_raised():
@@ -331,10 +343,9 @@ def test_nan_seen_only_by_heap_top_rows_is_not_raised():
     inside=st.floats(0.05, 0.95),
     tol=st.sampled_from([1e-6, 1e-9, 1e-11]),
     max_intervals=st.sampled_from([3, 40, 300, 2000]),
-    root_ahead=st.booleans(),
     pocket=st.one_of(st.none(), st.floats(-14.0, -2.0)),
 )
-def test_heap_top_rows_are_the_greedy_bit_for_bit(beta, a, width, inside, tol, max_intervals, root_ahead, pocket):
+def test_heap_top_rows_are_the_greedy_bit_for_bit(beta, a, width, inside, tol, max_intervals, pocket):
     # |x - c|^beta with c inside, unsplit, so the heap's top holds the
     # intervals next to it; maybe NaN within 10^pocket * width of c, which a
     # half the greedy needs or only a heap-top row asked for ahead may sample
@@ -348,22 +359,8 @@ def test_heap_top_rows_are_the_greedy_bit_for_bit(beta, a, width, inside, tol, m
             return y
         return np.where(np.abs(x - c) < 10.0 ** pocket * width, np.nan, y)
 
-    def ahead(f, a, b, tol, max_intervals):
-        return integrate_adaptive(f, a, b, tol, max_intervals, root_ahead=root_ahead)
-
-    assert _outcome(ahead, f, a, b, tol, max_intervals) == _outcome(integrate_greedy, f, a, b, tol, max_intervals)
-
-
-def test_look_ahead_call_counts():
-    # the greedy without look-ahead calls f 87 times on 2595 abscissae here
-    sizes = []
-
-    def rsqrt(x):
-        sizes.append(x.size)
-        return x**-0.5
-
-    integrate_adaptive(rsqrt, 0.0, 1.0, 1e-10)
-    assert (len(sizes), sum(sizes)) == (18, 2805)
+    got = _outcome(integrate_adaptive, f, a, b, tol, max_intervals)
+    assert got == _outcome(integrate_greedy, f, a, b, tol, max_intervals)
 
 
 @pytest.mark.parametrize("n", [2.5, 3.0, np.float64(4.0)])

@@ -203,7 +203,8 @@ def test_relu09_evaluation_budget():
 
 def test_relu09_look_ahead_call_counts():
     # one call of g per up to seven bisections along a kink, and the heap's
-    # top bisected ahead
+    # top bisected ahead; (9, 1260) before every piece's first call looked
+    # ahead from its root
     g0 = BoundaryFunction.relu_power(0.9)
     sizes = []
 
@@ -212,13 +213,13 @@ def test_relu09_look_ahead_call_counts():
         return g0.fn(s)
 
     solve_at(BoundaryFunction.custom(counted, g0.growth_alpha, g0.kinks), HalfPlanePoint(0.3, 0.5), tol=1e-10)
-    assert (len(sizes), sum(sizes)) == (9, 1260)
+    assert (len(sizes), sum(sizes)) == (7, 1560)
 
 
 def test_relu09_skip_and_root_look_ahead_call_counts():
     # vanishing pieces skipped and kept pieces looking ahead from their first
     # call; the custom-data pin above is the same data without a declared
-    # support
+    # support. (5, 1230) when the root chains were six bisections deep
     g0 = BoundaryFunction.relu_power(0.9)
     sizes = []
 
@@ -228,7 +229,23 @@ def test_relu09_skip_and_root_look_ahead_call_counts():
 
     got = solve_at(dataclasses.replace(g0, fn=counted), HalfPlanePoint(0.3, 0.5), tol=1e-10)
     assert got == solve_at(g0, HalfPlanePoint(0.3, 0.5), tol=1e-10)
-    assert (len(sizes), sum(sizes)) == (5, 1230)
+    assert (len(sizes), sum(sizes)) == (5, 990)
+
+
+def test_readme_tanh_root_look_ahead_call_counts():
+    # the README's tanh solve: a root rule that misses the tolerance on a
+    # piece without a declared support still looks ahead from its first call
+    # of g; (8, 1335) when only data with a support did
+    g0 = BoundaryFunction.tanh(2.0, -1.0)
+    sizes = []
+
+    def counted(s):
+        sizes.append(s.size)
+        return g0.fn(s)
+
+    got = solve_at(dataclasses.replace(g0, fn=counted), HalfPlanePoint(0.0, 1.0))
+    assert got == solve_at(g0, HalfPlanePoint(0.0, 1.0))
+    assert (len(sizes), sum(sizes)) == (5, 975)
 
 
 def _outcome(solve, g, p, tol):

@@ -76,6 +76,34 @@ def test_closed_forms_match_fractional_branch():
         assert u3 == pytest.approx(uf3, rel=1e-12, abs=1e-12 * math.hypot(p.x, p.y)**1.5)
 
 
+def test_closed_forms_keep_their_digits_near_the_negative_axis():
+    # x < 0, far from the origin against y: each plain form (arctan(x/y)/pi +
+    # 1/2, Re z^alpha - cot(pi alpha) Im z^alpha, r + x) cancels there, so the
+    # references take those forms at 50 digits
+    import mpmath as mp
+
+    rng = np.random.default_rng(11)
+    X = -(10.0 ** rng.uniform(-1.0, 4.0, 600))
+    Y = 10.0 ** rng.uniform(-4.0, 0.0, 600)
+    alphas = (0.3, 0.5, 1.5, 2.7)
+    H, U = heaviside_field(X, Y), [u_fractional_field(X, Y, a) for a in alphas]
+    with mp.workdps(50):
+        for i, (x, y) in enumerate(zip(X.tolist(), Y.tolist())):
+            z = mp.mpc(x, y)
+            r = abs(z)
+            c, s = (r + x) / 2, (r - x) / 2
+            want = {
+                "heaviside": (mp.atan(mp.mpf(x) / y) / mp.pi + mp.mpf(1) / 2, H[i]),
+                "half": (mp.sqrt(c), eval_u_half(HalfPlanePoint(x, y))),
+                "three-half": (c * mp.sqrt(c) - 3 * mp.sqrt(c) * s, eval_u_three_half(HalfPlanePoint(x, y))),
+            }
+            for a, Ua in zip(alphas, U):
+                w = z ** mp.mpf(a)
+                want[f"frac {a}"] = (w.real - mp.cot(mp.pi * mp.mpf(a)) * w.imag, Ua[i])
+            for name, (ref, got) in want.items():
+                assert abs(got - ref) <= 1e-13 * abs(ref), (name, x, y, got, ref)
+
+
 def test_heaviside_values_and_range():
     assert eval_heaviside(HalfPlanePoint(0.0, 1.0)) == pytest.approx(0.5, abs=1e-15)
     assert eval_heaviside(HalfPlanePoint(1.0, 1.0)) == pytest.approx(0.75, abs=1e-15)
