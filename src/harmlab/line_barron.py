@@ -72,8 +72,7 @@ def barron_norm_upper(df: DifferentiableFunction1D, tol: float = 1e-9) -> float:
     k = df.k
 
     def weighted(x):
-        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            return np.abs(df.deriv(x)) * (1.0 + np.abs(x) ** k)
+        return np.abs(df.deriv(x)) * (1.0 + np.abs(x) ** k)
 
     def tangent(theta):
         # a node at theta = +-pi/2 means refinement reached the infinite end at
@@ -154,22 +153,16 @@ def ensemble_from_derivative(
         raise ValidationError(f"the equal-mass mesh needs a finite support, got {df.support}")
     barron_norm_upper(df)  # raises NumericalError on non-integrable input
 
-    lo, hi = df.support
     fact = math.factorial(k)
-    right = (max(lo, 0.0), hi)
-    left = (lo, min(hi, 0.0))
-    has_right = right[1] > right[0]
-    has_left = left[1] > left[0]
-    n_right = quad_nodes if not has_left else max(1, quad_nodes // 2)
-    n_left = quad_nodes - n_right if has_right else quad_nodes
-
+    halves = _segments({0.0}, *df.support)[::-1]  # the support's parts on either side of 0, right first
+    n_right = quad_nodes if len(halves) == 1 else max(1, quad_nodes // 2)
     blocks = [(np.empty(0),) * 3]  # (coefs, ws, bs) of the right, left and Taylor atoms
-    if has_right:
-        t, c = _equal_mass_atoms(df.deriv, right[0], right[1], n_right)
-        blocks.append((c / fact, np.ones_like(t), -t))
-    if has_left and n_left > 0:
-        t, c = _equal_mass_atoms(df.deriv, left[0], left[1], n_left)
-        blocks.append(((-1.0) ** (k + 1) * c / fact, -np.ones_like(t), t))
+    for (lo, hi), n in zip(halves, (n_right, quad_nodes - n_right)):
+        if n:
+            # sigma_k(s (x - t)) with s = +1 right of 0 and -1 left of it
+            s = 1.0 if lo >= 0.0 else -1.0
+            t, c = _equal_mass_atoms(df.deriv, lo, hi, n)
+            blocks.append((s ** (k + 1) * c / fact, np.full_like(t, s), -s * t))
     if np.any(taylor != 0.0):
         shifts, lam = _monomial_shift_solve(taylor, k)
         keep = np.abs(lam) > 1e-14 * max(1.0, float(np.max(np.abs(lam))))

@@ -6,14 +6,14 @@ The adaptive integrator uses an embedded Fejer-2 pair (7 nodes nested inside
 resolved without ever sampling the endpoints. Integrands must accept numpy
 arrays of abscissae. The greedy is written once, as a coroutine per integral
 (_greedy). integrate_adaptive drives one with look-ahead: one table holds
-the bisections evaluated in advance. Its first call of f evaluates the root
-rule with the root's bisection and short end chains (the next bisections
-towards a or b, where callers that split their integrals at kinks put the
-singularities), and a bisection missing from the table asks in the same
-call of f for its halves, the end chains and the bisections of the heap's
-top interior intervals. Values are bit-identical to a greedy without
-look-ahead. _integrate_lanes drives many lanes, one call of f per round,
-without it.
+the bisections evaluated in advance, along end chains towards a and b (where
+callers that split their integrals at kinks put the singularities) and for
+the heap's top interior intervals; _greedy's docstring and the constants
+beside it give the depths and slots. Values are bit-identical to a greedy
+without look-ahead. _integrate_lanes drives many lanes, one call of f per
+round, without it. Both drivers own how an integrand fails: they run it with
+numpy's divide, overflow and invalid-value warnings off, and a non-finite
+sample raises NonFiniteSample.
 
 Half-disk norms take polar product fields: f(r, phi) returns components, each
 a list of (radial table, angular table) pairs, and the field's magnitude is
@@ -106,10 +106,17 @@ def _fejer2(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 _F2_FINE_NODES, _F2_FINE_W = _fejer2(16)  # 15 nodes
+# the smallest and largest root nodes on [-1, 1], -+cos(pi/16) up to rounding
+_ROOT_EDGES = (float(_F2_FINE_NODES[-1]), float(_F2_FINE_NODES[0]))
 _F2_COARSE_W = _fejer2(8)[1]  # 7 nodes = fine nodes[1::2]
 _F2_PAIR_W = np.zeros((2, 15))  # rows: fine weights, coarse weights on the fine nodes
 _F2_PAIR_W[0] = _F2_FINE_W
 _F2_PAIR_W[1, 1::2] = _F2_COARSE_W
+
+
+# the drivers' error state: a non-finite sample raises NonFiniteSample, and
+# numpy need not warn about it as well
+_QUIET = dict(divide="ignore", over="ignore", invalid="ignore")
 
 
 def _nonfinite(lo: float, hi: float) -> NonFiniteSample:
@@ -203,7 +210,7 @@ def _greedy(a: float, b: float, tol: float, max_intervals: int, ahead: bool):
     non-finite row asked for ahead raises only when the greedy bisects into it.
 
     With look-ahead the first request also carries the root's bisection and
-    both end chains _ROOT_DEPTH deep (1 + 2 + 8 + 8 rows). That saves a
+    both end chains _ROOT_DEPTH deep (1 + 2 + 8 + 8 = 19 rows). That saves a
     request when the root rule misses the tolerance, and costs 18 rows that
     nothing reads when it meets it.
     """
@@ -277,35 +284,37 @@ def _integrate_lanes(f, a, b, tol, max_intervals: int) -> list[float]:
     its call of f, and the extra rows would cost more than the calls they save.
 
     A failing lane raises MaxSubdivisionsExceeded or NonFiniteSample with its
-    index as `lane`. A non-finite sample of round r raises before a budget
-    failure of round r + 1, and failures of one round raise in lane order.
+    index as `lane`, and numpy does not warn about the sample. A non-finite
+    sample of round r raises before a budget failure of round r + 1, and
+    failures of one round raise in lane order.
     """
     greedy = [_greedy(*lane, max_intervals, False) for lane in zip(a, b, tol)]
     total = [0.0] * len(greedy)
     lanes = list(range(len(greedy)))  # the running lanes, in lane order
     asks = [next(g) for g in greedy]
-    while lanes:
-        los, his = zip(*asks)
-        sizes = list(map(len, los))
-        lane_of_row = np.repeat(lanes, sizes)
-        pairs, finite = _pair_rows(lambda x: f(lane_of_row, x), [*chain(*los)], [*chain(*his)])
-        rows = [pairs[end - n:end] for n, end in zip(sizes, accumulate(sizes))]
-        if not finite:
-            # without look-ahead a lane needs every row it asked for, so the
-            # first lane with a non-finite row raises before any lane goes on
-            j = next(j for j, r in enumerate(rows) if None in r)
-            lanes, rows = lanes[j:j + 1], rows[j:j + 1]
-        running, asks = [], []
-        for lane, r in zip(lanes, rows):
-            try:
-                asks.append(greedy[lane].send(r))
-                running.append(lane)
-            except StopIteration as done:
-                total[lane] = done.value
-            except NumericalError as exc:
-                exc.lane = lane
-                raise
-        lanes = running
+    with np.errstate(**_QUIET):
+        while lanes:
+            los, his = zip(*asks)
+            sizes = list(map(len, los))
+            lane_of_row = np.repeat(lanes, sizes)
+            pairs, finite = _pair_rows(lambda x: f(lane_of_row, x), [*chain(*los)], [*chain(*his)])
+            rows = [pairs[end - n:end] for n, end in zip(sizes, accumulate(sizes))]
+            if not finite:
+                # without look-ahead a lane needs every row it asked for, so the
+                # first lane with a non-finite row raises before any lane goes on
+                j = next(j for j, r in enumerate(rows) if None in r)
+                lanes, rows = lanes[j:j + 1], rows[j:j + 1]
+            running, asks = [], []
+            for lane, r in zip(lanes, rows):
+                try:
+                    asks.append(greedy[lane].send(r))
+                    running.append(lane)
+                except StopIteration as done:
+                    total[lane] = done.value
+                except NumericalError as exc:
+                    exc.lane = lane
+                    raise
+            lanes = running
     return total
 
 
@@ -332,13 +341,13 @@ def integrate_adaptive(
     Greedy global strategy (_greedy, with look-ahead): keep a heap of
     subintervals ranked by the embedded pair's error estimate and bisect the
     worst one. Endpoint singularities are admissible because the rule never
-    samples a or b. f receives 1D arrays. The first call of f also evaluates
-    the root's bisection and both end chains, and a call of f that a
-    bisection needs also evaluates the end chains and the heap's top rows
-    ahead. Values and failures are those of the greedy without look-ahead.
-    That saves a call of f whenever the root rule misses the tolerance; when
-    it meets it, the first call evaluates 18 rows (270 samples) that nothing
-    reads, 19 rows in all instead of 1.
+    samples a or b. f receives 1D arrays. A call of f also evaluates rows
+    the greedy may need later: the root's bisection and end chains with the
+    root rule, and end chains and the heap's top rows with a bisection, as
+    _greedy's docstring counts them. Values and failures are those of the
+    greedy without look-ahead. f runs with numpy's divide, overflow and
+    invalid-value warnings off: a non-finite sample the greedy reads raises
+    NonFiniteSample, MaxSubdivisionsExceeded an exhausted budget.
     """
     _check_tol(tol)
     if not (b > a):
@@ -352,8 +361,9 @@ def integrate_adaptive(
     greedy = _greedy(a, b, tol, max_intervals, True)
     ask = next(greedy)
     try:
-        while True:
-            ask = greedy.send(_pair_rows(rows, *ask)[0])
+        with np.errstate(**_QUIET):
+            while True:
+                ask = greedy.send(_pair_rows(rows, *ask)[0])
     except StopIteration as done:
         return done.value
 

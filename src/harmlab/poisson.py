@@ -10,16 +10,14 @@ plain z = 1/|t| map leaves a z^-alpha singularity. Activation kinks are split
 off exactly (a tail kink at t maps to s = |t|^(-1/m)) to keep full convergence
 order. Every piece is one greedy adaptive integral (numerics._greedy) with its
 singularity at an end. solve_at integrates the pieces one by one with
-integrate_adaptive, which looks ahead through one table of bisections: the
-first call of g evaluates the root rule with the root's bisection and the next
-four bisections towards each end, and a call of g that a bisection needs also
-evaluates the next six bisections towards the end it touches, if any, and the
-bisections of the interior intervals atop the greedy's heap. Later bisections
-of those intervals call no g, and the values are the same bit for bit.
-solve_grid integrates every (node, piece) of a block of nodes as one lane of a
-batched greedy (numerics._integrate_lanes): each lane takes the steps solve_at
-would, one round of bisections costs one call of g, and the lanes do not look
-ahead. Both name the point in a quadrature failure.
+integrate_adaptive, which looks ahead through one table of bisections along
+the end chains and atop the greedy's heap (_greedy's docstring gives the
+depths); later bisections of those intervals call no g, and the values are
+the same bit for bit. solve_grid integrates every (node, piece) of a block of
+nodes as one lane of a batched greedy (numerics._integrate_lanes): each lane
+takes the steps solve_at would, one round of bisections costs one call of g,
+and the lanes do not look ahead. Both share one subdivision budget per piece,
+_PIECE_BUDGET, and name the point in a quadrature failure.
 
 ReLU^alpha and Heaviside data vanish on a half-line, which their constructors
 record as the support. A piece whose root nodes all map outside it
@@ -38,7 +36,7 @@ import numpy as np
 from .ensembles import activation
 from .errors import MaxSubdivisionsExceeded, NonFiniteSample, NumericalError, ValidationError
 from .halfplane import HalfPlanePoint
-from .numerics import _F2_FINE_NODES, GridSpec, _check_tol, _integrate_lanes, _segments, integrate_adaptive
+from .numerics import _ROOT_EDGES, GridSpec, _check_tol, _integrate_lanes, _segments, integrate_adaptive
 
 __all__ = ["BoundaryFunction", "solve_at", "solve_grid"]
 
@@ -109,8 +107,9 @@ def _check_finite(name: str, w: float, b: float) -> None:
 
 # nodes integrated together by solve_grid; bounds the quadrature state held at once
 _GRID_BLOCK = 256
-# a non-finite sample raises NonFiniteSample; numpy need not warn about it as well
-_QUAD_ERRSTATE = dict(divide="ignore", over="ignore", invalid="ignore")
+# subdivision budget of every piece's integral, in both solvers alike: solve_grid
+# takes solve_at's steps, and so gives its values, only while they share it
+_PIECE_BUDGET = 20000
 
 
 def _failed_at(exc: NumericalError, x: float, y: float) -> NumericalError:
@@ -150,19 +149,18 @@ def _pieces(g: BoundaryFunction, x: float, y: float, m: float) -> list[tuple[int
 # the few ulps by which pow (scalar here, vectorized in the integrand) and the
 # support's end -b/w may be off.
 _SUPPORT_MARGIN = 2.0**-40
-# the smallest and largest root nodes on [-1, 1], -+cos(pi/16) up to rounding
-_ROOT_EDGES = (float(_F2_FINE_NODES[-1]), float(_F2_FINE_NODES[0]))
 
 
 def _vanishes(support: tuple[float, float], x: float, y: float, m: float, sign: int, lo: float, hi: float) -> bool:
     """Whether every root node of the piece (sign, lo, hi) maps where g is 0.
 
-    The root rule's 15 nodes lie between mid + half * _ROOT_EDGES, and the maps
-    t -> x + t y, s -> x + sign y s^-m and the data's own w s + b are
-    monotone. So when both extreme nodes map outside the support by a margin
-    relative to the summands x and t y (or sign y s^-m), not to the abscissa,
-    which cancellation may shrink, g is exactly 0 at every node, the root
-    rule returns exactly 0.0 and meets any tolerance. A NaN abscissa, an
+    The root rule's 15 nodes lie between mid + half * _ROOT_EDGES (the
+    extreme nodes, from numerics), and the maps t -> x + t y, s -> x + sign
+    y s^-m and the data's own w s + b are monotone. So when both extreme
+    nodes map outside the support by a margin relative to the summands x and
+    t y (or sign y s^-m), not to the abscissa, which cancellation may shrink,
+    g is exactly 0 at every node, the root rule returns exactly 0.0 and meets
+    any tolerance. A NaN abscissa, an
     underflowing s^m and a piece at floating-point resolution give no proof.
     """
     mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
@@ -212,12 +210,11 @@ def solve_at(g: BoundaryFunction, p: HalfPlanePoint, tol: float = 1e-9) -> float
     piece_tol = tol / len(pieces)
     total = 0.0  # never -0.0, so a skipped piece's exact 0.0 leaves it as it is
     try:
-        with np.errstate(**_QUAD_ERRSTATE):
-            for sign, lo, hi, zero in pieces:
-                if not zero:
-                    total += integrate_adaptive(
-                        _integrand(g, m, x, y, sign), lo, hi, tol=piece_tol, max_intervals=20000
-                    )
+        for sign, lo, hi, zero in pieces:
+            if not zero:
+                total += integrate_adaptive(
+                    _integrand(g, m, x, y, sign), lo, hi, tol=piece_tol, max_intervals=_PIECE_BUDGET
+                )
     except (MaxSubdivisionsExceeded, NonFiniteSample) as exc:
         raise _failed_at(exc, x, y) from exc
     return total / math.pi
@@ -258,8 +255,7 @@ def solve_grid(g: BoundaryFunction, grid: GridSpec, tol: float = 1e-9) -> np.nda
             return vals
 
         try:
-            with np.errstate(**_QUAD_ERRSTATE):
-                vals = _integrate_lanes(f, lo, hi, lane_tol, 20000)
+            vals = _integrate_lanes(f, lo, hi, lane_tol, _PIECE_BUDGET)
         except (MaxSubdivisionsExceeded, NonFiniteSample) as exc:
             n = int(node[exc.lane])
             raise _failed_at(exc, xs[n], ys[n]) from exc

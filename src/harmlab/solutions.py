@@ -10,22 +10,24 @@ non-integer powers get
 
 both with the principal branch continued from the positive real axis. The
 regularized family u_{eps,k} replaces log(r^2) by log(r^2 + eps^2) in the
-integer formula and extends to the closed half-plane.
+integer formula and extends to the closed half-plane; it is 0 at the origin,
+and where r^2 + eps^2 overflows its log is 2 log(hypot(r, eps)).
 
 Each closed form has one numpy implementation (the `*_field` functions),
 elementwise over arrays. The scalar evaluators return that same formula as a
 float at one point; only `eval_u_half` and `eval_u_three_half` are separate
 algebraic forms, kept as reference values for the alpha = 1/2, 3/2 branch.
 
-Where x < 0 the Heaviside, fractional and algebraic forms measure the angle
-from the negative axis, psi = arctan2(y, -x), or use r - x instead of r + x,
-so none of them cancels near that axis; every x >= 0 value keeps the plain
-form above.
+Where x < 0 the Heaviside, integer, fractional and algebraic forms measure
+the angle from the negative axis, psi = arctan2(y, -x), or use r - x instead
+of r + x, so none of them cancels near that axis; every x >= 0 value keeps
+the plain form above.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 
@@ -93,23 +95,34 @@ def _arctan_part(X, Y):
     return np.arctan2(X, Y) / np.pi + 0.5
 
 
-def _integer_parts(X, Y, k: int, e2: float):
-    """(arctan part, log part) of u_k (e2 = 0) or of u_{eps,k} (e2 = eps^2).
+def _integer_parts(X, Y, k: int, eps: float):
+    """(arctan part, log part) of u_k (eps = 0) or of u_{eps,k}.
 
-    The function is their difference; log(r^2 + e2)/(2*pi) is log(r)/pi at e2 = 0.
+    The function is their difference; log(r^2 + eps^2)/(2*pi) is log(r)/pi at
+    eps = 0. Where r^2 + eps^2 overflows, the log is 2 log(hypot(r, eps)).
     """
     X = np.asarray(X, dtype=float)
     Y = np.asarray(Y, dtype=float)
     W = (X + 1j * Y) ** k
-    logpart = np.log(X * X + Y * Y + e2) / (2.0 * np.pi) * W.imag
-    return _arctan_part(X, Y) * W.real, logpart
+    A = X * X + Y * Y + eps * eps
+    log = np.where(np.isinf(A), 2.0 * np.log(np.hypot(np.hypot(X, Y), eps)), np.log(A))
+    return _arctan_part(X, Y) * W.real, log / (2.0 * np.pi) * W.imag
 
 
 def u_integer_field(X, Y, k: int):
-    """Harmonic extension of ReLU^k boundary data, integer k >= 1, for Y > 0."""
+    """Harmonic extension of ReLU^k boundary data, integer k >= 1, for Y > 0.
+
+    Where x < 0 it is (-1)^k r^k (psi cos(k psi) + log(r) sin(k psi)) / pi with
+    psi = arctan2(y, -x): the same function without the cancellation of the
+    arctan and log parts near that axis.
+    """
     _check_k(k)
+    X = np.asarray(X, dtype=float)
+    Y = np.asarray(Y, dtype=float)
     arc, log = _integer_parts(X, Y, k, 0.0)
-    return arc - log
+    r, psi = np.hypot(X, Y), np.arctan2(Y, -X)
+    left = (-1) ** k * r**k * (psi * np.cos(k * psi) + np.log(r) * np.sin(k * psi)) / np.pi
+    return np.where(X < 0.0, left, arc - log)
 
 
 def u_fractional_field(X, Y, alpha: float):
@@ -155,11 +168,17 @@ def eval_u_half(p: HalfPlanePoint) -> float:
 def eval_u_three_half(p: HalfPlanePoint) -> float:
     """Closed algebraic form of the alpha = 3/2 extension (triple-angle identity).
 
-    With c = (r + x)/2 and s = (r - x)/2; where x < 0, c = y^2/(4s), since c s = y^2/4.
+    With c = (r + x)/2 and s = (r - x)/2; where x < 0, c = y^2/(4s), since c s = y^2/4,
+    and where that c underflows the value is -3/2 y sqrt(s), c sqrt(c) being negligible.
     """
     r = math.hypot(p.x, p.y)
-    s = 0.5 * (r - p.x)
-    c = p.y * (p.y / (4.0 * s)) if p.x < 0.0 else 0.5 * (r + p.x)
+    if p.x >= 0.0:
+        c, s = 0.5 * (r + p.x), 0.5 * (r - p.x)
+    else:
+        s = 0.5 * r - 0.5 * p.x  # 0.5 * (r - x) overflows from x = -9e307
+        c = p.y * (p.y / (4.0 * s))
+        if c < sys.float_info.min:
+            return -1.5 * p.y * math.sqrt(s)
     return c * math.sqrt(c) - 3.0 * math.sqrt(c) * s
 
 
@@ -180,7 +199,9 @@ def eval_u_reg(x: float, y: float, epsilon: float, k: int) -> float:
         raise ValidationError(f"eval_u_reg needs y >= 0, got y = {y}")
     if not (math.isfinite(x) and math.isfinite(y)):
         raise ValidationError(f"non-finite point ({x}, {y})")
-    arc, log = _integer_parts(x, y, k, epsilon * epsilon)
+    if x == 0.0 and y == 0.0:
+        return 0.0  # z^k = 0, though eps^2 may underflow and log(eps^2) with it
+    arc, log = _integer_parts(x, y, k, epsilon)
     return float(arc - log)
 
 

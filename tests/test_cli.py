@@ -162,6 +162,22 @@ def test_eval_hostile_values_exit_with_one_line(capsys, argv, code, reason):
     assert err.startswith("harmlab: invalid input: " if code == 2 else "harmlab: numerical failure: ")
 
 
+@pytest.mark.parametrize(
+    "argv,value",
+    [
+        # eps^2 underflows to 0 and log(0) met Im z^2 = 0: the value at the origin is 0
+        (["--kind", "reg", "--k", "2", "--eps", "1e-300", "--x", "0", "--y", "0"], "0"),
+        # eps^2 overflows and log(inf) met Im z^2 = 0; there the log is 2 log(hypot(r, eps))
+        (["--kind", "reg", "--k", "2", "--eps", "1e300", "--x", "1", "--y", "0"], "1"),
+        # r - x overflowed; the value is -(3/2) y sqrt((r - x)/2) to 1400 mpmath digits
+        (["--kind", "threehalf", "--x", "-1e308", "--y", "1e-308"], "-1.5e-154"),
+    ],
+)
+def test_eval_finite_values_at_extreme_arguments_print(capsys, argv, value):
+    # each exited 3 with "is not finite: nan"
+    assert invoke(capsys, "eval", *argv) == (0, value + "\n", "")
+
+
 @pytest.mark.parametrize("x", ["-1e-3", "-1E-3", "-2.5e+1", "-.5e1", "-3.", "-1"])
 @pytest.mark.parametrize("command", [["solve", "--boundary", "relu:0.5"], ["eval", "--kind", "frac", "--alpha", "0.5"]],
                          ids=["solve", "eval"])

@@ -16,6 +16,8 @@ only, with each moved value named in CHANGES.md: there is no re-record switch.
 
 import json
 import math
+import re
+import shlex
 from pathlib import Path
 
 import pytest
@@ -23,6 +25,9 @@ import pytest
 from harmlab import NeuronEnsemble, cli, save_ensemble
 
 CONTRACT = json.loads(Path(__file__).with_name("contract.json").read_text(encoding="utf-8"))
+README = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+# the README's `harmlab <argv>  # -> <value>` lines: argv and the value it documents
+DOC_VALUES = re.findall(r"^harmlab (.+?)\s+# -> (\S+)$", README, re.M)
 RTOL = CONTRACT["rtol"]
 CSV_CASES = sorted(name for name, case in CONTRACT["cases"].items() if "csv" in case)
 COMMAND_CASES = sorted(name for name, case in CONTRACT["cases"].items() if "csv" not in case)
@@ -73,6 +78,16 @@ def run_case(case: dict, tmp_path, monkeypatch, capsys, extra=()):
     code = cli.run([*case["argv"], *extra])
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def test_readme_documents_six_values():
+    assert len(DOC_VALUES) == 6, DOC_VALUES
+
+
+@pytest.mark.parametrize("argv,value", DOC_VALUES, ids=[argv for argv, _ in DOC_VALUES])
+def test_readme_documented_value_is_printed(capsys, argv, value):
+    assert cli.run(shlex.split(argv)) == 0
+    assert capsys.readouterr() == (value + "\n", "")
 
 
 @pytest.mark.parametrize("name", CSV_CASES)

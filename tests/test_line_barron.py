@@ -99,6 +99,17 @@ def test_norm_upper_non_finite_inside_finite_piece_is_not_divergence():
     assert "does not converge" not in str(exc.value)
 
 
+def test_norm_upper_pole_at_a_node():
+    # the quadrature, not the criterion, keeps numpy quiet about the division
+    # by zero at the root rule's middle node: a pole inside a piece is a
+    # non-finite sample, one at a declared singular point a divergence
+    df = DifferentiableFunction1D(lambda x: 1.0 / (x - 0.5), 1, (0.0, 1.0))
+    with pytest.raises(NonFiniteSample, match=re.escape("inside (0.0, 1.0)")):
+        barron_norm_upper(df)
+    with pytest.raises(NumericalError, match=re.escape("at a singular or infinite end of (0.0, 0.5)")):
+        barron_norm_upper(DifferentiableFunction1D(df.deriv, 1, (0.0, 1.0), singular_points=(0.5,)))
+
+
 def test_ensemble_from_derivative_refuses_infinite_support():
     df = DifferentiableFunction1D(lambda x: np.exp(-x * x), 1, (0.0, math.inf))
     with pytest.raises(ValidationError, match="finite support"):
@@ -217,6 +228,24 @@ def test_ensemble_from_derivative_matches_atom_loop(deriv, k, support, nodes, ta
     for name in ("probs", "a", "w", "b"):
         np.testing.assert_array_equal(getattr(got, name), getattr(want, name), err_msg=name)
     assert got.alpha == want.alpha
+
+
+@pytest.mark.parametrize(
+    "support",
+    [(0.5, 2.0), (-2.0, -0.5), (-1.0, 1.0), (-0.3, 2.0), (-2.0, 0.7), (0.0, 1.5), (-1.5, 0.0)],
+    ids=["right", "left", "straddling", "mostly-right", "mostly-left", "from-0", "to-0"],
+)
+@pytest.mark.parametrize("nodes", [1, 2, 3, 64])
+def test_ensemble_from_derivative_splits_nodes_between_the_halves(support, nodes):
+    # one loop over the support's parts on either side of 0 gives the ensembles,
+    # to the byte, of the per-half blocks it replaced; with one node for a
+    # straddling support the left half gets none
+    for k, taylor in [(1, [0.0, 0.0]), (2, [0.5, 0.0, -1.0]), (3, [0.0, 1.0, 0.0, 0.25])]:
+        df = DifferentiableFunction1D(lambda x: np.cos(3.0 * x) + 0.1, k, support)
+        got = ensemble_from_derivative(df, nodes, taylor)
+        want = _ref_ensemble_from_derivative(df, nodes, taylor)
+        for name in ("probs", "a", "w", "b"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), (k, name)
 
 
 def test_taylor_length_validated():

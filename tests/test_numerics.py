@@ -110,6 +110,23 @@ def test_lane_failure_carries_lane_and_estimate():
     assert info.value.estimate > 0.0 and info.value.err_bound > 1e-9
 
 
+def test_a_pole_at_a_node_is_a_non_finite_sample_without_a_numpy_warning():
+    # 0.5 is the root rule's middle node on (0, 1) after rounding. Both drivers
+    # run f with numpy's divide, overflow and invalid-value warnings off, so
+    # NonFiniteSample reaches the caller, not the RuntimeWarning error this
+    # suite's filterwarnings makes of numpy's warning
+    def pole(x):
+        return 1.0 / (x - 0.5)
+
+    state = np.geterr()
+    with pytest.raises(NonFiniteSample, match=re.escape("inside (0.0, 1.0)")):
+        integrate_adaptive(pole, 0.0, 1.0)
+    with pytest.raises(NonFiniteSample, match=re.escape("inside (0.0, 1.0)")) as info:
+        numerics._integrate_lanes(lambda lanes, x: pole(x), [0.0, 0.0], [1.0, 1.0], [1e-9, 1e-9], 4000)
+    assert info.value.lane == 0
+    assert np.geterr() == state  # the caller's error state is back after the failure
+
+
 def _rsqrt_nan_from_call(r):
     """x**-0.5 on (0, 1) at tol 1e-10, NaN exactly where the greedy's call r first samples."""
     lows = []

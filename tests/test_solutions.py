@@ -5,6 +5,8 @@ from functools import partial
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from harmlab import (
     HalfPlanePoint,
@@ -102,6 +104,36 @@ def test_closed_forms_keep_their_digits_near_the_negative_axis():
                 want[f"frac {a}"] = (w.real - mp.cot(mp.pi * mp.mpf(a)) * w.imag, Ua[i])
             for name, (ref, got) in want.items():
                 assert abs(got - ref) <= 1e-13 * abs(ref), (name, x, y, got, ref)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(
+    side=st.sampled_from([-1.0, 0.0, 1.0]),
+    log_x=st.floats(-1.0, 4.0),
+    log_y=st.floats(-4.0, 0.0),
+    k=st.sampled_from([1, 2, 3]),
+)
+def test_integer_form_keeps_its_digits_on_both_sides(side, log_x, log_y, k):
+    # where x < 0 the arctan and log parts of u_k cancel to the size of psi =
+    # arctan2(y, -x) times theirs; the psi form does not. The bound is relative
+    # to the sum of the magnitudes of the form's own two terms, which is |u_k|
+    # up to a small factor away from the curve where u_k changes sign (there
+    # the inputs' rounding alone moves u_k by more than 1e-13 of itself)
+    import mpmath as mp
+
+    x, y = side * 10.0**log_x, 10.0**log_y
+    got = eval_u_integer(HalfPlanePoint(x, y), k)
+    with mp.workdps(50):
+        r = mp.sqrt(mp.mpf(x) ** 2 + mp.mpf(y) ** 2)
+        w = mp.mpc(x, y) ** k
+        arc = (mp.atan(mp.mpf(x) / y) / mp.pi + mp.mpf(1) / 2) * w.real
+        log = mp.log(r) / mp.pi * w.imag
+        if x < 0.0:
+            psi = mp.atan2(y, -x)
+            terms = r**k * (abs(psi * mp.cos(k * psi)) + abs(mp.log(r) * mp.sin(k * psi))) / mp.pi
+        else:
+            terms = abs(arc) + abs(log)
+        assert abs(got - (arc - log)) <= 1e-13 * terms, (x, y, k, got, arc - log)
 
 
 def test_heaviside_values_and_range():
