@@ -7,13 +7,15 @@ resolved without ever sampling the endpoints. Integrands must accept numpy
 arrays of abscissae. The greedy is written once, as a coroutine per integral
 (_greedy). integrate_adaptive drives one with look-ahead: one table holds
 the bisections evaluated in advance, along end chains towards a and b (where
-callers that split their integrals at kinks put the singularities) and for
-the heap's top interior intervals; _greedy's docstring and the constants
-beside it give the depths and slots. Values are bit-identical to a greedy
-without look-ahead. _integrate_lanes drives many lanes, one call of f per
-round, without it. Both drivers own how an integrand fails: they run it with
-numpy's divide, overflow and invalid-value warnings off, and a non-finite
-sample raises NonFiniteSample.
+callers that split their integrals at kinks put the singularities) and of
+the interior intervals whose error is above a share of the tolerance. A
+chain is as deep as the decay of the greedy's own error estimates says the
+refinement will go: towards a Hoelder-alpha singularity they fall by
+2^(1+alpha) a bisection (_greedy's docstring gives the rule). Values are
+bit-identical to a greedy without look-ahead. _integrate_lanes drives many
+lanes, one call of f per round, without it. Both drivers own how an
+integrand fails: they run it with numpy's divide, overflow and invalid-value
+warnings off, and a non-finite sample raises NonFiniteSample.
 
 Half-disk norms take polar product fields: f(r, phi) returns components, each
 a list of (radial table, angular table) pairs, and the field's magnitude is
@@ -142,18 +144,22 @@ def _pair_rows(f, lo, hi) -> tuple[list, bool]:
     return [pair if ok else None for pair, ok in zip(pairs, finite.tolist())], False
 
 
-# _greedy's look-ahead: bisections along an endpoint chain after a bisection
-# and after the root rule, and heap slots whose interior intervals a request
-# also bisects. The deepest relu:0.9 solve of the evaluation-budget test
-# samples g at 1710 points (its limit is 2000); 1950 with _ROOT_DEPTH 5 and
-# 2190 with 6, and 1830 with 7 slots and 2070 with 15. A shared depth of 5
-# costs about 2% of kernel_solve's wall time.
+# _greedy's look-ahead, sized by its own error estimates against the goal
+# _SHARE * tol * (1 + |total|): an end chain is at least 1 and at most
+# _DEPTH_CAP bisections deep (_chain_depth), _AHEAD_DEPTH when its errors do
+# not fall; the root's chains are _ROOT_DEPTH deep. Over kernel_solve's 500
+# seed-3 solves, shares of 1/8, 1/4, 1/2 and 1 call g 1775, 1777, 1869 and
+# 2179 times, and the deepest relu:0.9 solve of the evaluation-budget test
+# samples g at 1800, 1770, 1740 and 1710 points (its limit is 2000); caps of
+# 20, 40 and 80 change none of these. The cap bounds chains whose errors
+# barely fall: towards x^-0.5 (q = 2^0.5) a chain runs to it.
+_SHARE = 0.25
+_DEPTH_CAP = 40
 _AHEAD_DEPTH = 6
 _ROOT_DEPTH = 4
-_SPEC_SLOTS = 3
 
 
-def _parents(lo: float, hi: float, left: bool, right: bool, depth: int = _AHEAD_DEPTH) -> list[tuple[float, float]]:
+def _parents(lo: float, hi: float, left: bool, right: bool, depth: int) -> list[tuple[float, float]]:
     """(lo, hi), then the intervals of the next `depth` bisections of its lo
     half towards lo (left) and of its hi half towards hi (right), each the
     greedy's own, mid = 0.5 * (lo + hi). A chain stops where the greedy would
@@ -184,6 +190,19 @@ def _halves(parents) -> tuple[list[float], list[float]]:
     return los, his
 
 
+def _chain_depth(log_err: float, log_q: float, log_goal: float) -> int:
+    """Bisections until an error exp(log_err), falling by exp(log_q) a bisection, reaches exp(log_goal).
+
+    ceil((log_err - log_goal) / log_q), clamped to [1, _DEPTH_CAP];
+    _AHEAD_DEPTH when log_q is not above 0 or the quotient is NaN. In logs,
+    so zero and infinite errors and a goal that underflows raise nothing.
+    """
+    depth = (log_err - log_goal) / log_q if log_q > 0.0 else math.nan
+    if math.isnan(depth):
+        return _AHEAD_DEPTH
+    return math.ceil(min(max(depth, 1.0), _DEPTH_CAP))
+
+
 def _greedy(a: float, b: float, tol: float, max_intervals: int, ahead: bool):
     """Greedy Fejer-2 integral over (a, b) to tol * (1 + |result|), as a coroutine; a < b.
 
@@ -197,26 +216,42 @@ def _greedy(a: float, b: float, tol: float, max_intervals: int, ahead: bool):
 
     Look-ahead (ahead=True) keeps one table, known[(lo, hi)] -> the pairs of
     (lo, mid) and (mid, hi). A bisection missing from it yields a request
-    for its own halves and, into the table, for:
-    - the end chains (_parents) when the interval touches a or b: callers
+    for its own halves and, into the table, for the bisections of:
+    - the end chain (_parents) when the interval touches a or b: callers
       split their integrals at kinks, so a singularity sits there, and the
-      greedy bisects the interval at that end round after round;
-    - the bisections of the intervals in the heap's first _SPEC_SLOTS slots
-      that have an error above 0, do not touch a or b and are not in the
-      table yet, one of which the greedy is likely to pop next.
+      greedy bisects the interval at that end round after round. Towards a
+      Hoelder-alpha singularity the error estimate falls by a steady ratio
+      q, 2^(1+alpha), a bisection, so with q the ratio of the last two
+      errors popped at that end and e the error of the interval bisected,
+      the chain is ceil(ln(e / goal) / ln q) bisections deep, goal =
+      _SHARE * tol * (1 + |total|), clamped to [1, _DEPTH_CAP]; it is
+      _AHEAD_DEPTH deep when q <= 1 or unknown;
+    - every interval pushed since the last request that is still in the
+      heap, touches neither a nor b, has an error above the goal and is not
+      in the table: the greedy bisects most of them before it stops. That
+      is every such heap interval but those a request passed over while its
+      goal was higher; finding them costs O(1) a push, where a walk down
+      the heap would revisit the intervals already in the table each time.
     A stored pair belongs to the same interval and comes from the same
     arithmetic, so the pops, pushes, counters and sums, and so the value and
-    the failure, are those of a greedy without look-ahead, bit for bit. A
-    non-finite row asked for ahead raises only when the greedy bisects into it.
+    the failure, are those of a greedy without look-ahead, bit for bit: the
+    estimates decide only which rows a request evaluates. A non-finite row
+    asked for ahead raises only when the greedy bisects into it.
 
-    With look-ahead the first request also carries the root's bisection and
-    both end chains _ROOT_DEPTH deep (1 + 2 + 8 + 8 = 19 rows). That saves a
-    request when the root rule misses the tolerance, and costs 18 rows that
-    nothing reads when it meets it.
+    With look-ahead the first request also carries the root's bisection,
+    both end chains _ROOT_DEPTH deep and the bisections of the root's two
+    inner quarters (1 + 2 + 8 + 8 + 4 = 23 rows). That saves a request when
+    the root rule misses the tolerance (a smooth integral then usually needs
+    no other), and costs 22 rows that nothing reads when it meets it.
     """
-    known = {}  # (lo, hi) -> the pairs of its halves, asked for ahead
+    known = {}  # (lo, hi) -> the pairs of its halves, asked for ahead; kept once read
     mid = 0.5 * (a + b)
-    parents = _parents(a, b, True, True, _ROOT_DEPTH) if ahead and a < mid < b else []
+    parents = []
+    if ahead and a < mid < b:
+        q1, q3 = 0.5 * (a + mid), 0.5 * (mid + b)
+        parents = _parents(a, b, True, True, _ROOT_DEPTH) + [
+            (lo, hi) for lo, hi in ((q1, mid), (mid, q3)) if lo < 0.5 * (lo + hi) < hi
+        ]
     los, his = _halves(parents)
     root, *pairs = yield [a, *los], [b, *his]
     known.update(zip(parents, zip(pairs[::2], pairs[1::2])))
@@ -226,6 +261,10 @@ def _greedy(a: float, b: float, tol: float, max_intervals: int, ahead: bool):
     total_err = abs(total - coarse)
     heap = [(-total_err, 0, a, b, total)]
     counter = 1
+    if ahead:
+        log_share_tol = math.log(_SHARE) + math.log(tol)
+        log_last = [math.nan, math.nan]  # ln of the error last popped at a, at b
+        pushed = []  # (lo, hi, error) of the halves pushed since the last request
     while total_err > tol * (1.0 + abs(total)):
         if counter >= max_intervals:
             raise MaxSubdivisionsExceeded(
@@ -249,12 +288,21 @@ def _greedy(a: float, b: float, tol: float, max_intervals: int, ahead: bool):
         if not ahead:
             p1, p2 = yield [lo, mid], [mid, hi]
         else:
-            halves = known.pop((lo, hi), None)
+            end = 0 if lo == a else 1 if hi == b else None
+            if end is not None:
+                log_err = math.log(-neg_err)
+                log_q, log_last[end] = log_last[end] - log_err, log_err
+            halves = known.get((lo, hi))
             if halves is None:
-                parents = _parents(lo, hi, lo == a, hi == b) + [
-                    (l, h) for e, _, l, h, _ in heap[:_SPEC_SLOTS]
-                    if e < 0.0 and l != a and h != b and (l, h) not in known
+                log_goal = log_share_tol + math.log1p(abs(total))
+                depth = 0 if end is None else _chain_depth(log_err, log_q, log_goal)
+                goal = _SHARE * tol * (1.0 + abs(total))
+                parents = _parents(lo, hi, lo == a, hi == b, depth) + [
+                    (l, h) for l, h, e in pushed
+                    if e > goal and l != a and h != b and (l, h) != (lo, hi) and (l, h) not in known
+                    and l < 0.5 * (l + h) < h
                 ]
+                pushed.clear()
                 halves = yield _halves(parents)
                 known.update(zip(parents[1:], zip(halves[2::2], halves[3::2])))
             p1, p2 = halves[:2]
@@ -270,6 +318,8 @@ def _greedy(a: float, b: float, tol: float, max_intervals: int, ahead: bool):
         heapq.heappush(heap, (-e1, counter, lo, mid, f1))
         heapq.heappush(heap, (-e2, counter + 1, mid, hi, f2))
         counter += 2
+        if ahead:
+            pushed += ((lo, mid, e1), (mid, hi, e2))
     return total
 
 
@@ -342,12 +392,14 @@ def integrate_adaptive(
     subintervals ranked by the embedded pair's error estimate and bisect the
     worst one. Endpoint singularities are admissible because the rule never
     samples a or b. f receives 1D arrays. A call of f also evaluates rows
-    the greedy may need later: the root's bisection and end chains with the
-    root rule, and end chains and the heap's top rows with a bisection, as
-    _greedy's docstring counts them. Values and failures are those of the
-    greedy without look-ahead. f runs with numpy's divide, overflow and
-    invalid-value warnings off: a non-finite sample the greedy reads raises
-    NonFiniteSample, MaxSubdivisionsExceeded an exhausted budget.
+    the greedy may need later: the root's bisection, end chains and inner
+    quarters with the root rule, and with a bisection end chains as deep as
+    the decay of the error estimates towards that end says, and the interior
+    intervals above a share of the tolerance (_greedy's docstring gives the
+    rule). Values and failures are those of the greedy without look-ahead.
+    f runs with numpy's divide, overflow and invalid-value warnings off: a
+    non-finite sample the greedy reads raises NonFiniteSample,
+    MaxSubdivisionsExceeded an exhausted budget.
     """
     _check_tol(tol)
     if not (b > a):

@@ -11,13 +11,17 @@ off exactly (a tail kink at t maps to s = |t|^(-1/m)) to keep full convergence
 order. Every piece is one greedy adaptive integral (numerics._greedy) with its
 singularity at an end. solve_at integrates the pieces one by one with
 integrate_adaptive, which looks ahead through one table of bisections along
-the end chains and atop the greedy's heap (_greedy's docstring gives the
-depths); later bisections of those intervals call no g, and the values are
-the same bit for bit. solve_grid integrates every (node, piece) of a block of
-nodes as one lane of a batched greedy (numerics._integrate_lanes): each lane
-takes the steps solve_at would, one round of bisections costs one call of g,
-and the lanes do not look ahead. Both share one subdivision budget per piece,
-_PIECE_BUDGET, and name the point in a quadrature failure.
+the end chains and of the interior intervals above a share of the
+tolerance; later bisections of those intervals call no g, and the values are
+the same bit for bit. A chain is as deep as the greedy's own error estimates
+say: at a ReLU^alpha kink they fall by 2^(1+alpha) a bisection, so the data's
+regularity sets how far each call of g refines (_greedy's docstring gives
+the rule). solve_grid integrates every (node, piece) of a block of nodes as
+one lane of a batched greedy (numerics._integrate_lanes): each lane takes
+the steps solve_at would, one round of bisections costs one call of g, and
+the lanes do not look ahead. Both share one subdivision budget per piece,
+_PIECE_BUDGET, refuse a node with a subnormal y (x + t*y would lose t*y) and
+name the point in a quadrature failure.
 
 ReLU^alpha and Heaviside data vanish on a half-line, which their constructors
 record as the support. A piece whose root nodes all map outside it
@@ -126,6 +130,19 @@ def _tail_power(g: BoundaryFunction, tol: float) -> float:
     return 1.0 / (1.0 - max(g.growth_alpha, 0.0))
 
 
+def _check_y(x: float, y: float) -> None:
+    """ValidationError for a node (x, y) with a subnormal y.
+
+    x + t*y then underflows to x for small t, and the middle piece reads g at
+    x where it should read it beside x (Heaviside data at (0, 5e-324) gave
+    0.352 for 0.5).
+    """
+    if not y >= sys.float_info.min:
+        raise ValidationError(
+            f"kernel quadrature at ({x}, {y}) needs y >= {sys.float_info.min}, the smallest normal float"
+        )
+
+
 def _pieces(g: BoundaryFunction, x: float, y: float, m: float) -> list[tuple[int, float, float, bool]]:
     """(sign, lo, hi, zero) of each kink-free piece of the kernel integral at (x, y).
 
@@ -200,12 +217,14 @@ def solve_at(g: BoundaryFunction, p: HalfPlanePoint, tol: float = 1e-9) -> float
     """Poisson-kernel value of the harmonic extension of g at p.
 
     Raises ValidationError when the declared growth exponent is >= 1 (the
-    representation integral diverges), NumericalError when the adaptive rule
-    cannot reach the tolerance and NonFiniteSample when the integrand is not
-    finite at a quadrature node; both messages name p.
+    representation integral diverges) or p.y is subnormal, NumericalError
+    when the adaptive rule cannot reach the tolerance and NonFiniteSample
+    when the integrand is not finite at a quadrature node; these messages
+    name p.
     """
     m = _tail_power(g, tol)
     x, y = p.x, p.y
+    _check_y(x, y)
     pieces = _pieces(g, x, y, m)
     piece_tol = tol / len(pieces)
     total = 0.0  # never -0.0, so a skipped piece's exact 0.0 leaves it as it is
@@ -225,11 +244,14 @@ def solve_grid(g: BoundaryFunction, grid: GridSpec, tol: float = 1e-9) -> np.nda
 
     Every (node, piece) integral is one lane of a batched integrator that takes
     the steps of solve_at's own quadrature, so a round of bisections over a
-    block of nodes costs one call of g.
+    block of nodes costs one call of g. ValidationError, naming the node, for
+    a node with a subnormal y.
     """
     m = _tail_power(g, tol)
     X, Y = grid.mesh()
     xs, ys = X.ravel().tolist(), Y.ravel().tolist()
+    for x, y in zip(xs, ys):
+        _check_y(x, y)
     out = np.zeros(len(xs))
     for start in range(0, len(xs), _GRID_BLOCK):
         lanes = []  # (node, sign, lo, hi, tol) per kept piece of every node in the block

@@ -212,6 +212,17 @@ def test_solve_infinite_tol_exits_2_with_one_line(capsys):
     assert err == "harmlab: invalid input: tol must be finite and > 0, got inf\n"
 
 
+@pytest.mark.parametrize("y", ["5e-324", "1e-310"])
+def test_solve_refuses_a_subnormal_y(capsys, y):
+    # --y 5e-324 printed 0.352416382349567 where eval --kind heaviside prints
+    # 0.5; --y 1e-310 printed 0.5 and is refused all the same, as every
+    # subnormal y is
+    code, out, err = invoke(capsys, "solve", "--boundary", "heaviside", "--x", "0", "--y", y)
+    assert (code, out) == (2, "")
+    assert err == (f"harmlab: invalid input: kernel quadrature at (0.0, {y}) needs y >= 2.2250738585072014e-308,"
+                   " the smallest normal float\n")
+
+
 def test_rates_reg_csv_and_determinism(tmp_path, capsys):
     out1 = tmp_path / "a.csv"
     out2 = tmp_path / "b.csv"

@@ -1,4 +1,4 @@
-"""Output contract of the README commands and two refusals, checked through cli.run.
+"""Output contract of the README commands and three refusals, checked through cli.run.
 
 contract.json holds, per argv, the exit code, stdout and stderr the command
 gave when the file was recorded: at the commit named there, or at the one a

@@ -283,9 +283,10 @@ def test_root_look_ahead_raises_where_the_greedy_does():
 
 
 def test_root_look_ahead_call_counts():
-    # the first call evaluates 18 rows that nothing reads when the root rule
-    # meets the tolerance, as it does for cos. Before every integral looked
-    # ahead from its root this read (1, 405)
+    # the first call evaluates 22 rows that nothing reads when the root rule
+    # meets the tolerance, as it does for cos. (1, 285) before the first
+    # request also bisected the root's inner quarters, and (1, 405) before
+    # every integral looked ahead from its root
     sizes = []
 
     def cos(x):
@@ -293,13 +294,15 @@ def test_root_look_ahead_call_counts():
         return np.cos(x)
 
     integrate_adaptive(cos, 0.0, 1.0, 1e-10)
-    assert (len(sizes), sum(sizes)) == (1, 285)
+    assert (len(sizes), sum(sizes)) == (1, 345)
 
 
 def test_look_ahead_call_counts():
     # the greedy without look-ahead calls f 87 times on 2595 abscissae here.
-    # Before every integral looked ahead from its root this read (18, 2805),
-    # and (17, 2805) when asked to look ahead from the root
+    # The error falls by 2^0.5 a bisection towards 0, so the end chains run
+    # to the depth cap. (18, 2895) with chains a fixed 6 deep and 3 heap
+    # slots; before every integral looked ahead from its root this read
+    # (18, 2805), and (17, 2805) when asked to look ahead from the root
     sizes = []
 
     def rsqrt(x):
@@ -307,7 +310,7 @@ def test_look_ahead_call_counts():
         return x**-0.5
 
     integrate_adaptive(rsqrt, 0.0, 1.0, 1e-10)
-    assert (len(sizes), sum(sizes)) == (18, 2895)
+    assert (len(sizes), sum(sizes)) == (8, 2715)
 
 
 def test_nan_seen_only_ahead_is_not_raised():
@@ -331,25 +334,79 @@ def test_nan_seen_only_ahead_is_not_raised():
 
 
 def test_nan_seen_only_by_heap_top_rows_is_not_raised():
-    # an unsplit singularity at c inside, so the heap's top holds the
-    # intervals next to it. Some of those rows, bisected ahead, are never
-    # needed and sample abscissae near c that the greedy does not (the end
-    # chains stay over 0.2 away); a NaN at one of them must change nothing
-    c = 1.0 / 3.0
+    # sqrt on (0, 1): a later request also bisects the interior heap
+    # intervals above its goal, and the greedy never bisects one of them,
+    # (1/16, 1/8); its rows sample abscissae the greedy does not (the end
+    # chain towards 0 stays below 1/32), and a NaN at one of them must change
+    # nothing
     seen = []
 
     def f(x):
-        seen.extend(x.tolist())
-        return np.abs(x - c) ** -0.5
+        seen.append(x.tolist())
+        return np.sqrt(x)
 
-    want = integrate_greedy(f, 0.0, 1.0, 1e-6)
-    greedy_seen = set(seen)
+    want = integrate_greedy(f, 0.0, 1.0, 1e-10)
+    greedy_seen = {x for call in seen for x in call}
     seen.clear()
-    assert integrate_adaptive(f, 0.0, 1.0, 1e-6) == want
-    ahead_only = [x for x in seen if x not in greedy_seen and abs(x - c) < 0.05]
-    assert ahead_only
+    assert integrate_adaptive(f, 0.0, 1.0, 1e-10) == want
+    ahead_only = [x for call in seen[1:] for x in call if x not in greedy_seen and x > 1.0 / 32.0]
+    assert ahead_only and all(1.0 / 16.0 < x < 1.0 / 8.0 for x in ahead_only)
     x0 = ahead_only[-1]
-    assert integrate_adaptive(lambda x: np.where(x == x0, np.nan, f(x)), 0.0, 1.0, 1e-6) == want
+    assert integrate_adaptive(lambda x: np.where(x == x0, np.nan, f(x)), 0.0, 1.0, 1e-10) == want
+
+
+@pytest.mark.parametrize("end", ["a", "b"])
+@pytest.mark.parametrize("beta, calls", [(-0.5, 8), (0.1, 2), (0.5, 2), (0.9, 2)])
+def test_end_chains_follow_the_error_decay(beta, calls, end):
+    # |x - c|^beta at an end: the greedy's error falls by 2^(1 + beta) a
+    # bisection towards c, and each end chain runs until it reaches the goal.
+    # The greedy without look-ahead calls f 87, 27, 19 and 12 times; chains a
+    # fixed 6 deep with 3 heap slots called it 18, 4, 3 and 2 times
+    a, b = (0.0, 1.0) if end == "a" else (-1.0, 0.0)
+    c = a if end == "a" else b
+    sizes = []
+
+    def f(x):
+        sizes.append(x.size)
+        with np.errstate(divide="ignore"):
+            return np.abs(x - c) ** beta
+
+    got = integrate_adaptive(f, a, b, 1e-10)
+    assert len(sizes) == calls
+    assert got == integrate_greedy(f, a, b, 1e-10)
+
+
+def test_chain_depth_is_clamped_for_any_logs():
+    # zero, tiny, huge, infinite and NaN errors, ratios and goals
+    logs = [-math.inf, math.log(5e-324), 0.0, 700.0, math.inf, math.nan]
+    for log_err in logs:
+        for log_q in logs:
+            for log_goal in logs:
+                depth = numerics._chain_depth(log_err, log_q, log_goal)
+                assert isinstance(depth, int) and 1 <= depth <= numerics._DEPTH_CAP
+
+
+@pytest.mark.parametrize(
+    "f, tol, max_intervals",
+    [
+        (lambda x: x**-0.5, 5e-324, 300),
+        (lambda x: 1e300 * x**0.5, 1e-10, 2000),
+        (lambda x: 1e300 * x**-0.5, 1e-10, 2000),
+        (lambda x: np.where(x < 0.5, 1.5e308, -1.5e308), 1e-10, 2000),
+        (lambda x: np.where(x < 0.5, 0.0, (1.0 - x) ** -0.5), 1e-10, 2000),
+        (lambda x: np.where(x < 1e-9, np.nan, x**0.1), 1e-10, 2000),
+        (lambda x: np.where(np.abs(x - 0.3) < 1e-6, np.nan, np.abs(x - 1.0) ** 0.1), 1e-10, 2000),
+    ],
+    ids=["tol-5e-324", "size-1e300", "overflow-on-the-chain", "infinite-errors", "zero-errors",
+         "nan-on-the-chain", "nan-inside"],
+)
+def test_chain_depths_raise_nothing_new(f, tol, max_intervals):
+    # the depth rule reads tol, the total and the popped errors in logs: a
+    # goal that underflows, totals and errors that overflow or are 0, and
+    # NaN pockets leave the greedy's value or failure as it is
+    with np.errstate(all="ignore"):
+        want = _outcome(integrate_greedy, f, 0.0, 1.0, tol, max_intervals)
+    assert _outcome(integrate_adaptive, f, 0.0, 1.0, tol, max_intervals) == want
 
 
 @settings(derandomize=True, max_examples=80, deadline=None)
