@@ -35,4 +35,4 @@ class MaxSubdivisionsExceeded(NumericalError):
 
 
 class NonFiniteSample(NumericalError):
-    """A field evaluated to NaN/inf on a quadrature node."""
+    """A field evaluated to NaN/inf on a quadrature node, or a quadrature sum of finite samples overflowed."""

@@ -67,7 +67,9 @@ def barron_norm_upper(df: DifferentiableFunction1D, tol: float = 1e-9) -> float:
     when refinement exhausts its budget, or when the integrand blows up at a
     declared singular endpoint or refinement reaches an infinite end (theta =
     +-pi/2 at floating-point resolution: a tail that diverges, or decays too
-    slowly to meet tol); messages name the piece in x.
+    slowly to meet tol); messages name the piece in x. NumericalError,
+    naming the support, when the pieces' integrals sum past the largest
+    float.
     """
     k = df.k
 
@@ -100,6 +102,8 @@ def barron_norm_upper(df: DifferentiableFunction1D, tol: float = 1e-9) -> float:
                     f"criterion integral does not converge at a singular or infinite end of ({lo}, {hi})"
                 ) from None
             raise
+    if not math.isfinite(total):
+        raise NumericalError(f"criterion integral over the support {df.support} overflows: its pieces sum to {total}")
     return total
 
 

@@ -15,7 +15,8 @@ refinement will go: towards a Hoelder-alpha singularity they fall by
 bit-identical to a greedy without look-ahead. _integrate_lanes drives many
 lanes, one call of f per round, without it. Both drivers own how an
 integrand fails: they run it with numpy's divide, overflow and invalid-value
-warnings off, and a non-finite sample raises NonFiniteSample.
+warnings off, and a row with a non-finite sample or a sum that overflows
+raises NonFiniteSample (_pair_rows judges each row once, by its sums).
 
 Half-disk norms take polar product fields: f(r, phi) returns components, each
 a list of (radial table, angular table) pairs, and the field's magnitude is
@@ -125,37 +126,38 @@ def _nonfinite(lo: float, hi: float) -> NonFiniteSample:
     return NonFiniteSample(f"integrand non-finite inside ({lo}, {hi})")
 
 
-def _pair_rows(f, lo, hi) -> tuple[list, bool]:
-    """[fine, coarse] estimates on the intervals (lo[j], hi[j]), and whether all are finite.
+def _pair_rows(f, lo, hi) -> list:
+    """[fine, coarse] estimates on the intervals (lo[j], hi[j]); None for a row whose sums are not finite.
 
     f gets the abscissae as rows of x (shape (n, 15)). A row's sums do not
     depend on the other rows, so an interval's numbers are the same in every
-    batch. A row with a non-finite sample gives None.
+    batch. A non-finite sample gives a non-finite fine sum (its weights are
+    positive), so the sums judge the samples too, and a row of finite
+    samples whose sum overflows is refused as well.
     """
     lo, hi = np.array(lo), np.array(hi)
     half = (0.5 * (hi - lo))[:, None]
     x = (0.5 * (lo + hi))[:, None] + half * _F2_FINE_NODES
     y = np.asarray(f(x), dtype=float)
-    if np.isfinite(y).all():
-        return (np.add.reduce(y[:, None, :] * _F2_PAIR_W, axis=2) * half).tolist(), True
-    finite = np.isfinite(y).all(axis=1)
-    y = np.where(finite[:, None], y, 0.0)
-    pairs = (np.add.reduce(y[:, None, :] * _F2_PAIR_W, axis=2) * half).tolist()
-    return [pair if ok else None for pair, ok in zip(pairs, finite.tolist())], False
+    sums = np.add.reduce(y[:, None, :] * _F2_PAIR_W, axis=2) * half
+    pairs = sums.tolist()
+    if np.isfinite(sums).all():
+        return pairs
+    return [pair if ok else None for pair, ok in zip(pairs, np.isfinite(sums).all(axis=1).tolist())]
 
 
-# _greedy's look-ahead, sized by its own error estimates against the goal
-# _SHARE * tol * (1 + |total|): an end chain is at least 1 and at most
-# _DEPTH_CAP bisections deep (_chain_depth), _AHEAD_DEPTH when its errors do
-# not fall; the root's chains are _ROOT_DEPTH deep. Over kernel_solve's 500
-# seed-3 solves, shares of 1/8, 1/4, 1/2 and 1 call g 1775, 1777, 1869 and
-# 2179 times, and the deepest relu:0.9 solve of the evaluation-budget test
-# samples g at 1800, 1770, 1740 and 1710 points (its limit is 2000); caps of
-# 20, 40 and 80 change none of these. The cap bounds chains whose errors
-# barely fall: towards x^-0.5 (q = 2^0.5) a chain runs to it.
+# _greedy's look-ahead (its docstring states the rule), sized by its own
+# error estimates against the goal _SHARE * tol * (1 + |total|): an end chain
+# is at least 1 and at most _DEPTH_CAP bisections deep (_chain_depth), and
+# _ROOT_DEPTH deep, as the root's chains are, where its errors give no
+# estimate. Over kernel_solve's 500 seed-3 solves, shares of 1/8, 1/4, 1/2
+# and 1 call g 1775, 1777, 1869 and 2179 times, and the deepest relu:0.9
+# solve of the evaluation-budget test samples g at 1800, 1770, 1740 and 1710
+# points (its limit is 2000); caps of 20, 40 and 80 change none of these.
+# The cap bounds chains whose errors barely fall: towards x^-0.5 (q = 2^0.5)
+# a chain runs to it.
 _SHARE = 0.25
 _DEPTH_CAP = 40
-_AHEAD_DEPTH = 6
 _ROOT_DEPTH = 4
 
 
@@ -194,12 +196,12 @@ def _chain_depth(log_err: float, log_q: float, log_goal: float) -> int:
     """Bisections until an error exp(log_err), falling by exp(log_q) a bisection, reaches exp(log_goal).
 
     ceil((log_err - log_goal) / log_q), clamped to [1, _DEPTH_CAP];
-    _AHEAD_DEPTH when log_q is not above 0 or the quotient is NaN. In logs,
+    _ROOT_DEPTH when log_q is not above 0 or the quotient is NaN. In logs,
     so zero and infinite errors and a goal that underflows raise nothing.
     """
     depth = (log_err - log_goal) / log_q if log_q > 0.0 else math.nan
     if math.isnan(depth):
-        return _AHEAD_DEPTH
+        return _ROOT_DEPTH
     return math.ceil(min(max(depth, 1.0), _DEPTH_CAP))
 
 
@@ -207,12 +209,13 @@ def _greedy(a: float, b: float, tol: float, max_intervals: int, ahead: bool):
     """Greedy Fejer-2 integral over (a, b) to tol * (1 + |result|), as a coroutine; a < b.
 
     It yields (los, his), the intervals (los[j], his[j]) whose [fine, coarse]
-    pairs it needs, is sent those pairs in the same order (None for a row with
-    a non-finite sample), and returns the integral. It keeps a heap of
-    intervals ranked by the embedded pair's error estimate and bisects the
-    worst one until the summed error bound meets the tolerance. It raises
-    MaxSubdivisionsExceeded when the interval budget runs out, and
-    NonFiniteSample when a half it bisects into has a non-finite sample.
+    pairs it needs, is sent those pairs in the same order (None for a row
+    whose sums are not finite, _pair_rows), and returns the integral. It
+    keeps a heap of intervals ranked by the embedded pair's error estimate
+    and bisects the worst one until the summed error bound meets the
+    tolerance. It raises MaxSubdivisionsExceeded when the interval budget
+    runs out, and NonFiniteSample when a half it bisects into has a
+    non-finite sample or a sum that overflows.
 
     Look-ahead (ahead=True) keeps one table, known[(lo, hi)] -> the pairs of
     (lo, mid) and (mid, hi). A bisection missing from it yields a request
@@ -224,8 +227,8 @@ def _greedy(a: float, b: float, tol: float, max_intervals: int, ahead: bool):
       q, 2^(1+alpha), a bisection, so with q the ratio of the last two
       errors popped at that end and e the error of the interval bisected,
       the chain is ceil(ln(e / goal) / ln q) bisections deep, goal =
-      _SHARE * tol * (1 + |total|), clamped to [1, _DEPTH_CAP]; it is
-      _AHEAD_DEPTH deep when q <= 1 or unknown;
+      _SHARE * tol * (1 + |total|), clamped to [1, _DEPTH_CAP]. With no
+      estimate (q <= 1 or unknown) it is the root's depth, _ROOT_DEPTH;
     - every interval pushed since the last request that is still in the
       heap, touches neither a nor b, has an error above the goal and is not
       in the table: the greedy bisects most of them before it stops. That
@@ -235,8 +238,8 @@ def _greedy(a: float, b: float, tol: float, max_intervals: int, ahead: bool):
     A stored pair belongs to the same interval and comes from the same
     arithmetic, so the pops, pushes, counters and sums, and so the value and
     the failure, are those of a greedy without look-ahead, bit for bit: the
-    estimates decide only which rows a request evaluates. A non-finite row
-    asked for ahead raises only when the greedy bisects into it.
+    estimates decide only which rows a request evaluates. A row refused
+    ahead raises only when the greedy bisects into it.
 
     With look-ahead the first request also carries the root's bisection,
     both end chains _ROOT_DEPTH deep and the bisections of the root's two
@@ -334,9 +337,9 @@ def _integrate_lanes(f, a, b, tol, max_intervals: int) -> list[float]:
     its call of f, and the extra rows would cost more than the calls they save.
 
     A failing lane raises MaxSubdivisionsExceeded or NonFiniteSample with its
-    index as `lane`, and numpy does not warn about the sample. A non-finite
-    sample of round r raises before a budget failure of round r + 1, and
-    failures of one round raise in lane order.
+    index as `lane`, and numpy does not warn about the sample. A refused row
+    (_pair_rows) of round r raises before a budget failure of round r + 1,
+    and failures of one round raise in lane order.
     """
     greedy = [_greedy(*lane, max_intervals, False) for lane in zip(a, b, tol)]
     total = [0.0] * len(greedy)
@@ -347,11 +350,11 @@ def _integrate_lanes(f, a, b, tol, max_intervals: int) -> list[float]:
             los, his = zip(*asks)
             sizes = list(map(len, los))
             lane_of_row = np.repeat(lanes, sizes)
-            pairs, finite = _pair_rows(lambda x: f(lane_of_row, x), [*chain(*los)], [*chain(*his)])
+            pairs = _pair_rows(lambda x: f(lane_of_row, x), [*chain(*los)], [*chain(*his)])
             rows = [pairs[end - n:end] for n, end in zip(sizes, accumulate(sizes))]
-            if not finite:
+            if None in pairs:
                 # without look-ahead a lane needs every row it asked for, so the
-                # first lane with a non-finite row raises before any lane goes on
+                # first lane with a refused row raises before any lane goes on
                 j = next(j for j, r in enumerate(rows) if None in r)
                 lanes, rows = lanes[j:j + 1], rows[j:j + 1]
             running, asks = [], []
@@ -394,18 +397,22 @@ def integrate_adaptive(
     samples a or b. f receives 1D arrays. A call of f also evaluates rows
     the greedy may need later: the root's bisection, end chains and inner
     quarters with the root rule, and with a bisection end chains as deep as
-    the decay of the error estimates towards that end says, and the interior
-    intervals above a share of the tolerance (_greedy's docstring gives the
-    rule). Values and failures are those of the greedy without look-ahead.
-    f runs with numpy's divide, overflow and invalid-value warnings off: a
-    non-finite sample the greedy reads raises NonFiniteSample,
-    MaxSubdivisionsExceeded an exhausted budget.
+    the decay of the error estimates towards that end says, or the root's
+    depth where they give no estimate, and the interior intervals above a
+    share of the tolerance (_greedy's docstring states the rule). Values and
+    failures are those of the greedy without look-ahead. f runs with numpy's
+    divide, overflow and invalid-value warnings off: a row the greedy reads
+    raises NonFiniteSample when it has a non-finite sample or its sum
+    overflows, and an exhausted budget raises MaxSubdivisionsExceeded.
+    ValidationError for limits that are not finite or b - a that overflows.
     """
     _check_tol(tol)
     if not (b > a):
         if b == a:
             return 0.0
         raise ValidationError(f"need a < b, got ({a}, {b})")
+    if not math.isfinite(b - a):
+        raise ValidationError(f"need finite limits a < b with a finite b - a, got ({a}, {b})")
 
     def rows(x):
         return np.asarray(f(x.ravel()), dtype=float).reshape(x.shape)
@@ -415,7 +422,7 @@ def integrate_adaptive(
     try:
         with np.errstate(**_QUIET):
             while True:
-                ask = greedy.send(_pair_rows(rows, *ask)[0])
+                ask = greedy.send(_pair_rows(rows, *ask))
     except StopIteration as done:
         return done.value
 

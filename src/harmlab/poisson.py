@@ -20,8 +20,11 @@ the rule). solve_grid integrates every (node, piece) of a block of nodes as
 one lane of a batched greedy (numerics._integrate_lanes): each lane takes
 the steps solve_at would, one round of bisections costs one call of g, and
 the lanes do not look ahead. Both share one subdivision budget per piece,
-_PIECE_BUDGET, refuse a node with a subnormal y (x + t*y would lose t*y) and
-name the point in a quadrature failure.
+_PIECE_BUDGET, and one plan per node, _pieces: it refuses a node with a
+subnormal y (x + t*y would lose t*y), splits the tolerance evenly over the
+node's pieces and refuses a share that underflows to 0. Both name the point
+in a quadrature failure and refuse pieces whose integrals sum past the
+largest float.
 
 ReLU^alpha and Heaviside data vanish on a half-line, which their constructors
 record as the support. A piece whose root nodes all map outside it
@@ -143,13 +146,18 @@ def _check_y(x: float, y: float) -> None:
         )
 
 
-def _pieces(g: BoundaryFunction, x: float, y: float, m: float) -> list[tuple[int, float, float, bool]]:
-    """(sign, lo, hi, zero) of each kink-free piece of the kernel integral at (x, y).
+def _pieces(
+    g: BoundaryFunction, x: float, y: float, m: float, tol: float
+) -> list[tuple[int, float, float, float, bool]]:
+    """(sign, lo, hi, share, zero) of each kink-free piece of the kernel integral at (x, y).
 
     sign 0 is the middle |t| <= 1 in t; sign +1/-1 is the tail t >= 1 / t <= -1
-    in s on (0, 1], with t = sign * s^-m. zero marks a piece whose integral
-    is exactly 0.0 (_vanishes); the solvers skip it.
+    in s on (0, 1], with t = sign * s^-m. share is the piece's tolerance,
+    tol split evenly over all pieces. zero marks a piece whose integral is
+    exactly 0.0 (_vanishes); the solvers skip it. ValidationError for a
+    subnormal y (_check_y) and for a share that underflows to 0.
     """
+    _check_y(x, y)
     t_kinks = [(s - x) / y for s in g.kinks]
     pos_ks = [(1.0 / t) ** (1.0 / m) for t in t_kinks if t > 1.0]
     neg_ks = [(-1.0 / t) ** (1.0 / m) for t in t_kinks if t < -1.0]
@@ -158,7 +166,12 @@ def _pieces(g: BoundaryFunction, x: float, y: float, m: float) -> list[tuple[int
         + [(1, lo, hi) for lo, hi in _segments(pos_ks, 0.0, 1.0)]
         + [(-1, lo, hi) for lo, hi in _segments(neg_ks, 0.0, 1.0)]
     )
-    return [(*piece, g.support is not None and _vanishes(g.support, x, y, m, *piece)) for piece in pieces]
+    share = tol / len(pieces)
+    if share == 0.0:
+        raise ValidationError(
+            f"tol {tol} split over the {len(pieces)} pieces of the kernel integral at ({x}, {y}) underflows to 0"
+        )
+    return [(*piece, share, g.support is not None and _vanishes(g.support, x, y, m, *piece)) for piece in pieces]
 
 
 # How far outside the support, relative to the summands of an abscissa, a
@@ -213,29 +226,33 @@ def _integrand(g: BoundaryFunction, m: float, x: float, y: float, sign: int):
     return lambda s: _tail(g, m, x, sign * y, s)
 
 
+def _overflow_at(total: float, x: float, y: float) -> NumericalError:
+    """The refusal of a node (x, y) whose finite pieces sum to the non-finite total."""
+    return _failed_at(NumericalError(f"the integrals of its pieces sum to {total}"), x, y)
+
+
 def solve_at(g: BoundaryFunction, p: HalfPlanePoint, tol: float = 1e-9) -> float:
     """Poisson-kernel value of the harmonic extension of g at p.
 
     Raises ValidationError when the declared growth exponent is >= 1 (the
-    representation integral diverges) or p.y is subnormal, NumericalError
-    when the adaptive rule cannot reach the tolerance and NonFiniteSample
-    when the integrand is not finite at a quadrature node; these messages
-    name p.
+    representation integral diverges) or the node is refused by _pieces,
+    NumericalError when the adaptive rule cannot reach the tolerance or the
+    pieces' integrals sum past the largest float, and NonFiniteSample when
+    the integrand is not finite at a quadrature node; these messages name p.
     """
     m = _tail_power(g, tol)
     x, y = p.x, p.y
-    _check_y(x, y)
-    pieces = _pieces(g, x, y, m)
-    piece_tol = tol / len(pieces)
     total = 0.0  # never -0.0, so a skipped piece's exact 0.0 leaves it as it is
     try:
-        for sign, lo, hi, zero in pieces:
+        for sign, lo, hi, share, zero in _pieces(g, x, y, m, tol):
             if not zero:
                 total += integrate_adaptive(
-                    _integrand(g, m, x, y, sign), lo, hi, tol=piece_tol, max_intervals=_PIECE_BUDGET
+                    _integrand(g, m, x, y, sign), lo, hi, tol=share, max_intervals=_PIECE_BUDGET
                 )
     except (MaxSubdivisionsExceeded, NonFiniteSample) as exc:
         raise _failed_at(exc, x, y) from exc
+    if not math.isfinite(total):
+        raise _overflow_at(total, x, y)
     return total / math.pi
 
 
@@ -244,20 +261,19 @@ def solve_grid(g: BoundaryFunction, grid: GridSpec, tol: float = 1e-9) -> np.nda
 
     Every (node, piece) integral is one lane of a batched integrator that takes
     the steps of solve_at's own quadrature, so a round of bisections over a
-    block of nodes costs one call of g. ValidationError, naming the node, for
-    a node with a subnormal y.
+    block of nodes costs one call of g. Its refusals name the node, as
+    solve_at's do.
     """
     m = _tail_power(g, tol)
     X, Y = grid.mesh()
     xs, ys = X.ravel().tolist(), Y.ravel().tolist()
-    for x, y in zip(xs, ys):
-        _check_y(x, y)
     out = np.zeros(len(xs))
     for start in range(0, len(xs), _GRID_BLOCK):
-        lanes = []  # (node, sign, lo, hi, tol) per kept piece of every node in the block
-        for node in range(start, min(start + _GRID_BLOCK, len(xs))):
-            pieces = _pieces(g, xs[node], ys[node], m)
-            lanes += [(node, sign, lo, hi, tol / len(pieces)) for sign, lo, hi, zero in pieces if not zero]
+        stop = min(start + _GRID_BLOCK, len(xs))
+        lanes = []  # (node, sign, lo, hi, share) per kept piece of every node in the block
+        for node in range(start, stop):
+            pieces = _pieces(g, xs[node], ys[node], m, tol)
+            lanes += [(node, sign, lo, hi, share) for sign, lo, hi, share, zero in pieces if not zero]
         node, sign, lo, hi, lane_tol = zip(*lanes)
         node, sign = np.array(node), np.array(sign)
         px = X.ravel()[node][:, None]
@@ -281,5 +297,10 @@ def solve_grid(g: BoundaryFunction, grid: GridSpec, tol: float = 1e-9) -> np.nda
         except (MaxSubdivisionsExceeded, NonFiniteSample) as exc:
             n = int(node[exc.lane])
             raise _failed_at(exc, xs[n], ys[n]) from exc
-        np.add.at(out, node, vals)
+        with np.errstate(over="ignore"):  # a sum that overflows is refused below, not warned about
+            np.add.at(out, node, vals)
+        overflow = np.flatnonzero(~np.isfinite(out[start:stop]))
+        if overflow.size:
+            n = start + int(overflow[0])
+            raise _overflow_at(float(out[n]), xs[n], ys[n])
     return out.reshape(X.shape) / math.pi

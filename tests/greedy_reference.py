@@ -19,15 +19,21 @@ from harmlab.numerics import _F2_FINE_NODES, _F2_PAIR_W
 
 
 def _pairs(f, edges) -> list[list[float]]:
-    """[fine, coarse] of every interval (lo, hi) of edges, from one call of f."""
+    """[fine, coarse] of every interval (lo, hi) of edges, from one call of f.
+
+    NonFiniteSample for the first interval with a non-finite sample or a sum
+    that overflows.
+    """
     half = np.array([0.5 * (hi - lo) for lo, hi in edges])[:, None]
     x = np.array([0.5 * (lo + hi) for lo, hi in edges])[:, None] + half * _F2_FINE_NODES
     y = np.asarray(f(x.ravel()), dtype=float).reshape(x.shape)
-    finite = np.isfinite(y)
+    with np.errstate(invalid="ignore", over="ignore"):  # inf * 0 and overflowing sums are refused below
+        sums = np.add.reduce(y[:, None, :] * _F2_PAIR_W, axis=2) * half
+    finite = np.isfinite(y).all(axis=1) & np.isfinite(sums).all(axis=1)
     if not finite.all():
-        lo, hi = edges[int(finite.all(axis=1).argmin())]
+        lo, hi = edges[int(finite.argmin())]
         raise NonFiniteSample(f"integrand non-finite inside ({lo}, {hi})")
-    return (np.add.reduce(y[:, None, :] * _F2_PAIR_W, axis=2) * half).tolist()
+    return sums.tolist()
 
 
 def integrate_greedy(f, a: float, b: float, tol: float, max_intervals: int = 4000) -> float:
@@ -68,13 +74,15 @@ def integrate_greedy(f, a: float, b: float, tol: float, max_intervals: int = 400
 def solve_greedy(g, p, tol: float) -> float:
     """solve_at(g, p, tol) without skipped pieces or look-ahead: same pieces, tolerance split and failures."""
     m = poisson._tail_power(g, tol)
-    pieces = poisson._pieces(g, p.x, p.y, m)
+    pieces = poisson._pieces(g, p.x, p.y, m, tol)
     total = 0.0
     try:
         with np.errstate(all="ignore"):
-            for sign, lo, hi, _ in pieces:
+            for sign, lo, hi, *_ in pieces:
                 f = poisson._integrand(g, m, p.x, p.y, sign)
                 total += integrate_greedy(f, lo, hi, tol / len(pieces), 20000)
     except (MaxSubdivisionsExceeded, NonFiniteSample) as exc:
         raise poisson._failed_at(exc, p.x, p.y) from exc
+    if not math.isfinite(total):
+        raise poisson._overflow_at(total, p.x, p.y)
     return total / math.pi

@@ -223,6 +223,14 @@ def test_solve_refuses_a_subnormal_y(capsys, y):
                    " the smallest normal float\n")
 
 
+def test_solve_refuses_a_tolerance_share_that_underflows(capsys):
+    # tol 5e-324 over 4 pieces used to be refused as "tol must be finite and > 0, got 0.0"
+    code, out, err = invoke(capsys, "solve", "--boundary", "heaviside", "--x", "0.3", "--y", "0.5", "--tol", "5e-324")
+    assert (code, out) == (2, "")
+    assert err == ("harmlab: invalid input: tol 5e-324 split over the 4 pieces of the kernel integral at (0.3, 0.5)"
+                   " underflows to 0\n")
+
+
 def test_rates_reg_csv_and_determinism(tmp_path, capsys):
     out1 = tmp_path / "a.csv"
     out2 = tmp_path / "b.csv"

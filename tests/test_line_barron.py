@@ -99,6 +99,13 @@ def test_norm_upper_non_finite_inside_finite_piece_is_not_divergence():
     assert "does not converge" not in str(exc.value)
 
 
+def test_norm_upper_refuses_pieces_that_sum_past_the_largest_float():
+    # each half of the support integrates to 1.2e308; their sum returned inf
+    df = DifferentiableFunction1D(lambda x: np.full_like(x, 3e307), 1, (-2.0, 2.0))
+    with pytest.raises(NumericalError, match=re.escape("over the support (-2.0, 2.0) overflows")):
+        barron_norm_upper(df)
+
+
 def test_norm_upper_pole_at_a_node():
     # the quadrature, not the criterion, keeps numpy quiet about the division
     # by zero at the root rule's middle node: a pole inside a piece is a

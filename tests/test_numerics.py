@@ -74,6 +74,36 @@ def test_integrate_refuses_a_tolerance_that_is_not_finite_and_positive(tol):
         integrate_adaptive(lambda x: x**-0.5, 0.0, 1.0, tol=tol)
 
 
+@pytest.mark.parametrize("f, a, b", [(np.exp, 0.0, math.inf), (np.cos, -1.7e308, 1.7e308)])
+def test_integrate_refuses_limits_that_are_not_finite(f, a, b):
+    # both used to raise NonFiniteSample "integrand non-finite inside (a, b)",
+    # blaming an integrand that is finite everywhere for the rule's abscissae
+    with pytest.raises(ValidationError, match=re.escape(f"with a finite b - a, got ({a}, {b})")):
+        integrate_adaptive(f, a, b)
+
+
+@pytest.mark.parametrize(
+    "f, b, where",
+    [
+        (lambda x: np.where(x < 0.5, 1.5e308, -1.5e308), 1.0, "(0, 0.5)"),  # returned nan
+        (lambda x: np.full_like(x, 1.5e308), 10.0, "(0, 10.0)"),  # returned inf
+    ],
+    ids=["signs", "constant"],
+)
+def test_a_row_whose_sum_overflows_is_refused(f, b, where):
+    # every sample is finite, but a row's weighted sum is not: it is refused
+    # as a non-finite sample would be, by both drivers and the oracle alike
+    message = re.escape(f"integrand non-finite inside {where}")
+    with pytest.raises(NonFiniteSample, match=message):
+        integrate_adaptive(f, 0, b, 1e-10, 2000)
+    with pytest.raises(NonFiniteSample, match=message):
+        integrate_greedy(f, 0, b, 1e-10, 2000)
+    with pytest.raises(NonFiniteSample, match=message) as info:
+        numerics._integrate_lanes(lambda lanes, x: np.where(lanes[:, None] == 1, f(x), x), [0, 0], [b, b],
+                                  [1e-10, 1e-10], 2000)
+    assert info.value.lane == 1
+
+
 def test_integrate_accepts_intervals_at_floating_point_resolution():
     # near 1e6 the spacing of doubles (~1e-10) stops the bisection of the jump
     # long before the jump's error falls under tol; such intervals are accepted

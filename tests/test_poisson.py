@@ -395,9 +395,9 @@ def test_a_root_node_a_few_ulps_from_the_support_end_marks_no_piece():
     for ulps in range(-4, 5):
         end = edge + ulps * math.ulp(edge)
         g = BoundaryFunction(lambda s: np.where(s > end, 1.0, 0.0), 0.0, support=(end, math.inf))
-        assert [zero for *_, zero in poisson._pieces(g, x, y, m)] == [False, False, True], ulps
+        assert [zero for *_, zero in poisson._pieces(g, x, y, m, 1e-9)] == [False, False, True], ulps
     g = BoundaryFunction(lambda s: np.where(s > edge + 1e-9, 1.0, 0.0), 0.0, support=(edge + 1e-9, math.inf))
-    assert [zero for *_, zero in poisson._pieces(g, x, y, m)] == [True, False, True]
+    assert [zero for *_, zero in poisson._pieces(g, x, y, m, 1e-9)] == [True, False, True]
 
 
 def test_an_underflowing_tail_power_marks_no_piece():
@@ -407,8 +407,8 @@ def test_an_underflowing_tail_power_marks_no_piece():
     s0 = 0.5 + 0.5 * poisson._ROOT_EDGES[0]
     assert s0**200 == 0.0 and s0**100 >= sys.float_info.min
     for alpha, skipped in ((0.995, False), (0.99, True)):
-        pieces = poisson._pieces(BoundaryFunction.relu_power(alpha), 0.3, 0.5, 1.0 / (1.0 - alpha))
-        assert [(lo, hi, zero) for sign, lo, hi, zero in pieces if sign == -1] == [(0.0, 1.0, skipped)]
+        pieces = poisson._pieces(BoundaryFunction.relu_power(alpha), 0.3, 0.5, 1.0 / (1.0 - alpha), 1e-10)
+        assert [(lo, hi, zero) for sign, lo, hi, _, zero in pieces if sign == -1] == [(0.0, 1.0, skipped)]
     with pytest.raises(NonFiniteSample, match=re.escape("failed at (0.3, 0.5): integrand non-finite inside (0.0, 1.0)")):
         solve_at(BoundaryFunction.relu_power(0.995), HalfPlanePoint(0.3, 0.5), tol=1e-10)
 
@@ -422,3 +422,50 @@ def test_solvers_refuse_a_subnormal_y(y):
     with pytest.raises(ValidationError, match=r"kernel quadrature at \(.*\) needs y >= 2.2250738585072014e-308"):
         solve_grid(BoundaryFunction.heaviside(), GridSpec(y, 8, 8, 1.0))
     assert solve_at(BoundaryFunction.heaviside(), HalfPlanePoint(0.0, sys.float_info.min), tol=1e-10) == 0.5
+
+
+def test_pieces_that_sum_past_the_largest_float_are_refused():
+    # every piece of 6e307 data is finite, but the kernel integral pi * 6e307
+    # is not: solve_at returned inf, and solve_grid inf with numpy's overflow
+    # warning (an error in this suite) from its sum over the pieces
+    g = BoundaryFunction.custom(lambda s: np.full_like(s, 6e307), 0.0)
+    message = "kernel quadrature failed at (0.3, 0.5): the integrals of its pieces sum to inf"
+    for solve in (solve_at, solve_greedy):
+        with pytest.raises(NumericalError, match=re.escape(message)) as info:
+            solve(g, HalfPlanePoint(0.3, 0.5), 1e-9)
+        assert not isinstance(info.value, NonFiniteSample)
+    X, Y = GridSpec(1, 8, 8, 1).mesh()
+    with pytest.raises(NumericalError, match=re.escape(f"at ({X[0, 0]}, {Y[0, 0]}): the integrals of its pieces sum")):
+        solve_grid(g, GridSpec(1, 8, 8, 1))
+    # 6e307 right of 0.1: on a 16-angle grid the first node whose sum overflows
+    # is the smallest angle at the third radius, node 32 of the first block
+    g = BoundaryFunction.custom(lambda s: np.where(s > 0.1, 6e307, 0.0), 0.0, kinks=(0.1,))
+    grid = GridSpec(1, 8, 16, 1)
+    X, Y = grid.mesh()
+    with pytest.raises(NumericalError, match=re.escape(f"at ({X[2, 0]}, {Y[2, 0]}): the integrals")):
+        solve_grid(g, grid)
+
+
+def test_a_lane_row_whose_sum_overflows_names_its_node():
+    # 1.5e308 on (0.9, 1), not declared as kinks: every sample is finite, but
+    # rows inside the slab sum past the largest float; the grid names the
+    # node whose lane reads such a row first, with solve_at's message there
+    g = BoundaryFunction.custom(lambda s: np.where((s > 0.9) & (s < 1.0), 1.5e308, 0.0), 0.0)
+    X, Y = GridSpec(1, 8, 8, 1).mesh()
+    with pytest.raises(NonFiniteSample) as at:
+        solve_at(g, HalfPlanePoint(X[7, 0], Y[7, 0]))
+    assert str(at.value).startswith(f"kernel quadrature failed at ({X[7, 0]}, {Y[7, 0]}): integrand non-finite")
+    with pytest.raises(NonFiniteSample) as grid:
+        solve_grid(g, GridSpec(1, 8, 8, 1))
+    assert str(grid.value) == str(at.value)
+
+
+def test_solvers_refuse_a_tolerance_share_that_underflows():
+    # tol 5e-324 split over 4 pieces is 0: solve_at refused a tol of 0.0 the
+    # caller never gave, and solve_grid ran its lanes out of their budget
+    message = "tol 5e-324 split over the 4 pieces of the kernel integral at ({}, {}) underflows to 0"
+    with pytest.raises(ValidationError, match=re.escape(message.format(0.3, 0.5))):
+        solve_at(BoundaryFunction.heaviside(), HalfPlanePoint(0.3, 0.5), tol=5e-324)
+    X, Y = GridSpec(1, 8, 8, 1).mesh()
+    with pytest.raises(ValidationError, match=re.escape(message.format(X[0, 0], Y[0, 0]))):
+        solve_grid(BoundaryFunction.heaviside(), GridSpec(1, 8, 8, 1), tol=5e-324)
