@@ -34,7 +34,7 @@ from .ensembles import (
 )
 from .errors import NumericalError, ValidationError
 from .halfplane import HalfPlanePoint
-from .numerics import GridSpec, RateFit
+from .numerics import GridSpec, RateFit, _check_count
 from .poisson import BoundaryFunction, solve_at
 from .solutions import (
     _check_fractional,
@@ -127,10 +127,16 @@ def _boundary_from_spec(spec: str) -> BoundaryFunction:
     return make(*[_float(t, "boundary parameter") for t in params])
 
 
-def _check_sweep(n: int, what: str, unit: str) -> None:
-    """Refuse a sweep of more than MAX_NEURONS entries before numpy builds its knobs."""
-    if n > MAX_NEURONS:
-        raise ValidationError(f"{what} = {n} exceeds the limit of {MAX_NEURONS} {unit}")
+def _log_sweep(lo: float, hi: float, steps: int, unit: str, seeds: int = 1) -> np.ndarray:
+    """`steps` log-spaced values from lo to hi, each run for `seeds` seeds.
+
+    steps (at least 3), seeds and the steps x seeds draws are counts of at
+    most MAX_NEURONS, refused before numpy builds anything.
+    """
+    _check_count(steps, "steps", 3, MAX_NEURONS, unit)
+    _check_count(seeds, "seeds")
+    _check_count(steps * seeds, "steps x seeds", 1, MAX_NEURONS, "draws")
+    return np.logspace(math.log10(lo), math.log10(hi), steps)
 
 
 def _eps_list(args) -> np.ndarray:
@@ -138,16 +144,7 @@ def _eps_list(args) -> np.ndarray:
         raise ValidationError("need 0 < eps-min < eps-max")
     if math.isinf(args.eps_max):
         raise ValidationError("eps-max must be finite, got inf")
-    if args.steps < 3:
-        raise ValidationError("need at least 3 steps")
-    _check_sweep(args.steps, "steps", "eps values")
-    return np.logspace(math.log10(args.eps_min), math.log10(args.eps_max), args.steps)
-
-
-def _check_seed(seed: int, flag: str) -> None:
-    """numpy seeds are non-negative; refuse others before any work."""
-    if seed < 0:
-        raise ValidationError(f"{flag} must be >= 0, got {seed}")
+    return _log_sweep(args.eps_min, args.eps_max, args.steps, "eps values")
 
 
 def _summary(fit: RateFit) -> str:
@@ -225,14 +222,11 @@ def _cmd_rates_reg(args) -> int:
 def _cmd_rates_mc(args) -> int:
     from .experiments import MC_MODEL_MIN_R2, make_random_target, mc_rate_experiment
 
-    if args.n_min < 1 or args.n_max <= args.n_min or args.steps < 3:
-        raise ValidationError("need 1 <= n-min < n-max and steps >= 3")
-    _check_sweep(args.steps, "steps", "sizes")
-    _check_sweep(args.steps * args.seeds, "steps x seeds", "draws")
-    _check_seed(args.target_seed, "--target-seed")
-    ns = np.unique(
-        np.round(np.logspace(math.log10(args.n_min), math.log10(args.n_max), args.steps)).astype(int)
-    )
+    _check_count(args.n_min, "n-min")
+    if args.n_max <= args.n_min:
+        raise ValidationError(f"need n-min < n-max, got {args.n_min} and {args.n_max}")
+    _check_count(args.target_seed, "--target-seed", 0)
+    ns = np.unique(np.round(_log_sweep(args.n_min, args.n_max, args.steps, "sizes", args.seeds)).astype(int))
     target = make_random_target(args.alpha, args.target_size, args.target_seed, dim=1)
     reports, fit, rate = mc_rate_experiment(target, ns, args.order, args.q, args.seeds)
     return _emit_rates(args, reports, fit, MC_MODEL_MIN_R2,
@@ -253,13 +247,9 @@ def _cmd_rates_sobolev(args) -> int:
 def _cmd_diag_xklogx(args) -> int:
     from .line_barron import log_divergence_diagnostic
 
-    if args.steps < 3:
-        raise ValidationError("need at least 3 steps")
     if not 0.0 < args.delta_min < 0.1:  # the cutoffs run from 0.1 down to delta-min
         raise ValidationError(f"need 0 < delta-min < 0.1, got {args.delta_min}")
-    _check_sweep(args.steps, "steps", "cutoffs")
-    deltas = np.logspace(math.log10(0.1), math.log10(args.delta_min), args.steps)
-    fit = log_divergence_diagnostic(args.k, deltas)
+    fit = log_divergence_diagnostic(args.k, _log_sweep(0.1, args.delta_min, args.steps, "cutoffs"))
     print(f"slope={fit.slope:.6g} intercept={fit.intercept:.6g} r2={fit.r_squared:.6f}")
     return 0
 
@@ -289,7 +279,7 @@ def _slice(args, e):
 
 def _cmd_ensemble(args) -> int:
     if "seed" in args:  # lift and sample: a bad seed is refused before --in is read
-        _check_seed(args.seed, "--seed")
+        _check_count(args.seed, "--seed", 0)
     save_ensemble(args.transform(args, load_ensemble(args.infile)), args.out)
     return 0
 

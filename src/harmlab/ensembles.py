@@ -21,7 +21,7 @@ import warnings
 import numpy as np
 
 from .errors import ValidationError
-from .numerics import QuadratureRule, _check_count
+from .numerics import _MAX_GAUSS_NODES, QuadratureRule, _check_count
 
 __all__ = [
     "NeuronEnsemble",
@@ -52,11 +52,7 @@ MAX_NEURONS = 10_000_000
 
 def check_neuron_count(n: int, what: str) -> None:
     """ValidationError unless n is an integer and 1 <= n <= MAX_NEURONS."""
-    _check_count(n, what)
-    if n < 1:
-        raise ValidationError(f"{what} must be >= 1, got {n}")
-    if n > MAX_NEURONS:
-        raise ValidationError(f"{what} = {n} exceeds the limit of {MAX_NEURONS} neurons")
+    _check_count(n, what, 1, MAX_NEURONS, "neurons")
 
 
 def activation(z, alpha: float, out=None):
@@ -187,7 +183,8 @@ def ensemble_derivatives(e: NeuronEnsemble, xs, order: int, weights=None) -> lis
     weights[i] a_i) are formed for the block alone; each block is released
     before the next is allocated.
     """
-    if order not in (0, 1, 2):
+    _check_count(order, "order", 0)
+    if order > 2:
         raise ValidationError(f"order must be 0, 1 or 2, got {order}")
     xs = np.asarray(xs, dtype=float)
     pts = xs.reshape(-1, 1) if e.dim == 1 else xs
@@ -233,28 +230,21 @@ def barron_cost(e: NeuronEnsemble) -> float:
 # --- Cauchy-node rules for the harmonic lift -----------------------------------
 
 
-def _check_node_count(n: int) -> None:
-    """ValidationError unless a Cauchy rule gets an integer number of nodes, at least one."""
-    _check_count(n, "n")
-    if n < 1:
-        raise ValidationError(f"need at least 1 node, got n = {n}")
-
-
 def cauchy_tangent_rule(n: int) -> QuadratureRule:
     """Gauss-Legendre nodes on (-pi/2, pi/2) pushed through tan.
 
     Integrates h against the Cauchy probability density 1/(pi (1+t^2)):
     sum_j q_j h(t_j) with q_j summing to 1. Node computation goes through a
-    dense eigensolve, so n is capped; use cauchy_midpoint_rule or
-    cauchy_graded_rule for dense lifts.
+    dense eigensolve, so n is capped at numerics._MAX_GAUSS_NODES; use
+    cauchy_midpoint_rule or cauchy_graded_rule for dense lifts.
     """
-    _check_node_count(n)
-    if n > 2000:
+    _check_count(n, "n")
+    if n > _MAX_GAUSS_NODES:
         raise ValidationError(
             f"n = {n} too large for Gauss-Legendre node computation; "
             "use cauchy_midpoint_rule or cauchy_graded_rule for dense lifts"
         )
-    x, w = np.polynomial.legendre.leggauss(int(n))
+    x, w = np.polynomial.legendre.leggauss(n)
     psi = 0.5 * np.pi * x
     q = 0.5 * w  # GL weights scaled to (-pi/2, pi/2), divided by pi
     q = q / q.sum()  # exact normalization against rounding
@@ -267,9 +257,9 @@ def cauchy_midpoint_rule(n: int) -> QuadratureRule:
     All weights equal 1/n, so the rule integrates indicator data with error
     at most 1/(2n); use for step-activation lifts needing guaranteed bounds.
     """
-    _check_node_count(n)
-    psi = (-0.5 + (np.arange(int(n)) + 0.5) / int(n)) * np.pi
-    q = np.full(int(n), 1.0 / int(n))
+    check_neuron_count(n, "n")
+    psi = (-0.5 + (np.arange(n) + 0.5) / n) * np.pi
+    q = np.full(n, 1.0 / n)
     return QuadratureRule(np.tan(psi), q, 1.0)
 
 
@@ -281,8 +271,8 @@ def cauchy_graded_rule(n: int) -> QuadratureRule:
     edges pi/2 * (1 - (1-s)^4)) restores fast convergence of the lift for
     0 < alpha < 1.
     """
-    _check_node_count(n)
-    half = (int(n) + 1) // 2
+    check_neuron_count(n, "n")
+    half = (n + 1) // 2
     s = np.arange(half + 1) / half
     u = (1.0 - s) ** 4.0  # decreasing 1 -> 0; cell width prop. to u_i - u_{i+1}
     du = u[:-1] - u[1:]
@@ -320,8 +310,8 @@ def lift_ensemble(
         check_neuron_count(n_samples, "n_samples")
         rng = np.random.default_rng(seed)
         idx = _draw_atoms(_atom_cdf(e), n_samples, rng)
-        t = rng.standard_cauchy(int(n_samples))
-        probs = np.full(int(n_samples), 1.0 / int(n_samples))
+        t = rng.standard_cauchy(n_samples)
+        probs = np.full(n_samples, 1.0 / n_samples)
         a, w, b = e.a[idx], w1[idx], e.b[idx]
     else:
         rule = t_rule if t_rule is not None else cauchy_tangent_rule(201)
@@ -381,7 +371,7 @@ def _draw_atoms(cdf: np.ndarray, n: int, seed) -> np.ndarray:
     a Generator, which the draws advance.
     """
     check_neuron_count(n, "n")
-    return cdf.searchsorted(np.random.default_rng(seed).random(int(n)), side="right")
+    return cdf.searchsorted(np.random.default_rng(seed).random(n), side="right")
 
 
 def sample_subnetwork(e: NeuronEnsemble, n: int, seed: int | None = None) -> NeuronEnsemble:
@@ -391,7 +381,7 @@ def sample_subnetwork(e: NeuronEnsemble, n: int, seed: int | None = None) -> Neu
     cost in expectation (the per-draw coefficient bound).
     """
     idx = _draw_atoms(_atom_cdf(e), n, seed)
-    probs = np.full(int(n), 1.0 / int(n))
+    probs = np.full(n, 1.0 / n)
     return NeuronEnsemble(probs, e.a[idx], e.w[idx], e.b[idx], e.alpha)
 
 

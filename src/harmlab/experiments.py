@@ -62,6 +62,7 @@ from .numerics import (
     GridSpec,
     QuadratureRule,
     RateFit,
+    _check_count,
     fit_linear,
     fit_loglog,
     gauss_legendre_rule,
@@ -188,8 +189,8 @@ def log_field_terms(k: int, l: int, m: int) -> tuple[Poly2, dict[int, Poly2]]:
     EXACT_COEF_LIMIT, so no inexact terms are returned.
     """
     _check_k(k)
-    if l < 0 or m < 0:
-        raise ValidationError(f"negative derivative order ({l}, {m})")
+    _check_count(l, "l", 0)
+    _check_count(m, "m", 0)
     L, qs = imag_power_poly(k), {}
     steps = chain(repeat((Poly2.diff_y, Poly2.mul_y), m), repeat((Poly2.diff_x, Poly2.mul_x), l))
     for n, (diff, mul) in enumerate(steps, 1):
@@ -270,7 +271,8 @@ def _reg_field(k: int, epsilon: float, order: int):
     component [(sqrt(a), sin k phi)], and at orders 1 and 2 also
     [(sqrt(b), cos k phi)] (see numerics.norm_lp_halfdisk).
     """
-    if order not in (0, 1, 2):
+    _check_count(order, "derivative order", 0)
+    if order > 2:
         raise ValidationError(f"derivative order must be 0, 1 or 2, got {order}")
 
     def field(r, phi):
@@ -368,9 +370,9 @@ def sobolev_lognorm_experiment(
     """
     if k not in (2, 3):
         raise ValidationError(f"k must be 2 or 3 for this experiment, got {k}")
-    order = k + 2 if order is None else int(order)
-    if order < 1:
-        raise ValidationError(f"order must be >= 1, got {order}")
+    _check_k(k)  # 2.0 passes the test above
+    order = k + 2 if order is None else order
+    _check_count(order, "order")
     for l in range(order + 1):  # an inexact order fails here, before any norm
         log_field_terms(k, l, order - l)
 
@@ -424,7 +426,8 @@ def mc_rate_experiment(
     """
     if not (2.0 <= q < math.inf):
         raise ValidationError(f"q must be finite and >= 2, got {q}")
-    if m not in (0, 1, 2):
+    _check_count(m, "derivative order", 0)
+    if m > 2:
         raise ValidationError(f"derivative order must be 0, 1 or 2, got {m}")
     k_act, gamma = _holder_split(target.alpha)
     if not (m <= k_act or (m == k_act + 1 and (1.0 - gamma) * q < 1.0)):
@@ -434,14 +437,17 @@ def mc_rate_experiment(
         )
     if len(target) < 1000:
         raise ValidationError(f"target needs >= 1000 atoms, got {len(target)}")
-    ns = [int(n) for n in n_list]
-    if len(ns) < 3 or any(n < 1 for n in ns):
-        raise ValidationError("need at least 3 positive sample sizes")
-    if isinstance(seeds, (int, np.integer)):
-        seeds = list(range(int(seeds)))
-    seeds = [int(s) for s in seeds]
-    if not seeds:
-        raise ValidationError("need at least one seed")
+    ns = list(n_list)
+    _check_count(len(ns), "sample sizes", 3)
+    for n in ns:
+        check_neuron_count(n, "sample size")
+    if not np.iterable(seeds):  # a number of seeds: 0, ..., seeds - 1
+        _check_count(seeds, "seeds")
+        seeds = range(seeds)
+    seeds = list(seeds)
+    _check_count(len(seeds), "seeds")
+    for s in seeds:
+        _check_count(s, "seed", 0)
 
     if target.dim == 1:
         rule = _mc_line_rule()
@@ -492,7 +498,8 @@ def mc_rate_experiment(
 def make_random_target(alpha: float, size: int, seed: int, dim: int = 1) -> NeuronEnsemble:
     """Deterministic synthetic target ensemble for subsampling experiments."""
     check_neuron_count(size, "size")
-    if dim not in (1, 2):
+    _check_count(dim, "dim")
+    if dim > 2:
         raise ValidationError(f"dim must be 1 or 2, got {dim}")
     rng = np.random.default_rng(seed)
     a = rng.uniform(0.5, 1.5, size) * rng.choice([-1.0, 1.0], size)

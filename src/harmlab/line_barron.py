@@ -23,9 +23,9 @@ from typing import Callable
 
 import numpy as np
 
-from .ensembles import NeuronEnsemble
+from .ensembles import MAX_NEURONS, NeuronEnsemble
 from .errors import MaxSubdivisionsExceeded, NonFiniteSample, NumericalError, ValidationError
-from .numerics import RateFit, _segments, fit_linear, integrate_adaptive
+from .numerics import RateFit, _check_count, _segments, fit_linear, integrate_adaptive
 from .solutions import _check_k
 
 __all__ = [
@@ -107,9 +107,12 @@ def barron_norm_upper(df: DifferentiableFunction1D, tol: float = 1e-9) -> float:
     return total
 
 
+_FINE_PER_CELL = 32  # points of _equal_mass_atoms' fine mesh per cell
+
+
 def _equal_mass_atoms(deriv, lo: float, hi: float, n_cells: int):
     """Midpoint atoms (node, signed cell integral) on an equal-|mass| partition."""
-    n_fine = max(1024, 32 * n_cells)
+    n_fine = max(1024, _FINE_PER_CELL * n_cells)
     edges = np.linspace(lo, hi, n_fine + 1)
     mids = 0.5 * (edges[:-1] + edges[1:])
     dens = np.abs(np.asarray(deriv(mids), dtype=float)) * (hi - lo) / n_fine
@@ -151,8 +154,7 @@ def ensemble_from_derivative(
     taylor = np.asarray(taylor_at_zero, dtype=float)
     if taylor.shape != (k + 1,):
         raise ValidationError(f"need k+1 = {k + 1} taylor coefficients, got {taylor.shape}")
-    if quad_nodes < 1:
-        raise ValidationError(f"quad_nodes must be >= 1, got {quad_nodes}")
+    _check_count(quad_nodes, "quad_nodes", 1, MAX_NEURONS // _FINE_PER_CELL, "nodes")
     if not all(map(math.isfinite, df.support)):
         raise ValidationError(f"the equal-mass mesh needs a finite support, got {df.support}")
     barron_norm_upper(df)  # raises NumericalError on non-integrable input

@@ -1,11 +1,13 @@
-"""Test oracles: finite differences, a bisection root finder and two probes.
+"""Test oracles: finite differences, a bisection root finder, two probes and
+the harmonic extension of tanh data.
 
 Nothing in harmlab reads these; the tests check the library against them.
 `fd_derivative` and `fd_laplacian` are the central-difference oracles for the
 closed forms' derivatives and harmonicity. `arctan_component` is the function
 whose (k+1)-th x-derivative `diagnostics._dk1_field` gives in closed form.
 `interior_critical_radius` and `reg_linf_maximizer_radius` probe where the
-sup norm of the regularization error sits.
+sup norm of the regularization error sits. `tanh_extension` is the exact
+Poisson extension of `BoundaryFunction.tanh` data.
 """
 
 import math
@@ -104,3 +106,23 @@ def reg_linf_maximizer_radius(k: int, epsilon: float, grid: GridSpec) -> float:
     """Measured radius maximizing |u_{eps,k} - u_k| on the grid (refined in r)."""
     _, rstar, vstar, edge = ray_refined_max(_reg_field(k, epsilon, 0), grid)
     return grid.R if edge >= vstar else rstar
+
+
+# --- tanh boundary data -------------------------------------------------------------
+
+
+def tanh_extension(w: float, b: float, x: float, y: float) -> float:
+    """The harmonic extension of tanh(w s + b), w != 0, at (x, y) with y > 0, in mpmath's digamma.
+
+    For real zeta, tanh(zeta) = (2/pi) Im psi(1/2 + i zeta/pi). With zeta =
+    w (x + iy) + b, u = -(2/pi) Im psi(1/2 - i zeta/pi) for w > 0 and
+    (2/pi) Im psi(1/2 + i zeta/pi) for w < 0: the psi taken has its poles
+    below the real axis of x + iy, so u is bounded and harmonic in the upper
+    half-plane with boundary values tanh(w s + b), the Poisson extension.
+    """
+    import mpmath as mp
+
+    with mp.workdps(30):
+        zeta = mp.mpf(w) * mp.mpc(x, y) + mp.mpf(b)
+        sign = -1 if w > 0 else 1
+        return float(sign * (2 / mp.pi) * mp.im(mp.digamma(0.5 + sign * 1j * zeta / mp.pi)))

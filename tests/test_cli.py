@@ -360,6 +360,26 @@ def test_oversized_sweep_exits_2_before_any_work(tmp_path, capsys, monkeypatch, 
 @pytest.mark.parametrize(
     "argv,reason",
     [
+        (["rates", "reg", "--k", "2", "--steps", "2"], "steps must be >= 3, got 2"),
+        (["rates", "sobolev", "--k", "2", "--steps", "-1"], "steps must be >= 3, got -1"),
+        (["diag", "xklogx", "--k", "2", "--steps", "2"], "steps must be >= 3, got 2"),
+        (["rates", "mc", "--alpha", "2", "--steps", "2"], "steps must be >= 3, got 2"),
+        (["rates", "mc", "--alpha", "2", "--seeds", "0"], "seeds must be >= 1, got 0"),
+        (["rates", "mc", "--alpha", "2", "--seeds", "-3"], "seeds must be >= 1, got -3"),
+        (["rates", "mc", "--alpha", "2", "--n-min", "0"], "n-min must be >= 1, got 0"),
+        (["rates", "mc", "--alpha", "2", "--n-min", "64", "--n-max", "64"], "need n-min < n-max, got 64 and 64"),
+    ],
+)
+def test_short_sweep_exits_2_before_any_work(tmp_path, capsys, monkeypatch, argv, reason):
+    # one count rule: steps, seeds and n-min read like every other count
+    code, out, err = _sweep(capsys, monkeypatch, tmp_path, argv)
+    assert code == 2 and out == ""
+    assert err == f"harmlab: invalid input: {reason}\n"
+
+
+@pytest.mark.parametrize(
+    "argv,reason",
+    [
         (["rates", "reg", "--k", "2", "--steps", "1000000000"],
          "steps = 1000000000 exceeds the limit of 10000000 eps values"),
         (["rates", "sobolev", "--k", "2", "--steps", "100000000"],
@@ -730,7 +750,7 @@ def test_non_finite_slice_line_exits_2_naming_x0_and_v(tmp_path, capsys, x0, v):
         (["solve", "--boundary", "relu:abc", "--x", "1", "--y", "1"], "got 'abc'"),
         (["ensemble", "slice", "--in", "{plane}", "--out", "{tmp}/o.txt", "--x0", "a,b"], "got 'a'"),
         (["ensemble", "slice", "--in", "{plane}", "--out", "{tmp}/o.txt", "--v", "1,x"], "got 'x'"),
-        (["ensemble", "lift", "--in", "{line}", "--out", "{tmp}/o.txt", "--nodes", "0"], "n = 0"),
+        (["ensemble", "lift", "--in", "{line}", "--out", "{tmp}/o.txt", "--nodes", "0"], "n must be >= 1, got 0"),
     ],
 )
 def test_unparsable_numbers_exit_2(tmp_path, capsys, argv, reason):

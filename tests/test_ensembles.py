@@ -1087,7 +1087,7 @@ def test_order_zero_holds_one_coefficient_array_per_block(weighted):
 def test_cauchy_rules_refuse_fewer_than_one_node(rule, n):
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # refused before any numpy arithmetic
-        with pytest.raises(ValidationError, match=f"need at least 1 node, got n = {n}"):
+        with pytest.raises(ValidationError, match=f"n must be >= 1, got {n}"):
             rule(n)
         assert rule(1).weights.sum() == pytest.approx(1.0)
 
@@ -1110,6 +1110,41 @@ def test_neuron_counts_refuse_a_count_that_is_not_an_integer(n):
     with pytest.raises(ValidationError, match=re.escape(f"n_samples must be an integer, got {n!r}")):
         lift_ensemble(e, n_samples=n)
     assert len(sample_subnetwork(e, np.int64(3), seed=1)) == 3
+
+
+@pytest.mark.parametrize("rule", [cauchy_midpoint_rule, cauchy_graded_rule])
+def test_dense_cauchy_rules_stop_at_max_neurons(monkeypatch, rule):
+    # refused before numpy allocates: the graded rule peaks at 45 MB per 10^6 nodes
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError, match="^n = 10000001 exceeds the limit of 10000000 neurons$"):
+            rule(ensembles_module.MAX_NEURONS + 1)
+        monkeypatch.setattr(ensembles_module, "MAX_NEURONS", 50)
+        assert rule(50).nodes.size == 50
+        with pytest.raises(ValidationError, match="^n = 51 exceeds the limit of 50 neurons$"):
+            rule(51)
+
+
+def test_tangent_rule_stops_at_the_gauss_legendre_limit():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cauchy_tangent_rule(2000).nodes.size == 2000
+        with pytest.raises(ValidationError, match="^n = 2001 too large for Gauss-Legendre node computation; "
+                                                  "use cauchy_midpoint_rule or cauchy_graded_rule for dense lifts$"):
+            cauchy_tangent_rule(2001)
+
+
+@pytest.mark.parametrize("order,reason", [
+    (1.0, "order must be an integer, got 1.0"),
+    (-1, "order must be >= 0, got -1"),
+    (3, "order must be 0, 1 or 2, got 3"),
+])
+def test_ensemble_derivatives_refuses_an_order_outside_0_1_2(order, reason):
+    # 1.0 used to pass the choice test (1.0 in (0, 1, 2)) and fail in range
+    e = NeuronEnsemble([1.0], [1.0], [[1.0]], [0.0], 2.5)
+    with pytest.raises(ValidationError, match=f"^{re.escape(reason)}$"):
+        ensemble_derivatives(e, np.array([0.5]), order)
+    assert ensemble_derivatives(e, np.array([0.5]), np.int64(1))[0].tolist() == [2.5 * 0.5**1.5]
 
 
 def test_neuron_count_limit(monkeypatch):

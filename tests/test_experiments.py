@@ -2,6 +2,8 @@
 
 import functools
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -702,6 +704,48 @@ def test_random_target_size_limit(monkeypatch):
     assert len(make_random_target(2.0, 1200, seed=1)) == 1200
     with pytest.raises(ValidationError, match="exceeds the limit"):
         make_random_target(2.0, 1201, seed=1)
+
+
+_GRID16 = GridSpec(1.0, 16, 16)
+
+
+@pytest.mark.parametrize("call,reason", [
+    (lambda t: mc_rate_experiment(t, [32.9, 64.2, 128.7], 0, 2.0, 2), "sample size must be an integer, got 32.9"),
+    (lambda t: mc_rate_experiment(t, [0, 64, 128], 0, 2.0, 2), "sample size must be >= 1, got 0"),
+    (lambda t: mc_rate_experiment(t, [64, 128], 0, 2.0, 2), "sample sizes must be >= 3, got 2"),
+    (lambda t: mc_rate_experiment(t, [32, 64, 128], 0, 2.0, [0.5, 1.7]), "seed must be an integer, got 0.5"),
+    (lambda t: mc_rate_experiment(t, [32, 64, 128], 0, 2.0, [-1]), "seed must be >= 0, got -1"),
+    (lambda t: mc_rate_experiment(t, [32, 64, 128], 0, 2.0, 2.5), "seeds must be an integer, got 2.5"),
+    (lambda t: mc_rate_experiment(t, [32, 64, 128], 0, 2.0, 0), "seeds must be >= 1, got 0"),
+    (lambda t: mc_rate_experiment(t, [32, 64, 128], 0, 2.0, []), "seeds must be >= 1, got 0"),
+    (lambda t: mc_rate_experiment(t, [32, 64, 128], 1.0, 2.0, 2), "derivative order must be an integer, got 1.0"),
+    (lambda t: make_random_target(0.5, 1000, 1, dim=2.0), "dim must be an integer, got 2.0"),
+    (lambda t: make_random_target(0.5, 1000, 1, dim=3), "dim must be 1 or 2, got 3"),
+    (lambda t: log_field_terms(2, 1.0, 1), "l must be an integer, got 1.0"),
+    (lambda t: log_field_terms(2, 1, -1), "m must be >= 0, got -1"),
+    (lambda t: sobolev_lognorm_experiment(2, [1e-3, 1e-2, 1e-1], _GRID16, order=2.5),
+     "order must be an integer, got 2.5"),
+    (lambda t: sobolev_lognorm_experiment(2.0, [1e-3, 1e-2, 1e-1], _GRID16), "k must be a positive integer, got 2.0"),
+    (lambda t: reg_error_experiment(2, 2.0, 1.0, [1e-3, 1e-2, 1e-1], _GRID16),
+     "derivative order must be an integer, got 1.0"),
+])
+def test_experiment_counts_are_integers_never_truncated(call, reason):
+    # sizes 32.9, 64.2, 128.7 used to run as 32, 64, 128, seeds [0.5, 1.7] as 0
+    # and 1, order 2.5 as 2, and order 1.0 was reported as 1.0; seeds 2.5, m 1.0,
+    # l 1.0 and dim 2.0 failed in range or numpy, and seed -1 in numpy's seeding
+    target = make_random_target(2.0, 1000, seed=3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError, match=f"^{re.escape(reason)}$"):
+            call(target)
+
+
+def test_mc_takes_numpy_integer_counts_bit_for_bit():
+    # the CLI hands over its sizes as a numpy array; nothing is converted
+    target = make_random_target(2.0, 1000, seed=3)
+    want = mc_rate_experiment(target, [32, 64, 128], 1, 2.0, 2)
+    assert mc_rate_experiment(target, np.array([32, 64, 128]), np.int64(1), 2.0, np.int64(2)) == want
+    assert mc_rate_experiment(target, [32, 64, 128], 1, 2.0, np.arange(2)) == want
 
 
 def test_mc_admissibility():

@@ -121,3 +121,39 @@ def test_errors_are_two_families_and_the_two_subclasses_the_library_catches():
     assert issubclass(errors.NumericalError, errors.HarmlabError)
     assert issubclass(errors.MaxSubdivisionsExceeded, errors.NumericalError)
     assert issubclass(errors.NonFiniteSample, errors.NumericalError)
+
+
+def _message_template(node) -> str:
+    """The text of a str, f-string or `+` of them, each replacement field as {}; "" for anything else."""
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        return node.value
+    if isinstance(node, ast.FormattedValue):
+        return "{}"
+    if isinstance(node, ast.JoinedStr):
+        return "".join(map(_message_template, node.values))
+    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Add):
+        return _message_template(node.left) + _message_template(node.right)
+    return ""
+
+
+# the integer and limit forms of numerics._check_count, the one count rule
+_COUNT_FORMS = re.compile(r"must be an integer|= \{\} exceeds the limit of")
+
+
+def test_only_check_count_words_a_count_refusal():
+    # a ValidationError worded like a count refusal anywhere but
+    # numerics._check_count is a second count rule; the grid-size messages
+    # ("a ... grid exceeds the limit") are not counts and do not match
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for func in ast.walk(tree):
+            if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for call in ast.walk(func):
+                if (isinstance(call, ast.Call) and call.args
+                        and getattr(call.func, "id", getattr(call.func, "attr", None)) == "ValidationError"
+                        and _COUNT_FORMS.search(_message_template(call.args[0]))):
+                    found.append(f"{path.stem}.{func.name}")
+    # both forms are found where they belong, so the scan sees what it looks for
+    assert found == ["numerics._check_count", "numerics._check_count"], found

@@ -2,6 +2,7 @@
 
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from harmlab import (
     ensemble_from_derivative,
     log_divergence_diagnostic,
 )
+from harmlab import line_barron
 from harmlab.line_barron import _equal_mass_atoms, _monomial_shift_solve, xklogx_derivative
 
 
@@ -121,6 +123,31 @@ def test_ensemble_from_derivative_refuses_infinite_support():
     df = DifferentiableFunction1D(lambda x: np.exp(-x * x), 1, (0.0, math.inf))
     with pytest.raises(ValidationError, match="finite support"):
         ensemble_from_derivative(df, 100, [0.0, 0.0])
+
+
+@pytest.mark.parametrize("quad_nodes,reason", [
+    (2.5, "quad_nodes must be an integer, got 2.5"),
+    (0, "quad_nodes must be >= 1, got 0"),
+    (10**8, "quad_nodes = 100000000 exceeds the limit of 312500 nodes"),
+])
+def test_ensemble_from_derivative_refuses_a_node_count_before_its_mesh(quad_nodes, reason):
+    # 2.5 used to raise numpy's TypeError, and 10^8 a MemoryError for a fine
+    # mesh of 32 points a node; the limit keeps that mesh within MAX_NEURONS points
+    df = DifferentiableFunction1D(lambda x: 6.0 * x, 1, (-1.0, 1.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError, match=f"^{re.escape(reason)}$"):
+            ensemble_from_derivative(df, quad_nodes, [0.0, 0.0])
+
+
+def test_ensemble_from_derivative_node_limit(monkeypatch):
+    monkeypatch.setattr(line_barron, "MAX_NEURONS", 32 * 40)  # a fine mesh of 1280 points: 40 nodes
+    df = DifferentiableFunction1D(lambda x: 6.0 * x, 1, (0.0, 1.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert len(ensemble_from_derivative(df, 40, [0.0, 0.0])) == 40
+        with pytest.raises(ValidationError, match="^quad_nodes = 41 exceeds the limit of 40 nodes$"):
+            ensemble_from_derivative(df, 41, [0.0, 0.0])
 
 
 def test_single_neuron_target_direct_construction():

@@ -2,6 +2,7 @@
 
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -474,6 +475,29 @@ def test_gauss_legendre_rule_refuses_a_node_count_that_is_not_an_integer(n):
     assert gauss_legendre_rule(np.int64(3), -1.0, 1.0).nodes.size == 3
 
 
+def test_gauss_legendre_rule_stops_at_its_node_limit():
+    # leggauss builds an n x n companion matrix: 10^5 nodes would ask for 80 GB
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert gauss_legendre_rule(2000, -1.0, 1.0).nodes.size == 2000
+        for n, reason in ((2001, "n = 2001 exceeds the limit of 2000 nodes"), (0, "n must be >= 1, got 0")):
+            with pytest.raises(ValidationError, match=f"^{re.escape(reason)}$"):
+                gauss_legendre_rule(n, -1.0, 1.0)
+
+
+@pytest.mark.parametrize("budget,reason", [
+    (2.5, "max_intervals must be an integer, got 2.5"),
+    (np.float64(4000.0), f"max_intervals must be an integer, got {np.float64(4000.0)!r}"),
+    (0, "max_intervals must be >= 1, got 0"),
+])
+def test_integrate_adaptive_refuses_a_budget_that_is_not_a_count(budget, reason):
+    # 2.5 used to fail as "subdivision budget 2.5 exhausted", and 0 returned a
+    # value whenever the root rule met the tolerance
+    with pytest.raises(ValidationError, match=f"^{re.escape(reason)}$"):
+        integrate_adaptive(lambda x: x, 0.0, 1.0, 1e-6, budget)
+    assert integrate_adaptive(np.sqrt, 0.0, 1.0, 1e-12, np.int64(4000)) == integrate_adaptive(np.sqrt, 0.0, 1.0, 1e-12)
+
+
 def test_quadrature_rule_validation():
     gl = gauss_legendre_rule(32, 0.0, 2.0)
     assert gl.weights.sum() == pytest.approx(2.0, abs=1e-13)
@@ -559,6 +583,13 @@ def test_gridspec_refuses_node_counts_that_are_not_integers(nr, nphi, bad):
     with pytest.raises(ValidationError, match=f"{bad} must be an integer"):
         GridSpec(1.0, nr, nphi)
     assert GridSpec(1.0, np.int64(16), 16) == GridSpec(1.0, 16, 16)  # numpy's integers are counts
+
+
+@pytest.mark.parametrize("nr,nphi,reason", [(7, 8, "nr must be >= 8, got 7"), (8, 7, "nphi must be >= 8, got 7")])
+def test_gridspec_needs_eight_nodes_a_side(nr, nphi, reason):
+    with pytest.raises(ValidationError, match=f"^{re.escape(reason)}$"):
+        GridSpec(1.0, nr, nphi)
+    assert GridSpec(1.0, 8, 8).mesh()[0].shape == (8, 8)
 
 
 def test_gridspec_node_limit(monkeypatch):

@@ -26,6 +26,7 @@ from harmlab import (
 )
 from harmlab import poisson
 from greedy_reference import solve_greedy
+from oracles import tanh_extension
 
 
 def meets_tol(got: float, want: float, tol: float) -> bool:
@@ -148,6 +149,37 @@ def test_tanh_is_harmonic_extension():
         mp.quad(lambda t: mp.tanh(p.x + t * p.y) / (1 + t * t), [-mp.inf, 0, mp.inf]) / mp.pi
     )
     assert got == pytest.approx(want, abs=1e-9)
+
+
+def test_tanh_extension_oracle_is_the_kernel_integral():
+    # the digamma form against mpmath's own quadrature of the kernel form, at a
+    # point where that quadrature is reliable
+    import mpmath as mp
+
+    with mp.workdps(30):
+        want = mp.quad(lambda t: mp.tanh(2 * (0.4 + t * 0.8) - 1) / (1 + t * t), [-mp.inf, 0.125, mp.inf]) / mp.pi
+    assert tanh_extension(2.0, -1.0, 0.4, 0.8) == pytest.approx(float(want), rel=1e-15, abs=1e-16)
+
+
+@pytest.mark.parametrize("w,b,x,y", [(2.0, -1.0, 0.0, 1.0), (-3.0, 0.5, 0.3, 0.7)])
+def test_tanh_meets_its_tolerance_against_the_digamma_form(w, b, x, y):
+    # points the solver resolves: 2.4e-15 and 1.7e-16 off the oracle
+    got = solve_at(BoundaryFunction.tanh(w, b), HalfPlanePoint(x, y), tol=1e-9)
+    assert meets_tol(got, tanh_extension(w, b, x, y), 1e-9)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="tanh declares no kinks: near the boundary, far from the transition at s = -b/w, the transition "
+           "is narrower than the root rule's node gap and the greedy accepts +-1 (ROADMAP item 1)",
+)
+@pytest.mark.parametrize("x", [-50.0, -5.0])
+def test_tanh_near_the_boundary_meets_its_tolerance(x):
+    # `harmlab solve --boundary tanh:2:-1 --x -50 --y 0.001` (and --x -5): off
+    # by 1.26e-5 and 1.17e-4 against a bound of 2e-9
+    got = solve_at(BoundaryFunction.tanh(2.0, -1.0), HalfPlanePoint(x, 0.001), tol=1e-9)
+    assert meets_tol(got, tanh_extension(2.0, -1.0, x, 0.001), 1e-9)
 
 
 def test_quadrature_failure_mapping(monkeypatch):
