@@ -227,6 +227,7 @@ def _cmd_rates_mc(args) -> int:
         raise ValidationError(f"need n-min < n-max, got {args.n_min} and {args.n_max}")
     _check_count(args.target_seed, "--target-seed", 0)
     ns = np.unique(np.round(_log_sweep(args.n_min, args.n_max, args.steps, "sizes", args.seeds)).astype(int))
+    _check_count(args.n_max, "--n-max", 1, MAX_NEURONS, "neurons")  # the user's size, not a rounded step
     target = make_random_target(args.alpha, args.target_size, args.target_seed, dim=1)
     reports, fit, rate = mc_rate_experiment(target, ns, args.order, args.q, args.seeds)
     return _emit_rates(args, reports, fit, MC_MODEL_MIN_R2,

@@ -618,8 +618,9 @@ def _columns(rows: np.ndarray, dim: int) -> tuple:
 # space between tokens, "\n" after each line and 3 + dim tokens on every line. It is
 # read in blocks of whole lines. Deleting the number bytes from a block must leave
 # (" " * (ncols - 1) + "\n") * nlines, which rules out every other byte, blank lines
-# and stray whitespace; with " \n" turned into ",", np.fromstring(sep=",") then
-# refuses an empty or glued token ("1-2", "1e5e5") instead of splitting it.
+# and stray whitespace. np.fromstring(sep=" ") then refuses a token that is not one
+# number ("1-2", "1e5e5", "--1"), and the count of values, ncols * nlines, refuses an
+# empty token ("1  2") and a glued one that a numpy would split into two numbers.
 #
 # np.fromstring parses a long double with libc's strtold, which rounds correctly.
 # Rounding to the long double and then to the double equals one correct rounding
@@ -637,7 +638,6 @@ def _columns(rows: np.ndarray, dim: int) -> tuple:
 
 _READ_BYTES = 1 << 18  # body bytes per read, then the rest of the last line
 _NUMBER_BYTES = b"0123456789+-.e"
-_TO_COMMAS = bytes.maketrans(b" \n", b",,")
 _DBL_MAX = float(np.finfo(float).max)
 
 
@@ -648,11 +648,10 @@ def _decode_block(block: bytes, ncols: int) -> np.ndarray | None:
     nlines, extra = divmod(len(seps), ncols)
     if extra or seps != (b" " * (ncols - 1) + b"\n") * nlines:
         return None
-    text = block.translate(_TO_COMMAS)
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)  # numpy < 2 only warns on unmatched data
-            ld = np.fromstring(text, dtype=np.longdouble, sep=",")
+            ld = np.fromstring(block, dtype=np.longdouble, sep=" ")
     except (ValueError, DeprecationWarning):
         return None
     if ld.size != nlines * ncols:
@@ -668,7 +667,7 @@ def _decode_block(block: bytes, ncols: int) -> np.ndarray | None:
         redo |= ~(np.abs(out) < _DBL_MAX)
     if redo.any():
         redo = np.flatnonzero(redo)
-        tokens = text.split(b",")
+        tokens = block.split()
         out[redo] = [float(tokens[i]) for i in redo.tolist()]
     return out.reshape(nlines, ncols)
 

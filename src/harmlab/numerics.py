@@ -84,8 +84,9 @@ class QuadratureRule:
 def _check_count(n, what: str, least: int = 1, most: int | None = None, unit: str = "") -> None:
     """ValidationError unless n is an integer (numpy's included), n >= least and n <= most (if not None).
 
-    The one rule for every count; a float is refused, never truncated, even 3.0."""
-    if not isinstance(n, (int, np.integer)):
+    The one rule for every count; a float is refused, never truncated, even 3.0, and
+    so is a bool, which Python counts as an int."""
+    if not isinstance(n, (int, np.integer)) or isinstance(n, bool):
         raise ValidationError(f"{what} must be an integer, got {n!r}")
     if n < least:
         raise ValidationError(f"{what} must be >= {least}, got {n}")

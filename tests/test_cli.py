@@ -603,8 +603,9 @@ def test_ensemble_pipeline(tmp_path, capsys):
     "argv",
     [
         ["rates", "mc", "--alpha", "2", "--target-size", "1000000000000"],
-        ["ensemble", "sample", "--n", "1000000000000", "--seed", "1"],
-        ["ensemble", "lift", "--samples", "1000000000000", "--seed", "1"],
+        ["ensemble", "sample", "--seed", "1", "--n", "1000000000000"],
+        ["ensemble", "lift", "--seed", "1", "--samples", "1000000000000"],
+        ["rates", "mc", "--alpha", "2", "--n-max", "20000000"],
     ],
 )
 def test_hostile_sizes_exit_2(tmp_path, capsys, argv):
@@ -614,7 +615,12 @@ def test_hostile_sizes_exit_2(tmp_path, capsys, argv):
     files = [] if argv[0] == "rates" else ["--in", str(src)]
     code, out, err = invoke(capsys, *argv, *files, "--out", str(tmp_path / "x.out"))
     assert code == 2 and out == ""
-    assert err.count("\n") == 1 and "exceeds the limit" in err
+    flag, size = argv[-2:]
+    # the size typed: --n-max used to be refused as "sample size = 11807672", a
+    # log-spaced step of the sweep, after the target was built
+    assert err.count("\n") == 1 and f" = {size} exceeds the limit" in err
+    if flag == "--n-max":  # no library parameter of that name, so the flag is named
+        assert err.startswith("harmlab: invalid input: --n-max = ")
     assert not (tmp_path / "x.out").exists()
 
 

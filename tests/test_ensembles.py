@@ -686,6 +686,26 @@ def test_canonical_overflowing_token_exits_2_without_a_warning(tmp_path, capsys)
     assert not (tmp_path / "o.txt").exists()
 
 
+@pytest.mark.parametrize("token", ["1-2", "1e5e5", "--1"])
+def test_decode_block_refuses_a_glued_token_in_the_writer_layout(token):
+    # the separators are the writer's, so the parse itself must refuse the token
+    assert ensembles_module._decode_block(f"1 1 {token} 0\n".encode(), 4) is None
+
+
+@pytest.mark.parametrize("token,parts", [("1-2", "1 -2"), ("1.2.3", "1.2 .3")])
+def test_decode_block_refuses_a_glued_token_that_numpy_splits(monkeypatch, token, parts):
+    # a numpy that reads the token as two numbers gives a value too many; the count
+    # of values refuses the block
+    fromstring = np.fromstring
+
+    def splitting(text, **kw):
+        return fromstring(text.replace(token.encode(), parts.encode()), **kw)
+
+    monkeypatch.setattr(np, "fromstring", splitting)
+    assert ensembles_module._decode_block(f"1 1 {token} 0\n".encode(), 4) is None
+    assert ensembles_module._decode_block(b"1 1 1 0\n", 4).tolist() == [[1.0, 1.0, 1.0, 0.0]]
+
+
 def _decode_tokens(tokens, ncols=4):
     """What the strict reader gives for `tokens` laid out ncols a line, padded with 0."""
     padded = list(tokens) + ["0"] * (-len(tokens) % ncols)
@@ -1093,7 +1113,7 @@ def test_cauchy_rules_refuse_fewer_than_one_node(rule, n):
 
 
 @pytest.mark.parametrize("rule", [cauchy_tangent_rule, cauchy_midpoint_rule, cauchy_graded_rule])
-@pytest.mark.parametrize("n", [2.5, 3.0, np.float64(4.0)])
+@pytest.mark.parametrize("n", [2.5, 3.0, np.float64(4.0), True])
 def test_cauchy_rules_refuse_a_node_count_that_is_not_an_integer(rule, n):
     # 2.5 used to give a rule of 2 nodes without a word
     with pytest.raises(ValidationError, match=re.escape(f"n must be an integer, got {n!r}")):
@@ -1101,7 +1121,7 @@ def test_cauchy_rules_refuse_a_node_count_that_is_not_an_integer(rule, n):
     assert rule(np.int64(3)).weights.sum() == pytest.approx(1.0)
 
 
-@pytest.mark.parametrize("n", [2.5, 3.0, np.float64(4.0)])
+@pytest.mark.parametrize("n", [2.5, 3.0, np.float64(4.0), True])
 def test_neuron_counts_refuse_a_count_that_is_not_an_integer(n):
     # sample_subnetwork(e, 2.5) used to return 2 neurons without a word
     e = NeuronEnsemble(np.full(4, 0.25), np.ones(4), np.linspace(-1.0, 1.0, 4), np.zeros(4), 0.5)

@@ -468,7 +468,7 @@ def test_heap_top_rows_are_the_greedy_bit_for_bit(beta, a, width, inside, tol, m
     assert got == _outcome(integrate_greedy, f, a, b, tol, max_intervals)
 
 
-@pytest.mark.parametrize("n", [2.5, 3.0, np.float64(4.0)])
+@pytest.mark.parametrize("n", [2.5, 3.0, np.float64(4.0), True])
 def test_gauss_legendre_rule_refuses_a_node_count_that_is_not_an_integer(n):
     with pytest.raises(ValidationError, match=re.escape(f"n must be an integer, got {n!r}")):
         gauss_legendre_rule(n, -1.0, 1.0)
@@ -488,6 +488,7 @@ def test_gauss_legendre_rule_stops_at_its_node_limit():
 @pytest.mark.parametrize("budget,reason", [
     (2.5, "max_intervals must be an integer, got 2.5"),
     (np.float64(4000.0), f"max_intervals must be an integer, got {np.float64(4000.0)!r}"),
+    (True, "max_intervals must be an integer, got True"),  # used to run with a budget of 1
     (0, "max_intervals must be >= 1, got 0"),
 ])
 def test_integrate_adaptive_refuses_a_budget_that_is_not_a_count(budget, reason):
@@ -576,7 +577,8 @@ def test_gridspec_validation():
 
 
 @pytest.mark.parametrize(
-    "nr, nphi, bad", [(64.0, 64, "nr"), (16.5, 16, "nr"), (64, 64.0, "nphi"), (16, np.float64(16.0), "nphi")]
+    "nr, nphi, bad",
+    [(64.0, 64, "nr"), (16.5, 16, "nr"), (True, 64, "nr"), (64, 64.0, "nphi"), (16, np.float64(16.0), "nphi")],
 )
 def test_gridspec_refuses_node_counts_that_are_not_integers(nr, nphi, bad):
     # 64.0 used to pass, and the first norm on the grid raised numpy's TypeError
